@@ -6,7 +6,8 @@
 Run from the repository root.  The program is imported from ``src/`` as one
 caller in a closed loop, single process and single thread.  With ``--trace 0``
 passes repeat until the next one would end after ``--seconds`` (at least
-one), and the end-to-end metrics of BENCHMARK.json are reported.  With
+one), and the end-to-end metrics of BENCHMARK.json are reported; their times
+are calibrated to the host's speed (see speed.py).  With
 ``--trace 1`` one untraced and one traced pass run, and the per-layer metrics
 are reported.  The last line of standard output is the JSON result; the lines
 before it start with ``#``.  Outputs go to ``.perfbench_out/``.
@@ -27,6 +28,7 @@ from statistics import median
 from time import perf_counter
 
 from checks import Ops, self_test
+from speed import SpeedProbe
 from tracing import Tracer
 from workloads import WORKLOADS
 
@@ -80,37 +82,41 @@ def _peak_rss_mb() -> float:
 
 
 def _untraced(workload, ctx, ops, seconds: float) -> tuple[dict, dict]:
-    passes = []
+    passes, walls = [], []
     start = perf_counter()
     while True:
-        t0 = perf_counter()
-        workload.run(ctx, ops)
-        passes.append(perf_counter() - t0)
-        if perf_counter() - start + median(passes) > seconds:
+        with SpeedProbe() as probe:
+            workload.run(ctx, ops)
+        passes.append(probe.calibrated)
+        walls.append(probe.wall)
+        if perf_counter() - start + median(walls) > seconds:
             break
-    return {"run_s": median(passes)}, {"run_s": passes}
+    return {"run_s": median(passes)}, {"run_s": passes, "run_wall_s": walls}
 
 
 def _traced(workload, ctx, ops, out_dir: Path, tag: str) -> tuple[dict, dict]:
-    t0 = perf_counter()
-    workload.run(ctx, ops)
-    untraced_s = perf_counter() - t0
+    with SpeedProbe() as untraced:
+        workload.run(ctx, ops)
     tracer = Tracer()
     tracer.install()
-    origin = perf_counter()
     try:
-        info = workload.run(ctx, ops, tracer)
+        # The probe's samples fall inside spans: each span's times include
+        # about 1.5% of probe work, in proportion to its length.
+        with SpeedProbe() as traced:
+            origin = perf_counter()
+            info = workload.run(ctx, ops, tracer)
     finally:
         tracer.uninstall()
-    traced_s = perf_counter() - origin
+    traced_s = traced.wall
     if workload.counts is not None:
         info.update(workload.counts(ctx, ops, info))
     summary = tracer.summary(traced_s)
     tracer.write(out_dir / f"spans-{tag}.csv.gz", origin)
     values = _layer_values(summary, info)
-    values["trace_overhead_ratio"] = traced_s / untraced_s
+    values["trace_overhead_ratio"] = traced.calibrated / untraced.calibrated
     values["layer_coverage"] = summary["coverage"]
-    detail = {"untraced_s": untraced_s, "traced_s": traced_s, "info": info, "trace": summary}
+    detail = {"untraced_s": untraced.calibrated, "untraced_wall_s": untraced.wall,
+              "traced_s": traced.calibrated, "traced_wall_s": traced_s, "info": info, "trace": summary}
     return values, detail
 
 
@@ -156,15 +162,16 @@ def run_one(args, spec: dict) -> int:
     env = _environment(args.seed)
     tag = f"{args.workload}-seed{args.seed}-trace{args.trace}"
 
-    setup_samples = []
+    setup_samples, setup_walls = [], []
 
     def setup():
-        t0 = perf_counter()
-        lc = _import_program()
-        with open(HERE / "golden.json") as fh:
-            golden = json.load(fh)
-        ctx = workload.setup(lc, args.seed, golden, out_dir)
-        setup_samples.append(perf_counter() - t0)
+        with SpeedProbe() as probe:
+            lc = _import_program()
+            with open(HERE / "golden.json") as fh:
+                golden = json.load(fh)
+            ctx = workload.setup(lc, args.seed, golden, out_dir)
+        setup_samples.append(probe.calibrated)
+        setup_walls.append(probe.wall)
         return ctx
 
     ops = Ops()
@@ -183,6 +190,7 @@ def run_one(args, spec: dict) -> int:
         metrics = _select(spec["end_to_end"], values)
     env["LOCALCHROM_THREADS_in_run"] = os.environ.get("LOCALCHROM_THREADS")
     detail["setup_s"] = setup_samples
+    detail["setup_wall_s"] = setup_walls
 
     result = {
         "correct": ops.wrong == 0,
@@ -195,9 +203,10 @@ def run_one(args, spec: dict) -> int:
         json.dump(record, fh, indent=1, default=str)
 
     print(f"# {args.workload}: seed {args.seed}, trace {args.trace}, env {json.dumps(env)}")
-    print(f"# setup samples (s): {[round(s, 4) for s in setup_samples]}")
+    print(f"# setup samples (s): {[round(s, 4) for s in setup_samples]}, wall {[round(s, 4) for s in setup_walls]}")
     if not args.trace:
-        print(f"# passes: {len(detail['run_s'])}, run_s samples: {[round(s, 3) for s in detail['run_s']]}")
+        print(f"# passes: {len(detail['run_s'])}, run_s samples: {[round(s, 3) for s in detail['run_s']]}, "
+              f"wall {[round(s, 3) for s in detail['run_wall_s']]}")
     for f in ops.failures:
         print(f"# failed {f['item']}: {f['kind']}: {f['detail']}")
     print(f"# {ops.attempted - ops.failed}/{ops.attempted} operations ok, {ops.wrong} wrong")
