@@ -272,7 +272,8 @@ def _build_c7(g: Graph, anchor: tuple[int, ...]) -> DecompositionCertificate:
             s_value=s_value,
             audit=audit,
         )
-    colouring = tuple(_c7_colouring()[label[x]] for x in range(n))
+    palette = _c7_colouring()
+    colouring = tuple(palette[label[x]] for x in range(n))
     assert validate_colouring(g, colouring, 4)
     return DecompositionCertificate(
         kind=kind,
@@ -471,7 +472,8 @@ def _build_h2plus(g: Graph, anchor7: tuple[int, ...]) -> DecompositionCertificat
     if not failed_upgrades:
         target = families.h2plus()
         if is_homomorphism(g, target, hom):
-            colouring = tuple(_h2plus_colouring()[label[x]] for x in range(n))
+            palette = _h2plus_colouring()
+            colouring = tuple(palette[label[x]] for x in range(n))
             assert validate_colouring(g, colouring, 4)
             return DecompositionCertificate(
                 kind=kind,

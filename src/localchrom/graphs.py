@@ -96,9 +96,6 @@ class Graph:
     def min_degree(self) -> int:
         return min(self.degrees()) if self.n else 0
 
-    def max_degree(self) -> int:
-        return max(self.degrees()) if self.n else 0
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 

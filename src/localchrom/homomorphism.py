@@ -1,8 +1,12 @@
 """Exact decision procedures: homomorphism, (induced) subgraph, isomorphism.
 
-All solvers are deterministic: pattern vertices are processed in descending
-degree order (ties by index) and candidate images in ascending index order,
-so failures and certificates are reproducible.
+One backtracker, ``_backtrack``, serves ``find_homomorphism``,
+``subgraph_embeddings`` and ``find_subgraph``.  Its flag ``injective`` keeps a
+used-vertex mask and drops host vertices of too small a degree; its flag
+``induced`` also keeps placed non-neighbours' images non-adjacent.  Pattern
+vertices are processed in descending degree order (ties by index) and
+candidate images in ascending index order, so failures and certificates are
+reproducible.  ``brute_force_homomorphism`` is a separate oracle.
 """
 
 from __future__ import annotations
@@ -30,39 +34,75 @@ def _pattern_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
-def find_homomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
-    """A map V(g) -> V(h) preserving edges, or None; exhaustive backtracking.
+def _backtrack(
+    pattern: Graph, host: Graph, injective: bool, induced: bool
+) -> Iterator[tuple[int, ...]]:
+    """Every map V(pattern) -> V(host) preserving edges, in a fixed order.
 
-    Candidates for a pattern vertex are the intersection of its already-placed
-    neighbours' host neighbourhoods, kept as a bitset.
+    Pattern vertices are placed in ``_pattern_order`` and each one's images
+    are tried in ascending index, so the maps come out in lexicographic order
+    of their images along that order.  The candidate bitset of a pattern
+    vertex is the intersection of its placed neighbours' host neighbourhoods;
+    ``injective`` also removes used host vertices and those of smaller degree,
+    ``induced`` also removes the neighbourhoods of placed non-neighbours.
+    The search keeps one untried-candidate bitset per depth on an explicit
+    stack, so its depth is not bounded by the recursion limit.
     """
-    if g.n == 0:
-        return ()
-    if h.n == 0 or (h.edge_count() == 0 and g.edge_count() > 0):
+    n = pattern.n
+    if n == 0:
+        yield ()
+        return
+    adj = host.adj
+    full = (1 << host.n) - 1
+    order = _pattern_order(pattern)
+    earlier_nbr: list[list[int]] = []
+    earlier_non: list[list[int]] = []
+    placed = 0
+    for v in order:
+        earlier_nbr.append(list(bits(pattern.adj[v] & placed)))
+        earlier_non.append(list(bits(placed & ~pattern.adj[v])) if induced else [])
+        placed |= 1 << v
+    base = [full] * n
+    if injective:
+        host_deg = host.degrees()
+        at_least = {
+            d: mask_of(x for x in range(host.n) if host_deg[x] >= d) for d in set(pattern.degrees())
+        }
+        base = [at_least[pattern.degree(v)] for v in order]
+    image = [-1] * n
+    used = [0] * n  # used[i]: host vertices taken by depths < i
+    untried = [0] * n
+    last = n - 1
+    i = 0
+    untried[0] = base[0]
+    while i >= 0:
+        candidates = untried[i]
+        if not candidates:
+            i -= 1
+            continue
+        low = candidates & -candidates
+        untried[i] = candidates ^ low
+        image[order[i]] = low.bit_length() - 1
+        if i == last:
+            yield tuple(image)
+            continue
+        i += 1
+        candidates = base[i]
+        if injective:
+            used[i] = used[i - 1] | low
+            candidates &= ~used[i]
+        for u in earlier_nbr[i]:
+            candidates &= adj[image[u]]
+        for u in earlier_non[i]:
+            candidates &= ~adj[image[u]]
+        untried[i] = candidates
+
+
+def find_homomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
+    """The first map V(g) -> V(h) preserving edges, or None (see ``_backtrack``)."""
+    if g.n and (h.n == 0 or (h.edge_count() == 0 and g.edge_count() > 0)):
         return None
-    order = _pattern_order(g)
-    position = {v: i for i, v in enumerate(order)}
-    earlier = [[u for u in bits(g.adj[v]) if position[u] < position[v]] for v in order]
-    image = [-1] * g.n
-    full = (1 << h.n) - 1
-
-    def place(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        candidates = full
-        for u in earlier[i]:
-            candidates &= h.adj[image[u]]
-        for x in bits(candidates):
-            image[v] = x
-            if place(i + 1):
-                return True
-        image[v] = -1
-        return False
-
-    if place(0):
-        return tuple(image)
-    return None
+    return next(_backtrack(g, h, injective=False, induced=False), None)
 
 
 def brute_force_homomorphism(g: Graph, h: Graph) -> bool:
@@ -97,49 +137,9 @@ def brute_force_homomorphism(g: Graph, h: Graph) -> bool:
 
 
 def subgraph_embeddings(pattern: Graph, host: Graph, induced: bool) -> Iterator[tuple[int, ...]]:
-    """All injective maps preserving edges (and non-edges when induced).
-
-    Candidate images are maintained as bitsets: the intersection of the placed
-    neighbours' host neighbourhoods, minus placed non-neighbours' ones when
-    induced, minus used vertices and vertices of insufficient degree.
-    """
-    if pattern.n > host.n:
-        return
-    order = _pattern_order(pattern)
-    position = {v: i for i, v in enumerate(order)}
-    earlier_nbr = [[u for u in bits(pattern.adj[v]) if position[u] < position[v]] for v in order]
-    earlier_non = [
-        [
-            u
-            for u in range(pattern.n)
-            if u != v and not pattern.has_edge(u, v) and position[u] < position[v]
-        ]
-        for v in order
-    ]
-    image = [-1] * pattern.n
-    full = (1 << host.n) - 1
-    host_deg = host.degrees()
-    degree_ok = [
-        mask_of(x for x in range(host.n) if host_deg[x] >= pattern.degree(v)) for v in range(pattern.n)
-    ]
-
-    def place(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == pattern.n:
-            yield tuple(image)
-            return
-        v = order[i]
-        candidates = degree_ok[v] & ~used & full
-        for u in earlier_nbr[i]:
-            candidates &= host.adj[image[u]]
-        if induced:
-            for u in earlier_non[i]:
-                candidates &= ~host.adj[image[u]]
-        for x in bits(candidates):
-            image[v] = x
-            yield from place(i + 1, used | (1 << x))
-        image[v] = -1
-
-    yield from place(0, 0)
+    """All injective maps preserving edges (and non-edges when induced)."""
+    if pattern.n <= host.n:
+        yield from _backtrack(pattern, host, injective=True, induced=induced)
 
 
 def find_subgraph(pattern: Graph, host: Graph, induced: bool = False) -> tuple[int, ...] | None:

@@ -4,10 +4,8 @@ stable id per claim.  A FAIL never aborts the remaining checks."""
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -394,14 +392,6 @@ def build_claims() -> list[tuple[str, object]]:
     return claims
 
 
-def thread_count() -> int:
-    raw = os.environ.get("LOCALCHROM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def verify_paper(only: str | None = None, timeout: float | None = None) -> Report:
     """Run the acceptance claims in declared order; exit code 0 iff no FAIL.
 
@@ -413,8 +403,7 @@ def verify_paper(only: str | None = None, timeout: float | None = None) -> Repor
         claims = [(cid, fn) for cid, fn in claims if only in cid]
     deadline = None if timeout is None else time.monotonic() + timeout
 
-    def run_one(item) -> ClaimResult:
-        cid, fn = item
+    def run_one(cid: str, fn) -> ClaimResult:
         start = time.monotonic()
         if deadline is not None and start > deadline:
             return ClaimResult(cid, "SKIP", "global timeout reached before start", 0.0)
@@ -426,10 +415,4 @@ def verify_paper(only: str | None = None, timeout: float | None = None) -> Repor
         except Exception as exc:  # a crash is a failure, never an abort
             return ClaimResult(cid, "FAIL", f"unexpected error: {exc!r}", time.monotonic() - start)
 
-    workers = thread_count()
-    if workers == 1:
-        entries = [run_one(item) for item in claims]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(run_one, claims))
-    return Report(entries)
+    return Report([run_one(cid, fn) for cid, fn in claims])

@@ -67,15 +67,17 @@ def check_membership(g: Graph, c: Fraction | int) -> MembershipReport:
     return MembershipReport(lb, edge_max, twin_free, t_star, beats)
 
 
-def _locally_bipartite_with_vertex(parent: Graph, mask: int) -> bool:
-    """Does parent + (vertex adjacent to mask) stay locally bipartite?
+def _locally_bipartite_child(parent: Graph, mask: int) -> Graph | None:
+    """parent + (vertex adjacent to mask) if it stays locally bipartite, else None.
 
     Only the new vertex's neighbourhood and those of its neighbours change.
     """
     child = parent.with_vertex(mask)
-    if not neighbourhood_is_bipartite(child, child.n - 1):
-        return False
-    return all(neighbourhood_is_bipartite(child, w) for w in bits(mask))
+    if neighbourhood_is_bipartite(child, child.n - 1) and all(
+        neighbourhood_is_bipartite(child, w) for w in bits(mask)
+    ):
+        return child
+    return None
 
 
 def _filter_level(graphs: list[Graph], c: Fraction) -> list[FoundGraph]:
@@ -96,9 +98,9 @@ def _next_level(level: list[Graph]) -> list[Graph]:
     seen: dict[tuple[int, int], Graph] = {}
     for parent in level:
         for mask in range(1 << parent.n):
-            if not _locally_bipartite_with_vertex(parent, mask):
+            child = _locally_bipartite_child(parent, mask)
+            if child is None:
                 continue
-            child = parent.with_vertex(mask)
             key = canonical_form(child)
             if key not in seen:
                 seen[key] = child

@@ -103,21 +103,34 @@ def is_locally_bipartite(g: Graph) -> bool:
 def neighbourhood_is_bipartite(g: Graph, centre: int, rows=None) -> bool:
     """2-colour G[adj(centre)] by BFS; rows may override g.adj."""
     adj = rows if rows is not None else g.adj
-    members = adj[centre]
-    colour = {}
-    for start in bits(members):
-        if start in colour:
-            continue
-        colour[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in bits(adj[v] & members):
-                if u not in colour:
-                    colour[u] = colour[v] ^ 1
-                    queue.append(u)
-                elif colour[u] == colour[v]:
+    return _two_colourable(adj, adj[centre])
+
+
+def _two_colourable(adj, members: int) -> bool:
+    """Whether the subgraph of ``adj`` induced by the bitset ``members`` is
+    bipartite: a BFS by layers, each layer coloured opposite to the last.
+
+    An edge inside a colour class joins two vertices of one layer (BFS layers
+    two apart are never adjacent), so checking each layer against its own
+    colour class finds every conflict.
+    """
+    unseen = members
+    while unseen:
+        layer = unseen & -unseen
+        unseen ^= layer
+        side = [layer, 0]
+        parity = 0
+        while layer:
+            reached = 0
+            for v in bits(layer):
+                row = adj[v] & members
+                if row & side[parity]:
                     return False
+                reached |= row
+            layer = reached & unseen
+            unseen ^= layer
+            parity ^= 1
+            side[parity] |= layer
     return True
 
 
@@ -222,39 +235,14 @@ def _odd_cycle_through(h: Graph, target: int) -> bool:
     between their endpoints have different parities), so it suffices to test
     the target's biconnected blocks for bipartiteness.
     """
-    for members in _blocks_through(h, target):
-        if members.bit_count() < 3:
-            continue
-        block, _ = induced_subgraph(h, members)
-        if not _is_bipartite(block):
-            return True
-    return False
+    return not all(_two_colourable(h.adj, members) for members in _blocks_through(h, target))
 
 
-def _is_bipartite(h: Graph) -> bool:
-    colour: dict[int, int] = {}
-    for start in range(h.n):
-        if start in colour:
-            continue
-        colour[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in bits(h.adj[v]):
-                if u not in colour:
-                    colour[u] = colour[v] ^ 1
-                    queue.append(u)
-                elif colour[u] == colour[v]:
-                    return False
-    return True
-
-
-def sparse_missing_spoke(g: Graph, max_rim: int | None = None) -> tuple[int, int] | None:
+def sparse_missing_spoke(g: Graph) -> tuple[int, int] | None:
     """A sparse pair (u, v) such that uv is the missing spoke of an odd wheel.
 
     The configuration is an odd cycle through v whose other vertices all lie
-    in the neighbourhood of u.  ``max_rim`` = 5 restricts to 5-wheels.
-    Returns None when no such configuration exists.
+    in the neighbourhood of u.  Returns None when no such configuration exists.
     """
     for u in range(g.n):
         for v in range(g.n):
@@ -262,29 +250,6 @@ def sparse_missing_spoke(g: Graph, max_rim: int | None = None) -> tuple[int, int
                 continue
             region = g.adj[u] | (1 << v)
             h, labels = induced_subgraph(g, region)
-            target = labels.index(v)
-            if max_rim is None:
-                if _odd_cycle_through(h, target):
-                    return (u, v)
-            else:
-                if _bounded_odd_cycle_through(h, target, max_rim):
-                    return (u, v)
+            if _odd_cycle_through(h, labels.index(v)):
+                return (u, v)
     return None
-
-
-def _bounded_odd_cycle_through(h: Graph, target: int, max_len: int) -> bool:
-    def extend(path: list[int], on_path: int) -> bool:
-        v = path[-1]
-        if len(path) > max_len:
-            return False
-        for u in bits(h.adj[v]):
-            if u == target and 3 <= len(path) <= max_len and len(path) % 2 == 1:
-                return True
-            if not on_path >> u & 1 and u != target:
-                path.append(u)
-                if extend(path, on_path | (1 << u)):
-                    return True
-                path.pop()
-        return False
-
-    return extend([target], 1 << target)

@@ -29,9 +29,6 @@ class WeightingResult:
     def beats(self, c: Fraction | int) -> bool:
         return self.optimum > Fraction(c)
 
-    def weighted_graph(self, g: Graph) -> WeightedGraph:
-        return WeightedGraph(g, self.weights)
-
 
 def _degree_row(g: Graph, v: int) -> list[Fraction]:
     row = [ZERO] * g.n

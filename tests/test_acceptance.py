@@ -127,11 +127,3 @@ def test_fail_never_aborts_remaining_claims(monkeypatch):
     result = rp.verify_paper()
     assert [e.status for e in result.entries] == ["FAIL", "PASS"]
     assert result.exit_code == 1
-
-
-def test_report_order_independent_of_thread_count(monkeypatch):
-    sequential = rp.verify_paper(only="weighted")
-    monkeypatch.setenv("LOCALCHROM_THREADS", "4")
-    parallel = rp.verify_paper(only="weighted")
-    assert [e.claim_id for e in sequential.entries] == [e.claim_id for e in parallel.entries]
-    assert [e.status for e in parallel.entries] == ["PASS"] * len(parallel.entries)

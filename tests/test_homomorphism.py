@@ -9,6 +9,7 @@ from localchrom import families
 from localchrom.colouring import chromatic_number
 from localchrom.graphs import Graph, blow_up, complement, cycle_power, relabel
 from localchrom.homomorphism import (
+    _pattern_order,
     brute_force_homomorphism,
     canonical_form,
     compose,
@@ -133,6 +134,93 @@ class TestFindSubgraph:
                         oracle = True
                         break
                 assert (find_subgraph(p, h, induced) is not None) == oracle
+
+
+def path(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def preserves(p, h, image, induced):
+    """Edges map to edges; when induced, non-edges also map to non-edges."""
+    for u, v in combinations(range(p.n), 2):
+        if p.has_edge(u, v) and not h.has_edge(image[u], image[v]):
+            return False
+        if induced and not p.has_edge(u, v) and h.has_edge(image[u], image[v]):
+            return False
+    return True
+
+
+class TestBacktracker:
+    """The one backtracker behind find_homomorphism, subgraph_embeddings and find_subgraph."""
+
+    def test_long_patterns_do_not_recurse(self):
+        k2 = Graph(2, [(0, 1)])
+        hom = find_homomorphism(path(1500), k2)
+        assert hom is not None and is_homomorphism(path(1500), k2, hom)
+        emb = find_subgraph(path(1200), cycle_power(1300, 1))
+        assert emb is not None and is_homomorphism(path(1200), cycle_power(1300, 1), emb)
+        assert len(set(emb)) == 1200
+
+    def test_enumeration_order_vs_labelled_oracle(self):
+        # maps come out in lexicographic order of their images along _pattern_order
+        rng = random.Random(31)
+        for _ in range(150):
+            p = random_graph(rng, rng.randint(0, 4), rng.uniform(0.2, 0.8))
+            h = random_graph(rng, rng.randint(0, 6), rng.uniform(0.2, 0.8))
+            order = _pattern_order(p)
+
+            def key(image):
+                return tuple(image[v] for v in order)
+
+            for induced in (False, True):
+                oracle = sorted(
+                    (img for img in permutations(range(h.n), p.n) if preserves(p, h, img, induced)),
+                    key=key,
+                )
+                assert list(subgraph_embeddings(p, h, induced)) == oracle
+            first = None
+            for images in product(range(h.n), repeat=p.n):
+                image = [0] * p.n
+                for v, x in zip(order, images):
+                    image[v] = x
+                if preserves(p, h, image, False):
+                    first = tuple(image)
+                    break
+            assert find_homomorphism(p, h) == first
+
+    def test_embeddings_vs_networkx(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        def to_nx(g):
+            out = nx.Graph()
+            out.add_nodes_from(range(g.n))
+            out.add_edges_from(g.edges())
+            return out
+
+        def as_maps(matches, n):
+            """GraphMatcher yields {host vertex: pattern vertex}; invert to image tuples."""
+            out = set()
+            for match in matches:
+                image = [0] * n
+                for x, v in match.items():
+                    image[v] = x
+                out.add(tuple(image))
+            return out
+
+        rng = random.Random(57)
+        named = [families.h0(), families.c7bar(), cycle_power(5, 1)]
+        for case in range(30):
+            h = random_graph(rng, rng.randint(8, 10), rng.uniform(0.3, 0.8))
+            if case < len(named):
+                p = named[case]
+            else:
+                p = random_graph(rng, rng.randint(3, 5), rng.uniform(0.3, 0.8))
+            matcher = GraphMatcher(to_nx(h), to_nx(p))
+            mono = as_maps(matcher.subgraph_monomorphisms_iter(), p.n)
+            iso = as_maps(matcher.subgraph_isomorphisms_iter(), p.n)
+            assert set(subgraph_embeddings(p, h, induced=False)) == mono
+            assert set(subgraph_embeddings(p, h, induced=True)) == iso
 
 
 class TestIsomorphism:
