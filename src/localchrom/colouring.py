@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 
-from .graphs import Graph, bits, complement
+from .graphs import CertificateError, Graph, bits, complement
 
 
 class SolverTimeout(Exception):
@@ -50,7 +50,9 @@ def k_colourable(g: Graph, k: int, deadline: float | None = None) -> tuple[int, 
 
     DSATUR-ordered backtracking.  A greedy clique is pre-coloured 1..q (any
     proper colouring can be renamed to agree, so this only breaks symmetry),
-    and a branch offers at most one unused colour.
+    and a branch offers at most one unused colour.  The search keeps its
+    branches on an explicit stack, so its depth is not bounded by the
+    recursion limit.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -81,30 +83,40 @@ def k_colourable(g: Graph, k: int, deadline: float | None = None) -> tuple[int, 
     for i, v in enumerate(bits(clique)):
         assign(v, i + 1)
         used = max(used, i + 1)
-    uncoloured = [v for v in range(n) if not colour[v]]
+    remaining = n - clique.bit_count()
+    degree = g.degrees()
 
-    def solve(remaining: int, used: int) -> bool:
+    # One frame per search vertex: [vertex, colour tried, top colour, used
+    # colours before it, neighbours whose forbidden set the colour touched].
+    stack: list[list] = []
+    while True:
         if deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout("k_colourable deadline expired")
         if remaining == 0:
-            return True
+            return normalise_colouring(colour)
         v = max(
             (u for u in range(n) if not colour[u]),
-            key=lambda u: (forbidden[u].bit_count(), g.degree(u), -u),
+            key=lambda u: (forbidden[u].bit_count(), degree[u], -u),
         )
-        avail = ~forbidden[v]
-        top = min(k, used + 1)
-        for c in range(1, top + 1):
-            if avail >> c & 1:
-                touched = assign(v, c)
-                if solve(remaining - 1, max(used, c)):
-                    return True
+        stack.append([v, 0, min(k, used + 1), used, None])
+        # Give the top frame its next colour, popping the frames that have none.
+        while stack:
+            frame = stack[-1]
+            v, c, top, used, touched = frame
+            if c:
                 undo(v, c, touched)
-        return False
-
-    if solve(len(uncoloured), used):
-        return normalise_colouring(colour)
-    return None
+                remaining += 1
+            c += 1
+            while c <= top and forbidden[v] >> c & 1:
+                c += 1
+            if c <= top:
+                frame[1], frame[4] = c, assign(v, c)
+                used = max(used, c)
+                remaining -= 1
+                break
+            stack.pop()
+        else:
+            return None
 
 
 def chromatic_number(g: Graph, deadline: float | None = None) -> tuple[int, tuple[int, ...]]:
@@ -116,7 +128,7 @@ def chromatic_number(g: Graph, deadline: float | None = None) -> tuple[int, tupl
         witness = k_colourable(g, k, deadline)
         if witness is not None:
             return k, witness
-    raise AssertionError("n colours always suffice")
+    raise CertificateError("n colours always suffice")
 
 
 def independence_number(g: Graph) -> tuple[int, int]:

@@ -8,24 +8,47 @@ onto anchor vertex i is a homomorphism.  The only freedom is in the R_i
 assignment; a quadratic penalty S counts the edges that would break the
 collapse, and the hypotheses guarantee an assignment with S = 0 (S minus the
 four tolerated class pairs, in the H2+ case).
+
+Both cases run one class builder, driven by the seven-vertex anchor pattern
+(C7BAR, or the H2 part of H2+): D_i is the common neighbourhood of the anchor
+images of the pattern neighbours of i, and T_i may meet only the D_j of those
+neighbours.  The H2+ case adds R502 and the tolerated pairs on top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import prod
+from typing import Callable, Iterator
 
 from . import families
 from .colouring import chromatic_number, k_colourable, validate_colouring
-from .graphs import Graph, WeightedGraph, bits, common_neighbourhood, mask_of, merge_twins
-from .homomorphism import find_homomorphism, find_subgraph, is_homomorphism, subgraph_embeddings
+from .graphs import (
+    CertificateError,
+    Graph,
+    WeightedGraph,
+    bits,
+    common_neighbourhood,
+    mask_of,
+    merge_twins,
+)
+from .homomorphism import find_homomorphism, find_subgraph, subgraph_embeddings
 from .structure import is_locally_bipartite, sparse_missing_spoke
 
 DEGREE_THRESHOLD = Fraction(6, 11)
 
 # Class labels: 0..6 for T_i, 7 for R502 (mirrors the centre's index in H2PLUS).
 R502 = 7
+
+_MAX_ANCHORS = 100
+_C7BAR = families.c7bar()
+_H2PLUS = families.h2plus()
+_H2PLUS_AUG = families.h2plus_augmented()
+
+# The class pairs {i, i+3}: the non-edges of C7BAR, which H2 shares.
+_OPPOSITE = tuple((i, (i + 3) % 7) for i in range(7))
 
 
 @dataclass(frozen=True)
@@ -51,20 +74,32 @@ def _failed(kind: str, reason: str, **kw) -> DecompositionCertificate:
     return DecompositionCertificate(kind=kind, outcome="FAILED", reason=reason, **kw)
 
 
+class _Reject(Exception):
+    """A failed check of the class builder; ``details`` go into the certificate."""
+
+    def __init__(self, reason: str, **details):
+        super().__init__(reason)
+        self.reason = reason
+        self.details = details
+
+
 def _degree_ok(g: Graph) -> bool:
     return g.n > 0 and Fraction(g.min_degree()) > DEGREE_THRESHOLD * g.n
 
 
-def _contains_subgraph(g: Graph, pattern: Graph) -> bool:
-    """Subgraph test with a twin-collapse shortcut.
+def _c7bar_copies(g: Graph) -> Iterator[tuple[int, ...]] | None:
+    """The C7BAR embeddings of g, in search order, or None when there is none.
 
-    A copy in g yields a homomorphism pattern -> g, which composes with the
+    A copy in g yields a homomorphism C7BAR -> g, which composes with the
     twin-merge quotient map; so no hom to the merged graph means no copy.
+    Otherwise the first embedding decides, and it stays the first anchor.
     """
     merged = merge_twins(WeightedGraph(g, [1] * g.n)).graph
-    if find_homomorphism(pattern, merged) is None:
-        return False
-    return find_subgraph(pattern, g) is not None
+    if find_homomorphism(_C7BAR, merged) is None:
+        return None
+    copies = subgraph_embeddings(_C7BAR, g, induced=False)
+    first = next(copies, None)
+    return None if first is None else chain((first,), copies)
 
 
 def _spot_check_sparse_spokes(g: Graph) -> str | None:
@@ -77,21 +112,39 @@ def _spot_check_sparse_spokes(g: Graph) -> str | None:
     return None
 
 
-def _edge_inside(g: Graph, mask: int) -> tuple[int, int] | None:
-    for v in bits(mask):
-        row = g.adj[v] & mask
-        row >>= v + 1
-        if row:
-            return (v, v + 1 + (row & -row).bit_length() - 1)
-    return None
-
-
 def _edge_between(g: Graph, a: int, b: int) -> tuple[int, int] | None:
+    """The first edge from a to b, by its end in a; with a = b, an edge inside a."""
     for v in bits(a):
         row = g.adj[v] & b
         if row:
             return (v, (row & -row).bit_length() - 1)
     return None
+
+
+def _broken_edge(g: Graph, target: Graph, hom: tuple[int, ...]) -> tuple[int, int] | None:
+    """The first edge of g that ``hom`` does not map onto an edge of target."""
+    return next(((u, v) for u, v in g.edges() if not target.has_edge(hom[u], hom[v])), None)
+
+
+def _union(masks: list[int], indices) -> int:
+    out = 0
+    for i in indices:
+        out |= masks[i]
+    return out
+
+
+def _joins(bad: tuple[int, int], hom: tuple[int, ...]) -> str:
+    """A reason naming an edge that the collapse breaks, and the classes it joins."""
+    a, b = ("R502" if hom[x] == R502 else f"T_{hom[x]}" for x in bad)
+    return f"edge {bad} joins {a} and {b}"
+
+
+def _palette(target: Graph) -> tuple[int, ...]:
+    """The solver's 4-colouring of a target, read by class label."""
+    colouring = chromatic_number(target)[1]
+    if len(set(colouring)) != 4:
+        raise CertificateError("the decomposition target is not 4-chromatic")
+    return colouring
 
 
 # ---------------------------------------------------------------------------
@@ -185,260 +238,100 @@ def _minimise_assignment(
 
 
 # ---------------------------------------------------------------------------
-# C7-complement case.
+# The class builder, driven by the anchor pattern.
 
 
-def _build_c7(g: Graph, anchor: tuple[int, ...]) -> DecompositionCertificate:
-    kind = "C7BAR"
+@dataclass(frozen=True)
+class _Case:
+    """The data that sets the C7BAR and H2+ cases apart.
+
+    ``star_name`` and ``outside_name`` name, in reasons and in the size
+    audit, the union of the D_i of the degree-4 pattern vertices and the
+    vertices outside it.
+    A vertex that meets every D_i with i in ``hub`` goes to the class R502.
+    ``finish`` is the case's own last step: it returns the outcome, the target
+    name, the palette and the failed upgrades, or raises _Reject.
+    """
+
+    kind: str
+    pattern: Graph
+    star_name: str
+    outside_name: str
+    penalised: frozenset[frozenset[int]]
+    hub: tuple[int, ...]
+    finish: Callable
+
+
+def _classes(g: Graph, anchor: tuple[int, ...], case: _Case, audit: dict[str, str]):
+    """The steps both cases share, from the D_i to the minimised assignment.
+
+    Returns the D_i bitsets, the class label of every vertex (D_i -> i, the
+    other vertices by the assignment), the parts and S; raises _Reject at the
+    first check that fails.
+    """
     n = g.n
+    pattern = case.pattern
     anchor_mask = mask_of(anchor)
-    audit: dict[str, str] = {}
-
     counts = [(g.adj[x] & anchor_mask).bit_count() for x in range(n)]
     if any(c >= 5 for c in counts):
-        return _failed(kind, "a vertex has five neighbours in the anchor copy", anchor=anchor)
+        raise _Reject("a vertex has five neighbours in the anchor copy")
 
-    d_sets = []
-    for i in range(7):
-        quad = mask_of(anchor[(i + k) % 7] for k in (-2, -1, 1, 2))
-        d_sets.append(common_neighbourhood(g, quad))
-    d_mask = 0
-    for i in range(7):
-        for j in range(i + 1, 7):
-            if d_sets[i] & d_sets[j]:
-                return _failed(kind, f"D_{i} and D_{j} intersect", anchor=anchor)
-        d_mask |= d_sets[i]
-    four_mask = mask_of(x for x in range(n) if counts[x] == 4)
-    if four_mask != d_mask:
-        return _failed(kind, "four-neighbour vertices do not match the D_i pattern", anchor=anchor)
-    r_mask = ((1 << n) - 1) & ~d_mask
-
-    bound = 4 * n - 7 * g.min_degree()
-    audit["R-size"] = f"|R|={r_mask.bit_count()} <= 4|G|-7delta={bound}"
-    if r_mask.bit_count() > bound:
-        return _failed(kind, "size audit failed: |R| > 4|G| - 7delta", anchor=anchor, audit=audit)
-
-    for i in range(7):
-        bad = _edge_inside(g, d_sets[i] | d_sets[(i + 3) % 7])
-        if bad is not None:
-            return _failed(
-                kind, f"edge {bad} inside D_{i} u D_{(i + 3) % 7}", anchor=anchor, audit=audit
-            )
-
-    allowed = [
-        d_sets[(i - 2) % 7] | d_sets[(i - 1) % 7] | d_sets[(i + 1) % 7] | d_sets[(i + 2) % 7]
+    d_sets = [
+        common_neighbourhood(g, mask_of(anchor[j] for j in bits(pattern.adj[i])))
         for i in range(7)
     ]
-    assignment: dict[int, int] = {}
-    admissible: dict[int, tuple[int, ...]] = {}
-    for r in bits(r_mask):
-        dn = g.adj[r] & d_mask
-        options = tuple(i for i in range(7) if dn & ~allowed[i] == 0)
-        if not options:
-            return _failed(
-                kind, f"vertex {r} has no admissible class", anchor=anchor, audit=audit
-            )
-        admissible[r] = options
-        assignment[r] = options[0]
-
-    penalised = {frozenset((i, (i + 3) % 7)) for i in range(7)}
-    assignment, s_value = _minimise_assignment(g, assignment, admissible, penalised)
-
-    label = [-1] * n
-    for i in range(7):
-        for x in bits(d_sets[i]):
-            label[x] = i
-    for r, i in assignment.items():
-        label[r] = i
-    hom = tuple(label)
-    target = families.c7bar()
-    parts = _parts_from(d_sets, assignment, None, n)
-    if s_value > 0:
-        return _failed(
-            kind,
-            f"S-minimisation stuck at S={s_value}",
-            anchor=anchor,
-            parts=parts,
-            s_value=s_value,
-            audit=audit,
-        )
-    if not is_homomorphism(g, target, hom):
-        bad = next((u, v) for u, v in g.edges() if not target.has_edge(hom[u], hom[v]))
-        return _failed(
-            kind,
-            f"edge {bad} joins T_{hom[bad[0]]} and T_{hom[bad[1]]}",
-            anchor=anchor,
-            parts=parts,
-            s_value=s_value,
-            audit=audit,
-        )
-    palette = _c7_colouring()
-    colouring = tuple(palette[label[x]] for x in range(n))
-    assert validate_colouring(g, colouring, 4)
-    return DecompositionCertificate(
-        kind=kind,
-        outcome="HOM_C7BAR",
-        anchor=anchor,
-        parts=parts,
-        s_value=s_value,
-        target="C7BAR",
-        hom=hom,
-        colouring=colouring,
-        audit=audit,
-    )
-
-
-def _parts_from(d_sets, assignment, r502_mask, n) -> dict[str, tuple[int, ...]]:
-    parts = {}
-    d_all = 0
-    for i, mask in enumerate(d_sets):
-        parts[f"D{i}"] = tuple(bits(mask))
-        d_all |= mask
-    r_classes: dict[int, list[int]] = {i: [] for i in range(7)}
-    for r in sorted(assignment):
-        if assignment[r] != R502:
-            r_classes[assignment[r]].append(r)
-    for i in range(7):
-        parts[f"R{i}"] = tuple(r_classes[i])
-    if r502_mask is not None:
-        parts["R502"] = tuple(bits(r502_mask))
-    parts["D"] = tuple(bits(d_all))
-    parts["R"] = tuple(sorted(assignment))
-    return parts
-
-
-def _c7_colouring() -> tuple[int, ...]:
-    colouring = chromatic_number(families.c7bar())[1]
-    assert len(set(colouring)) == 4
-    return colouring
-
-
-def decompose_c7bar(g: Graph, max_anchors: int = 100) -> DecompositionCertificate:
-    """Homomorphism to the C7 complement for locally bipartite g with
-    delta(g) > 6/11 |g| containing a copy of it."""
-    kind = "C7BAR"
-    if not is_locally_bipartite(g):
-        return _failed(kind, "not locally bipartite")
-    if not _contains_subgraph(g, families.c7bar()):
-        return _failed(kind, "no C7BAR copy")
-    if not _degree_ok(g):
-        return _failed(kind, "degree too low")
-    spot = _spot_check_sparse_spokes(g)
-    if spot is not None:
-        return _failed(kind, f"forbidden configuration: {spot}")
-    last: DecompositionCertificate | None = None
-    tried = 0
-    for embedding in subgraph_embeddings(families.c7bar(), g, induced=False):
-        tried += 1
-        cert = _build_c7(g, embedding)
-        if cert.ok:
-            return cert
-        last = cert
-        if tried >= max_anchors:
-            break
-    assert last is not None
-    return last
-
-
-# ---------------------------------------------------------------------------
-# H2+ case.
-
-_H2 = families.h2()
-
-# Anchor-index sets defining each D_i (i.e. the neighbours of v_i in the copy).
-_H2_DEFINING = {i: tuple(bits(_H2.adj[i])) for i in range(7)}
-
-
-def _build_h2plus(g: Graph, anchor7: tuple[int, ...]) -> DecompositionCertificate:
-    """anchor7 = the H2 part (v_0..v_6) of an embedded H2+ copy."""
-    kind = "H2PLUS"
-    n = g.n
-    anchor_mask = mask_of(anchor7)
-    audit: dict[str, str] = {}
-
-    counts = [(g.adj[x] & anchor_mask).bit_count() for x in range(n)]
-    if any(c >= 5 for c in counts):
-        return _failed(kind, "a vertex has five neighbours in the anchor copy", anchor=anchor7)
-
-    d_sets = []
-    for i in range(7):
-        defining = mask_of(anchor7[j] for j in _H2_DEFINING[i])
-        d_sets.append(common_neighbourhood(g, defining))
-    d_mask = 0
     for i in range(7):
         for j in range(i + 1, 7):
             if d_sets[i] & d_sets[j]:
-                return _failed(kind, f"D_{i} and D_{j} intersect", anchor=anchor7)
-        d_mask |= d_sets[i]
-    d_star = d_sets[0] | d_sets[2] | d_sets[3] | d_sets[4] | d_sets[5]
-    four_mask = mask_of(x for x in range(n) if counts[x] == 4)
-    if four_mask != d_star:
-        return _failed(
-            kind, "four-neighbour vertices do not match the D* pattern", anchor=anchor7
-        )
-    for i in (1, 6):
-        for x in bits(d_sets[i]):
-            if counts[x] != 3:
-                return _failed(
-                    kind, f"vertex {x} in D_{i} has extra anchor neighbours", anchor=anchor7
-                )
-    r_mask = ((1 << n) - 1) & ~d_mask
+                raise _Reject(f"D_{i} and D_{j} intersect")
+    d_mask = _union(d_sets, range(7))
+    star = _union(d_sets, (i for i in range(7) if pattern.degree(i) == 4))
+    if mask_of(x for x in range(n) if counts[x] == 4) != star:
+        raise _Reject(f"four-neighbour vertices do not match the {case.star_name} pattern")
+    # A vertex of D_i has exactly deg(i) anchor neighbours (H2's D_1 and D_6).
+    for i in range(7):
+        if pattern.degree(i) != 4:
+            for x in bits(d_sets[i]):
+                if counts[x] != pattern.degree(i):
+                    raise _Reject(f"vertex {x} in D_{i} has extra anchor neighbours")
 
-    outside = r_mask | d_sets[1] | d_sets[6]
+    outside = ((1 << n) - 1) & ~star
     bound = 4 * n - 7 * g.min_degree()
-    audit["R-size"] = f"|R u D1 u D6|={outside.bit_count()} <= 4|G|-7delta={bound}"
+    audit["R-size"] = f"|{case.outside_name}|={outside.bit_count()} <= 4|G|-7delta={bound}"
     if outside.bit_count() > bound:
-        return _failed(
-            kind, "size audit failed: |R u D1 u D6| > 4|G| - 7delta", anchor=anchor7, audit=audit
-        )
+        raise _Reject(f"size audit failed: |{case.outside_name}| > 4|G| - 7delta")
 
-    # G[D] must collapse onto the H2 pattern: no edge inside any D_i, between
-    # any D_i and D_{i+3}, or between D_1 and D_6 (that last one is a C7BAR).
-    for i in range(7):
-        bad = _edge_inside(g, d_sets[i] | d_sets[(i + 3) % 7])
+    # G[D] must collapse onto the pattern: no edge inside any D_i or between
+    # the D_i and D_j of a pattern non-edge ij (H2's D_1-D_6 edge is a C7BAR).
+    for i, j in _OPPOSITE:
+        bad = _edge_between(g, d_sets[i] | d_sets[j], d_sets[i] | d_sets[j])
         if bad is not None:
-            return _failed(
-                kind, f"edge {bad} inside D_{i} u D_{(i + 3) % 7}", anchor=anchor7, audit=audit
-            )
-    bad = _edge_between(g, d_sets[1], d_sets[6])
-    if bad is not None:
-        return _failed(kind, f"edge {bad} between D_1 and D_6", anchor=anchor7, audit=audit)
+            raise _Reject(f"edge {bad} inside D_{i} u D_{j}")
+    for i, j in pattern.non_edges():
+        if (i, j) not in _OPPOSITE and (j, i) not in _OPPOSITE:
+            bad = _edge_between(g, d_sets[i], d_sets[j])
+            if bad is not None:
+                raise _Reject(f"edge {bad} between D_{i} and D_{j}")
 
-    allowed = [0] * 7
-    for i in range(7):
-        for j in _H2_DEFINING[i]:
-            allowed[i] |= d_sets[j]
+    allowed = [_union(d_sets, bits(pattern.adj[i])) for i in range(7)]
+    hub = _union(d_sets, case.hub)
     assignment: dict[int, int] = {}
     admissible: dict[int, tuple[int, ...]] = {}
-    r502_mask = 0
-    for r in bits(r_mask):
+    for r in bits(((1 << n) - 1) & ~d_mask):
         dn = g.adj[r] & d_mask
-        if dn & d_sets[5] and dn & d_sets[0] and dn & d_sets[2]:
-            if dn & ~(d_sets[5] | d_sets[0] | d_sets[2]):
-                return _failed(
-                    kind,
-                    f"vertex {r} meets D_5, D_0, D_2 and more",
-                    anchor=anchor7,
-                    audit=audit,
-                )
-            r502_mask |= 1 << r
+        if case.hub and all(dn & d_sets[i] for i in case.hub):
+            if dn & ~hub:
+                names = ", ".join(f"D_{i}" for i in case.hub)
+                raise _Reject(f"vertex {r} meets {names} and more")
             assignment[r] = R502
             admissible[r] = (R502,)
             continue
         options = tuple(i for i in range(7) if dn & ~allowed[i] == 0)
         if not options:
-            return _failed(
-                kind, f"vertex {r} has no admissible class", anchor=anchor7, audit=audit
-            )
+            raise _Reject(f"vertex {r} has no admissible class")
         admissible[r] = options
         assignment[r] = options[0]
-
-    penalised = {frozenset((i, (i + 3) % 7)) for i in range(7)}
-    penalised.add(frozenset((3, R502)))
-    penalised.add(frozenset((4, R502)))
-    assignment, s_value = _minimise_assignment(g, assignment, admissible, penalised)
-    parts = _parts_from(d_sets, {r: c for r, c in assignment.items() if c != R502}, r502_mask, n)
-    parts["R"] = tuple(sorted(assignment))
+    assignment, s_value = _minimise_assignment(g, assignment, admissible, case.penalised)
 
     label = [-1] * n
     for i in range(7):
@@ -446,84 +339,147 @@ def _build_h2plus(g: Graph, anchor7: tuple[int, ...]) -> DecompositionCertificat
             label[x] = i
     for r, c in assignment.items():
         label[r] = c
-    hom = tuple(label)
+    members = sorted(assignment)
+    parts = {f"D{i}": tuple(bits(d_sets[i])) for i in range(7)}
+    for c in range(R502 + 1 if case.hub else 7):
+        parts["R502" if c == R502 else f"R{c}"] = tuple(r for r in members if assignment[r] == c)
+    parts["D"] = tuple(bits(d_mask))
+    parts["R"] = tuple(members)
+    return d_sets, tuple(label), parts, s_value
 
-    # Claims that hold for every valid assignment under the hypotheses.
-    bad = _edge_inside(g, r502_mask)
-    if bad is not None:
-        return _failed(kind, f"edge {bad} inside R502", anchor=anchor7, parts=parts, audit=audit)
-    for i in (1, 6):
-        t_i = d_sets[i] | mask_of(r for r, c in assignment.items() if c == i)
-        bad = _edge_between(g, r502_mask, t_i)
-        if bad is not None:
-            return _failed(
-                kind, f"edge {bad} between R502 and T_{i}", anchor=anchor7, parts=parts, audit=audit
-            )
 
-    class_mask = {c: mask_of(r for r, cc in assignment.items() if cc == c) for c in range(7)}
-    failed_upgrades = []
-    if _edge_between(g, class_mask[1], class_mask[5]):
-        failed_upgrades.append("e(R1,R5)=0")
-    if _edge_between(g, class_mask[2], class_mask[6]):
-        failed_upgrades.append("e(R2,R6)=0")
-    if _edge_between(g, class_mask[3] | class_mask[4], r502_mask):
-        failed_upgrades.append("e(R3uR4,R502)=0")
-
-    if not failed_upgrades:
-        target = families.h2plus()
-        if is_homomorphism(g, target, hom):
-            palette = _h2plus_colouring()
-            colouring = tuple(palette[label[x]] for x in range(n))
-            assert validate_colouring(g, colouring, 4)
-            return DecompositionCertificate(
-                kind=kind,
-                outcome="HOM_H2PLUS",
-                anchor=anchor7,
-                parts=parts,
-                s_value=s_value,
-                target="H2PLUS",
-                hom=hom,
-                colouring=colouring,
-                audit=audit,
-            )
-    target = families.h2plus_augmented()
-    if is_homomorphism(g, target, hom):
-        colouring = tuple(families.AUGMENTED_FIGURE_COLOURING[label[x]] for x in range(n))
-        assert validate_colouring(g, colouring, 4)
-        return DecompositionCertificate(
-            kind=kind,
-            outcome="HOM_AUGMENTED",
-            anchor=anchor7,
-            parts=parts,
-            s_value=s_value,
-            target="H2PLUS_AUG",
-            hom=hom,
-            colouring=colouring,
-            failed_upgrades=tuple(failed_upgrades),
-            audit=audit,
-        )
-    bad = next((u, v) for u, v in g.edges() if not target.has_edge(hom[u], hom[v]))
-
-    def cls_name(c: int) -> str:
-        return "R502" if c == R502 else f"T_{c}"
-
-    return _failed(
-        kind,
-        f"edge {bad} joins {cls_name(hom[bad[0]])} and {cls_name(hom[bad[1]])} (S={s_value})",
-        anchor=anchor7,
+def _build(g: Graph, anchor: tuple[int, ...], case: _Case) -> DecompositionCertificate:
+    """One anchor's certificate: the shared steps, then the case's last step."""
+    audit: dict[str, str] = {}
+    try:
+        d_sets, hom, parts, s_value = _classes(g, anchor, case, audit)
+        outcome, target, palette, failed_upgrades = case.finish(g, d_sets, hom, parts, s_value)
+    except _Reject as exc:
+        return _failed(case.kind, exc.reason, anchor=anchor, audit=audit, **exc.details)
+    colouring = tuple(palette[c] for c in hom)
+    if not validate_colouring(g, colouring, 4):
+        raise CertificateError(f"the {target} colouring is not a proper 4-colouring")
+    return DecompositionCertificate(
+        kind=case.kind,
+        outcome=outcome,
+        anchor=anchor,
         parts=parts,
         s_value=s_value,
+        target=target,
+        hom=hom,
+        colouring=colouring,
+        failed_upgrades=failed_upgrades,
         audit=audit,
     )
 
 
-def _h2plus_colouring() -> tuple[int, ...]:
-    colouring = chromatic_number(families.h2plus())[1]
-    assert len(set(colouring)) == 4
-    return colouring
+def _finish_c7bar(g, d_sets, hom, parts, s_value):
+    if s_value > 0:
+        raise _Reject(f"S-minimisation stuck at S={s_value}", parts=parts, s_value=s_value)
+    bad = _broken_edge(g, _C7BAR, hom)
+    if bad is not None:
+        raise _Reject(_joins(bad, hom), parts=parts, s_value=s_value)
+    return "HOM_C7BAR", "C7BAR", _palette(_C7BAR), ()
 
 
-def decompose_h2plus(g: Graph, max_anchors: int = 100) -> DecompositionCertificate:
+def _finish_h2plus(g, d_sets, hom, parts, s_value):
+    # Claims that hold for every valid assignment under the hypotheses.
+    r502_mask = mask_of(parts["R502"])
+    bad = _edge_between(g, r502_mask, r502_mask)
+    if bad is not None:
+        raise _Reject(f"edge {bad} inside R502", parts=parts)
+    for i in (1, 6):
+        bad = _edge_between(g, r502_mask, d_sets[i] | mask_of(parts[f"R{i}"]))
+        if bad is not None:
+            raise _Reject(f"edge {bad} between R502 and T_{i}", parts=parts)
+
+    # The tolerated pairs: each edge class that H2+ lacks but its augmentation has.
+    r_masks = [mask_of(parts[f"R{c}"]) for c in range(7)]
+    failed_upgrades = tuple(
+        name
+        for name, a, b in (
+            ("e(R1,R5)=0", r_masks[1], r_masks[5]),
+            ("e(R2,R6)=0", r_masks[2], r_masks[6]),
+            ("e(R3uR4,R502)=0", r_masks[3] | r_masks[4], r502_mask),
+        )
+        if _edge_between(g, a, b)
+    )
+    if not failed_upgrades and _broken_edge(g, _H2PLUS, hom) is None:
+        return "HOM_H2PLUS", "H2PLUS", _palette(_H2PLUS), ()
+    bad = _broken_edge(g, _H2PLUS_AUG, hom)
+    if bad is None:
+        return "HOM_AUGMENTED", "H2PLUS_AUG", families.AUGMENTED_FIGURE_COLOURING, failed_upgrades
+    raise _Reject(f"{_joins(bad, hom)} (S={s_value})", parts=parts, s_value=s_value)
+
+
+_C7BAR_CASE = _Case(
+    kind="C7BAR",
+    pattern=_C7BAR,
+    star_name="D_i",
+    outside_name="R",
+    penalised=frozenset(frozenset(pair) for pair in _OPPOSITE),
+    hub=(),
+    finish=_finish_c7bar,
+)
+_H2PLUS_CASE = _Case(
+    kind="H2PLUS",
+    pattern=families.h2(),
+    star_name="D*",
+    outside_name="R u D1 u D6",
+    penalised=frozenset(frozenset(pair) for pair in _OPPOSITE + ((3, R502), (4, R502))),
+    hub=(5, 0, 2),  # the H2+ centre's neighbours, in the order reasons name them
+    finish=_finish_h2plus,
+)
+
+
+def _build_h2plus(g: Graph, anchor7: tuple[int, ...]) -> DecompositionCertificate:
+    """anchor7 = the H2 part (v_0..v_6) of an embedded H2+ copy."""
+    return _build(g, anchor7, _H2PLUS_CASE)
+
+
+# ---------------------------------------------------------------------------
+# Public entry points: input checks, then one anchor loop.
+
+
+def _decompose(
+    g: Graph, copies: Iterator[tuple[int, ...]] | None, max_anchors: int
+) -> DecompositionCertificate:
+    """Spot check and anchor loop for a locally bipartite g of degree above 6/11.
+
+    ``copies`` are the C7BAR embeddings from ``_c7bar_copies``; None means g
+    has no C7BAR copy, and the H2+ case runs on the H2+ embeddings.
+    """
+    case = _H2PLUS_CASE if copies is None else _C7BAR_CASE
+    spot = _spot_check_sparse_spokes(g)
+    if spot is not None:
+        return _failed(case.kind, f"forbidden configuration: {spot}")
+    if copies is None:
+        copies = subgraph_embeddings(_H2PLUS, g, induced=False)
+    cert = None
+    for tried, embedding in enumerate(copies, start=1):
+        cert = _build(g, embedding[:7], case)
+        if cert.ok or tried >= max_anchors:
+            break
+    if cert is None:
+        return _failed(case.kind, "no H2PLUS copy")
+    return cert
+
+
+def decompose_c7bar(g: Graph, max_anchors: int = _MAX_ANCHORS) -> DecompositionCertificate:
+    """Homomorphism to the C7 complement for locally bipartite g with
+    delta(g) > 6/11 |g| containing a copy of it."""
+    kind = "C7BAR"
+    if not is_locally_bipartite(g):
+        return _failed(kind, "not locally bipartite")
+    copies = _c7bar_copies(g)
+    if copies is None:
+        return _failed(kind, "no C7BAR copy")
+    if not _degree_ok(g):
+        return _failed(kind, "degree too low")
+    return _decompose(g, copies, max_anchors)
+
+
+def decompose_h2plus(g: Graph, max_anchors: int = _MAX_ANCHORS) -> DecompositionCertificate:
     """Homomorphism to H2+ (or its 4-colourable augmentation) for locally
     bipartite g with delta(g) > 6/11 |g| containing H2+ but no C7 complement."""
     kind = "H2PLUS"
@@ -531,31 +487,19 @@ def decompose_h2plus(g: Graph, max_anchors: int = 100) -> DecompositionCertifica
         return _failed(kind, "not locally bipartite")
     if not _degree_ok(g):
         return _failed(kind, "degree too low")
-    if _contains_subgraph(g, families.c7bar()):
+    if _c7bar_copies(g) is not None:
         return _failed(kind, "contains C7BAR copy; use decompose_c7bar")
-    spot = _spot_check_sparse_spokes(g)
-    if spot is not None:
-        return _failed(kind, f"forbidden configuration: {spot}")
-    last: DecompositionCertificate | None = None
-    tried = 0
-    for embedding in subgraph_embeddings(families.h2plus(), g, induced=False):
-        tried += 1
-        cert = _build_h2plus(g, embedding[:7])
-        if cert.ok:
-            return cert
-        last = cert
-        if tried >= max_anchors:
-            break
-    if tried == 0:
-        return _failed(kind, "no H2PLUS copy")
-    return last
+    return _decompose(g, None, max_anchors)
 
 
-def decompose_auto(g: Graph, max_anchors: int = 100) -> DecompositionCertificate:
+def decompose_auto(g: Graph, max_anchors: int = _MAX_ANCHORS) -> DecompositionCertificate:
     """Route to the C7BAR case when a copy is present, else to the H2+ case."""
-    if is_locally_bipartite(g) and _contains_subgraph(g, families.c7bar()):
-        return decompose_c7bar(g, max_anchors)
-    return decompose_h2plus(g, max_anchors)
+    if not is_locally_bipartite(g):
+        return _failed("H2PLUS", "not locally bipartite")
+    copies = _c7bar_copies(g)
+    if not _degree_ok(g):
+        return _failed("H2PLUS" if copies is None else "C7BAR", "degree too low")
+    return _decompose(g, copies, max_anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -611,26 +555,19 @@ def verify_profile(g: Graph) -> ProfileReport:
                 g.n, delta, ratio, regime, "3-colouring", colouring, None, None, False,
                 "3-colourable",
             )
-        if _contains_subgraph(g, families.c7bar()):
-            cert = decompose_c7bar(g)
-            if cert.ok:
-                return ProfileReport(
-                    g.n, delta, ratio, regime, cert.outcome, cert.colouring,
-                    cert.target, cert.hom, False, "homomorphism to C7BAR",
-                )
-            return ProfileReport(
-                g.n, delta, ratio, regime, "PROMISE-VIOLATED", None, None, None, True,
-                f"contains C7BAR but decomposition failed: {cert.reason}",
-            )
-        cert = decompose_h2plus(g)
+        copies = _c7bar_copies(g)
+        cert = _decompose(g, copies, _MAX_ANCHORS)
         if cert.ok:
             return ProfileReport(
                 g.n, delta, ratio, regime, cert.outcome, cert.colouring,
                 cert.target, cert.hom, False, f"homomorphism to {cert.target}",
             )
+        if copies is not None:
+            detail = f"contains C7BAR but decomposition failed: {cert.reason}"
+        else:
+            detail = f"not 3-colourable, no C7BAR, and H2+ decomposition failed: {cert.reason}"
         return ProfileReport(
-            g.n, delta, ratio, regime, "PROMISE-VIOLATED", None, None, None, True,
-            f"not 3-colourable, no C7BAR, and H2+ decomposition failed: {cert.reason}",
+            g.n, delta, ratio, regime, "PROMISE-VIOLATED", None, None, None, True, detail
         )
     regime = "outside"
     colouring = k_colourable(g, 4)

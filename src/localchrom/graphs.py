@@ -11,6 +11,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 
+class CertificateError(Exception):
+    """A certificate or an internal invariant failed its re-check: a bug, never a verdict."""
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, bits, mask_of
+from .graphs import CertificateError, Graph, bits, mask_of
 from .structure import is_edge_maximal_locally_bipartite, is_locally_bipartite, is_twin_free
 
 
@@ -227,7 +227,8 @@ def canonical_form(g: Graph) -> tuple[int, int]:
             search(_refine(g, child))
 
     search(_refine(g, [0] * n))
-    assert best[0] is not None
+    if best[0] is None:
+        raise CertificateError("canonical_form reached no leaf")
     return (n, best[0])
 
 

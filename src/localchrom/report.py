@@ -13,7 +13,14 @@ from itertools import combinations, permutations
 from . import families, properties
 from .colouring import chromatic_number, independence_number, validate_colouring
 from .decompose import decompose_c7bar, decompose_h2plus
-from .graphs import Graph, WeightedGraph, blow_up, blow_up_classes, weighted_degree
+from .graphs import (
+    CertificateError,
+    Graph,
+    WeightedGraph,
+    blow_up,
+    blow_up_classes,
+    weighted_degree,
+)
 from .homomorphism import (
     brute_force_homomorphism,
     find_homomorphism,
@@ -311,7 +318,8 @@ def h2plus_decomposition_instance() -> tuple[Graph, list[int]]:
     a = 13
     sizes = [2 * a, 1, 2 * a, a, a, 2 * a, 1, a]
     g = blow_up(families.h2plus(), sizes)
-    assert Fraction(g.min_degree()) > Fraction(6, 11) * g.n
+    if not Fraction(g.min_degree()) > Fraction(6, 11) * g.n:
+        raise CertificateError("the scaled H2+ instance is not above 6/11")
     return g, sizes
 
 

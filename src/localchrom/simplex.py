@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .graphs import CertificateError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -131,8 +133,9 @@ def solve_lp(
                 for j in range(total_cols):
                     obj1[j] -= f * table[i][j]
                 objval1[0] -= f * rhs[i]
-        status = run_simplex(obj1, objval1, blocked=set())
-        assert status == "optimal"  # phase 1 is bounded (objective <= 0)
+        # Phase 1 is bounded (objective <= 0).
+        if run_simplex(obj1, objval1, blocked=set()) != "optimal":
+            raise CertificateError("phase 1 of the simplex is unbounded")
         if objval1[0] != 0:
             return LPSolution("infeasible", [], None)
         # Drive remaining artificials out of the basis.

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, bits, induced_subgraph
+from .graphs import CertificateError, Graph, bits, induced_subgraph
 
 
 class PairClass(Enum):
@@ -90,7 +90,8 @@ def odd_wheel(g: Graph) -> OddWheelWitness | None:
         cycle = _shortest_odd_cycle(h)
         if cycle is not None:
             witness = OddWheelWitness(centre, tuple(labels[v] for v in cycle))
-            assert witness.validate(g)
+            if not witness.validate(g):
+                raise CertificateError(f"odd wheel witness {witness} does not validate")
             return witness
     return None
 
@@ -196,34 +197,40 @@ def is_twin_free(g: Graph) -> bool:
 
 
 def _blocks_through(h: Graph, target: int) -> list[int]:
-    """Vertex bitsets of the biconnected blocks containing ``target``."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+    """Vertex bitsets of the biconnected blocks containing ``target``.
+
+    Tarjan's depth-first search, on an explicit stack of (vertex, parent,
+    untried neighbours) so that its depth is not bounded by the recursion limit.
+    """
+    disc = {target: 0}
+    low = {target: 0}
     edge_stack: list[tuple[int, int]] = []
     blocks: list[int] = []
-    counter = [0]
-
-    def dfs(v: int, parent: int) -> None:
-        disc[v] = low[v] = counter[0]
-        counter[0] += 1
-        for u in bits(h.adj[v]):
+    stack = [(target, -1, bits(h.adj[target]))]
+    while stack:
+        v, parent, untried = stack[-1]
+        for u in untried:
             if u not in disc:
+                disc[u] = low[u] = len(disc)
                 edge_stack.append((v, u))
-                dfs(u, v)
-                low[v] = min(low[v], low[u])
-                if low[u] >= disc[v]:
-                    members = 0
-                    while True:
-                        a, b = edge_stack.pop()
-                        members |= (1 << a) | (1 << b)
-                        if (a, b) == (v, u):
-                            break
-                    blocks.append(members)
-            elif u != parent and disc[u] < disc[v]:
+                stack.append((u, v, bits(h.adj[u])))
+                break
+            if u != parent and disc[u] < disc[v]:
                 edge_stack.append((v, u))
                 low[v] = min(low[v], disc[u])
-
-    dfs(target, -1)
+        else:
+            stack.pop()
+            if parent < 0:
+                continue
+            low[parent] = min(low[parent], low[v])
+            if low[v] >= disc[parent]:
+                members = 0
+                while True:
+                    a, b = edge_stack.pop()
+                    members |= (1 << a) | (1 << b)
+                    if (a, b) == (parent, v):
+                        break
+                blocks.append(members)
     return [b for b in blocks if b >> target & 1]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, WeightedGraph, bits, min_weighted_degree
+from .graphs import CertificateError, Graph, WeightedGraph, bits, min_weighted_degree
 from .simplex import solve_lp
 
 ZERO = Fraction(0)
@@ -38,19 +38,31 @@ def _degree_row(g: Graph, v: int) -> list[Fraction]:
 
 
 def _check_certificates(g: Graph, t: Fraction, omega, dual) -> None:
+    """Re-check the primal and dual certificates of t* exactly; raise if either fails."""
     n = g.n
-    assert sum(omega) == 1 and all(w >= 0 for w in omega)
-    assert sum(dual) == 1 and all(y >= 0 for y in dual)
+    if not (sum(omega) == 1 and all(w >= 0 for w in omega)):
+        raise CertificateError("primal weighting is not a distribution")
+    if not (sum(dual) == 1 and all(y >= 0 for y in dual)):
+        raise CertificateError("dual weighting is not a distribution")
     degrees = [sum(omega[u] for u in bits(g.adj[v])) for v in range(n)]
-    assert min(degrees) == t, "primal weighting does not attain t*"
+    if min(degrees) != t:
+        raise CertificateError("primal weighting does not attain t*")
     # Dual feasibility: every vertex sees dual mass at most t*, which bounds
     # every weighting's minimum degree by t* (weak duality, checked exactly):
     # min_v A.omega <= omega . A.y <= t*.
-    assert all(sum(dual[v] for v in bits(g.adj[u])) <= t for u in range(n))
+    if not all(sum(dual[v] for v in bits(g.adj[u])) <= t for u in range(n)):
+        raise CertificateError("dual weighting is not feasible")
+
+
+def _optimal(solution, what: str):
+    if solution.status != "optimal":
+        raise CertificateError(f"{what} LP is {solution.status}")
+    return solution
 
 
 def optimal_weighting(g: Graph) -> WeightingResult:
-    """Exact t*(g) with primal and dual certificates, via two LP solves."""
+    """Exact t*(g) with primal and dual certificates, via three LP solves:
+    the primal, the dual and the full-support LP."""
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no weighting")
@@ -70,8 +82,7 @@ def optimal_weighting(g: Graph) -> WeightingResult:
         row = [-c for c in _degree_row(g, v)] + [ONE]  # t - deg_omega(v) <= 0
         rows.append((row, "<=", ZERO))
     rows.append(([ONE] * n + [ZERO], "=", ONE))
-    primal = solve_lp(objective, rows)
-    assert primal.status == "optimal"
+    primal = _optimal(solve_lp(objective, rows), "primal")
     t_star = primal.value
     omega = tuple(primal.x[:n])
 
@@ -82,9 +93,9 @@ def optimal_weighting(g: Graph) -> WeightingResult:
         row = _degree_row(g, u) + [-ONE]
         rows.append((row, "<=", ZERO))
     rows.append(([ONE] * n + [ZERO], "=", ONE))
-    dual_sol = solve_lp(objective, rows)
-    assert dual_sol.status == "optimal"
-    assert -dual_sol.value == t_star, "primal/dual optima disagree"
+    dual_sol = _optimal(solve_lp(objective, rows), "dual")
+    if -dual_sol.value != t_star:
+        raise CertificateError("primal/dual optima disagree")
     dual = tuple(dual_sol.x[:n])
 
     _check_certificates(g, t_star, omega, dual)
@@ -100,8 +111,7 @@ def optimal_weighting(g: Graph) -> WeightingResult:
         row[n] = ONE
         rows.append((row, "<=", ZERO))  # s - omega_v <= 0
     rows.append(([ONE] * n + [ZERO], "=", ONE))
-    support = solve_lp(objective, rows)
-    assert support.status == "optimal"
+    support = _optimal(solve_lp(objective, rows), "full-support")
     support_full = support.value > 0
 
     return WeightingResult(t_star, omega, dual, support_full, False)

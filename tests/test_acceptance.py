@@ -7,10 +7,14 @@ verified run, after every listed graph passed check_membership and the
 forced members (K3, C7BAR) were confirmed; it is a regression oracle now.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import localchrom
 from localchrom import report as rp
 
 
@@ -127,3 +131,42 @@ def test_fail_never_aborts_remaining_claims(monkeypatch):
     result = rp.verify_paper()
     assert [e.status for e in result.entries] == ["FAIL", "PASS"]
     assert result.exit_code == 1
+
+
+_OPTIMISED_CHECK = """
+from fractions import Fraction
+from localchrom import families
+from localchrom.graphs import CertificateError
+from localchrom.weighting import _check_certificates, optimal_weighting
+
+assert False, "assert statements run: not optimised"
+g = families.c7bar()
+result = optimal_weighting(g)
+# all dual mass on vertex 0: each neighbour of 0 sees mass 1 > t* = 4/7
+infeasible = (Fraction(1),) + (Fraction(0),) * (g.n - 1)
+try:
+    _check_certificates(g, result.optimum, result.weights, infeasible)
+except CertificateError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_checks_survive_python_optimise():
+    # under python -O assert statements vanish; the certificate re-checks
+    # must not, and the decomposition claims must still pass
+    src = os.path.dirname(os.path.dirname(os.path.abspath(localchrom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    run = [sys.executable, "-O"]
+    checked = subprocess.run(
+        run + ["-c", _OPTIMISED_CHECK], capture_output=True, text=True, env=env
+    )
+    assert checked.returncode == 0, checked.stderr
+    assert checked.stdout == "raised: dual weighting is not feasible\n"
+    claims = subprocess.run(
+        run + ["-m", "localchrom.cli", "verify-paper", "--only", "decomposition"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert claims.returncode == 0, claims.stdout + claims.stderr
+    assert claims.stdout.count("PASS") == 2

@@ -65,6 +65,15 @@ class TestKColourable:
     def test_normalise_helper(self):
         assert normalise_colouring([3, 3, 1, 2]) == (1, 1, 2, 3)
 
+    def test_deep_search_needs_no_recursion(self):
+        # the search runs on an explicit stack: a 1500-vertex path is one
+        # branch 1500 levels deep, and the 1400-vertex C7BAR blow-up fails
+        # at every depth
+        g = Graph(1500, [(i, i + 1) for i in range(1499)])
+        col = k_colourable(g, 2)
+        assert col is not None and validate_colouring(g, col, 2)
+        assert k_colourable(blow_up(families.c7bar(), [200] * 7), 3) is None
+
 
 class TestChromaticNumber:
     @pytest.mark.parametrize("fid", ["H0", "H1", "H2", "H2PLUS", "C7BAR", "WHEEL(7)"])

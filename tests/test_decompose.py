@@ -189,6 +189,28 @@ class TestInHypothesisFuzz:
         assert is_homomorphism(g, families.c7bar(), cert.hom)
 
 
+class TestOneAnchorSearch:
+    @pytest.mark.parametrize("entry", ["verify_profile", "decompose_auto", "decompose_c7bar"])
+    def test_c7bar_search_runs_once(self, monkeypatch, entry):
+        # the embedding that decides whether a C7BAR copy exists is also the
+        # first anchor: each entry point runs the injective C7BAR search once
+        from localchrom import decompose, homomorphism
+
+        searches = []
+        backtrack = homomorphism._backtrack
+
+        def counted(pattern, host, injective, induced):
+            if injective and pattern == families.c7bar():
+                searches.append(host.n)
+            return backtrack(pattern, host, injective, induced)
+
+        monkeypatch.setattr(homomorphism, "_backtrack", counted)
+        g = blow_up(families.c7bar(), [3] * 7)
+        result = getattr(decompose, entry)(g)
+        assert result.outcome == "HOM_C7BAR"
+        assert searches == [g.n]
+
+
 class TestVerifyProfile:
     def test_k3_blow_up_above_4_7(self):
         g = blow_up(Graph(3, [(0, 1), (0, 2), (1, 2)]), [4, 4, 4])

@@ -247,6 +247,15 @@ class TestSparseMissingSpoke:
         assert classify_pair(broken, rim0, 5) is PairClass.SPARSE
         assert sparse_missing_spoke(broken) is not None
 
+    def test_long_rim_needs_no_recursion(self):
+        # a hub over a 1100-vertex path whose ends meet vertex 1101: the
+        # block search goes 1100 levels deep, and (hub, 1101) is the missing
+        # spoke of the odd wheel whose rim closes through 1101
+        edges = [(0, i) for i in range(1, 1101)] + [(i, i + 1) for i in range(1, 1100)]
+        g = Graph(1102, edges + [(1, 1101), (1100, 1101)])
+        assert is_locally_bipartite(g)
+        assert sparse_missing_spoke(g) == (0, 1101)
+
     def test_clean_on_k3_blow_ups(self):
         # hypotheses of the no-missing-spoke lemmas hold here
         g = blow_up(Graph(3, [(0, 1), (0, 2), (1, 2)]), [3, 3, 3])
