@@ -14,7 +14,11 @@ class SolverTimeout(Exception):
 def greedy_clique(g: Graph) -> int:
     """A (not necessarily maximum) clique bitset, grown greedily by degree."""
     best = 0
+    grown = set()  # a twin of a grown start grows a clique of the same size
     for start in sorted(range(g.n), key=lambda v: -g.degree(v)):
+        if g.adj[start] in grown:
+            continue
+        grown.add(g.adj[start])
         clique = 1 << start
         candidates = g.adj[start]
         while candidates:
@@ -137,34 +141,42 @@ def independence_number(g: Graph) -> tuple[int, int]:
         return 0, 0
     comp = complement(g)
     order = sorted(range(g.n), key=lambda v: -comp.degree(v))
-    best = [0, 0]
+    best, witness = 0, 0
 
     def bound(candidates: int) -> int:
-        # greedy colouring of the candidate subgraph; class count bounds the clique
-        classes: list[int] = []
-        for v in bits(candidates):
-            for i, cls in enumerate(classes):
-                if not comp.adj[v] & cls:
-                    classes[i] |= 1 << v
-                    break
-            else:
-                classes.append(1 << v)
-        return len(classes)
+        # class count of a first-fit colouring of the candidates in ascending
+        # order, built one class at a time; it bounds the clique
+        classes = 0
+        while candidates:
+            classes += 1
+            free = candidates
+            while free:
+                low = free & -free
+                candidates ^= low
+                free &= ~(comp.adj[low.bit_length() - 1] | low)
+        return classes
 
-    def expand(current: int, size: int, candidates: int) -> None:
-        if size > best[0]:
-            best[0], best[1] = size, current
-        if not candidates or size + bound(candidates) <= best[0]:
-            return
-        for v in order:
-            if candidates >> v & 1:
-                candidates &= ~(1 << v)
-                expand(current | (1 << v), size + 1, candidates & comp.adj[v])
-                if size + candidates.bit_count() <= best[0]:
-                    return
-
-    expand(0, 0, (1 << g.n) - 1)
-    return best[0], best[1]
+    # Branch and bound on an explicit stack, one frame per open node:
+    # [clique, size, candidates, next position in order].
+    stack = [[0, 0, (1 << g.n) - 1, 0]]
+    while stack:
+        frame = stack[-1]
+        current, size, candidates, i = frame
+        if i and size + candidates.bit_count() <= best:
+            stack.pop()
+            continue
+        # candidates is not empty here and lies at positions >= i of order
+        while not candidates >> order[i] & 1:
+            i += 1
+        v = order[i]
+        candidates &= ~(1 << v)
+        frame[2:] = candidates, i + 1
+        current, size, candidates = current | (1 << v), size + 1, candidates & comp.adj[v]
+        if size > best:
+            best, witness = size, current
+        if candidates and size + bound(candidates) > best:
+            stack.append([current, size, candidates, 0])
+    return best, witness
 
 
 def clique_number(g: Graph) -> int:

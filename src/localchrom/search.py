@@ -11,6 +11,7 @@ monotone under vertex addition, so they are leaf filters only.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,8 +166,14 @@ def _write_checkpoint(path, c, level_n, level, found) -> None:
             {"rows": list(f.graph.adj), "t_star": str(f.t_star), "chi": f.chi} for f in found
         ],
     }
-    with open(path, "w") as fh:
+    # Write a sibling file and rename it over the checkpoint, so that a crash
+    # mid-write leaves the previous checkpoint whole.
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
         json.dump(state, fh)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def _load_checkpoint(path) -> dict:

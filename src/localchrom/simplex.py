@@ -2,7 +2,9 @@
 
 Small dense LPs only (the weighting LPs have ~n variables and ~n rows).
 Bland's anti-cycling rule guarantees termination; everything is a Fraction so
-strict-inequality semantics downstream are meaningful.
+strict-inequality semantics downstream are meaningful.  An optimal solution
+comes with one dual multiplier per input row, read off the final tableau, so
+the dual LP never has to be solved separately.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .graphs import CertificateError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 @dataclass
@@ -21,6 +24,9 @@ class LPSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: list[Fraction]
     value: Fraction | None
+    # One multiplier per input row: >= 0 for "<=", <= 0 for ">=", free for
+    # "="; A^T y >= objective and rhs . y == value.  Empty unless optimal.
+    dual: list[Fraction]
 
 
 def solve_lp(
@@ -31,75 +37,68 @@ def solve_lp(
 
     rel is one of "<=", ">=", "=".
     """
-    rows = list(rows)
     nvar = len(objective)
     m = len(rows)
-    for coeffs, rel, _ in rows:
+    signs, rels = [], []  # each row times its sign has rhs >= 0 and relation rel
+    for coeffs, rel, b in rows:
         if len(coeffs) != nvar:
             raise ValueError("row length mismatch")
-        if rel not in ("<=", ">=", "="):
+        if rel not in FLIP:
             raise ValueError(f"bad relation {rel!r}")
+        flipped = Fraction(b) < 0
+        signs.append(-1 if flipped else 1)
+        rels.append(FLIP[rel] if flipped else rel)
 
     # Columns: structural | one slack per inequality | one artificial per row
-    # that needs one.  Build equality-form rows with rhs >= 0 first.
-    eq_rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    slack_col_of_row: dict[int, int] = {}
-    ncols = nvar
-    for i, (coeffs, rel, b) in enumerate(rows):
-        row = [Fraction(c) for c in coeffs]
-        b = Fraction(b)
-        if b < 0:
-            row = [-c for c in row]
-            b = -b
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        if rel != "=":
-            slack_col_of_row[i] = ncols
-            ncols += 1
-        eq_rows.append(row)
-        rhs.append(b)
-        rows[i] = (coeffs, rel, b)  # normalised view: rhs >= 0
-
+    # that is not "<=" | rhs.  Each row starts with a unit column basic (its
+    # slack for "<=", its artificial otherwise); that column's final reduced
+    # cost is minus the row's dual multiplier.
+    slack = nvar
+    art = nvar + sum(rel != "=" for rel in rels)
+    total_cols = art + sum(rel != "<=" for rel in rels)
+    art_cols = range(art, total_cols)
     table: list[list[Fraction]] = []
     basis: list[int] = []
-    art_cols: list[int] = []
-    for i, (coeffs, rel, b) in enumerate(rows):
-        row = eq_rows[i] + [ZERO] * (ncols - nvar)
-        if i in slack_col_of_row:
-            row[slack_col_of_row[i]] = ONE if rel == "<=" else -ONE
-        table.append(row)
-
-    # Basic feasible start: slack for "<=" rows, artificial otherwise.
-    total_cols = ncols
-    for i, (_, rel, _) in enumerate(rows):
+    for (coeffs, _, b), sign, rel in zip(rows, signs, rels):
+        row = [sign * Fraction(c) for c in coeffs] + [ZERO] * (total_cols - nvar)
+        row.append(sign * Fraction(b))
+        if rel != "=":
+            row[slack] = ONE if rel == "<=" else -ONE
+            slack += 1
         if rel == "<=":
-            basis.append(slack_col_of_row[i])
+            basis.append(slack - 1)
         else:
-            for r in table:
-                r.append(ZERO)
-            table[i][total_cols] = ONE
-            art_cols.append(total_cols)
-            basis.append(total_cols)
-            total_cols += 1
+            row[art] = ONE
+            basis.append(art)
+            art += 1
+        table.append(row)
+    unit = list(basis)
 
-    def pivot(r: int, c: int, obj: list[Fraction], objval: list[Fraction]) -> None:
-        piv = table[r][c]
-        inv = ONE / piv
+    def eliminate(target: list[Fraction], r: int, c: int) -> list[Fraction]:
+        """target minus the multiple of row r that zeroes its column c."""
+        f = target[c]
+        return [a - f * b for a, b in zip(target, table[r])]
+
+    def pivot(r: int, c: int, obj: list[Fraction]) -> None:
+        inv = ONE / table[r][c]
         table[r] = [a * inv for a in table[r]]
-        rhs[r] *= inv
         for i in range(m):
             if i != r and table[i][c]:
-                f = table[i][c]
-                table[i] = [a - f * b for a, b in zip(table[i], table[r])]
-                rhs[i] -= f * rhs[r]
+                table[i] = eliminate(table[i], r, c)
         if obj[c]:
-            f = obj[c]
-            for j in range(len(obj)):
-                obj[j] -= f * table[r][j]
-            objval[0] -= f * rhs[r]
+            obj[:] = eliminate(obj, r, c)
         basis[r] = c
 
-    def run_simplex(obj: list[Fraction], objval: list[Fraction], blocked: set[int]) -> str:
+    def price_out(costs: list[Fraction]) -> list[Fraction]:
+        """Objective row for these column costs at the current basis: reduced
+        costs, then minus the objective value."""
+        obj = costs + [ZERO]
+        for i, b in enumerate(basis):
+            if obj[b]:
+                obj = eliminate(obj, i, b)
+        return obj
+
+    def run_simplex(obj: list[Fraction], blocked: range) -> str:
         while True:
             enter = -1
             for j in range(total_cols):
@@ -112,57 +111,39 @@ def solve_lp(
             for i in range(m):
                 a = table[i][enter]
                 if a > 0:
-                    ratio = rhs[i] / a
+                    ratio = table[i][-1] / a
                     if best_ratio is None or ratio < best_ratio or (
                         ratio == best_ratio and basis[i] < best_var
                     ):
                         leave, best_ratio, best_var = i, ratio, basis[i]
             if leave < 0:
                 return "unbounded"
-            pivot(leave, enter, obj, objval)
+            pivot(leave, enter, obj)
 
     # Phase 1: maximize -(sum of artificials).
     if art_cols:
-        obj1 = [ZERO] * total_cols
-        for c in art_cols:
-            obj1[c] = -ONE
-        objval1 = [ZERO]
-        for i, b in enumerate(basis):
-            if obj1[b]:
-                f = obj1[b]
-                for j in range(total_cols):
-                    obj1[j] -= f * table[i][j]
-                objval1[0] -= f * rhs[i]
+        obj = price_out([ZERO] * art_cols.start + [-ONE] * len(art_cols))
         # Phase 1 is bounded (objective <= 0).
-        if run_simplex(obj1, objval1, blocked=set()) != "optimal":
+        if run_simplex(obj, blocked=range(0)) != "optimal":
             raise CertificateError("phase 1 of the simplex is unbounded")
-        if objval1[0] != 0:
-            return LPSolution("infeasible", [], None)
+        if obj[-1] != 0:
+            return LPSolution("infeasible", [], None, [])
         # Drive remaining artificials out of the basis.
-        art_set = set(art_cols)
         for i in range(m):
-            if basis[i] in art_set:
-                for j in range(total_cols):
-                    if j not in art_set and table[i][j] != 0:
-                        pivot(i, j, obj1, objval1)
+            if basis[i] in art_cols:
+                for j in range(art_cols.start):
+                    if table[i][j] != 0:
+                        pivot(i, j, obj)
                         break
                 # else: redundant all-zero row; harmless to leave in place
 
     # Phase 2: original objective, artificials blocked.
-    obj2 = [Fraction(c) for c in objective] + [ZERO] * (total_cols - nvar)
-    objval2 = [ZERO]
-    for i, b in enumerate(basis):
-        if obj2[b]:
-            f = obj2[b]
-            for j in range(total_cols):
-                obj2[j] -= f * table[i][j]
-            objval2[0] -= f * rhs[i]
-    blocked = set(art_cols)
-    status = run_simplex(obj2, objval2, blocked)
-    if status == "unbounded":
-        return LPSolution("unbounded", [], None)
+    obj = price_out([Fraction(c) for c in objective] + [ZERO] * (total_cols - nvar))
+    if run_simplex(obj, blocked=art_cols) == "unbounded":
+        return LPSolution("unbounded", [], None, [])
     x = [ZERO] * nvar
     for i, b in enumerate(basis):
         if b < nvar:
-            x[b] = rhs[i]
-    return LPSolution("optimal", x, -objval2[0])
+            x[b] = table[i][-1]
+    dual = [-sign * obj[c] for sign, c in zip(signs, unit)]
+    return LPSolution("optimal", x, -obj[-1], dual)

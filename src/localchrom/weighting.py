@@ -8,8 +8,9 @@ perturbing zeros (the figure's 0+ classes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .graphs import CertificateError, Graph, WeightedGraph, bits, min_weighted_degree
 from .simplex import solve_lp
@@ -23,8 +24,24 @@ class WeightingResult:
     optimum: Fraction
     weights: tuple[Fraction, ...]  # total weight 1
     dual: tuple[Fraction, ...]  # distribution certifying optimality
-    support_full: bool  # some optimal weighting is strictly positive everywhere
     has_isolated_vertex: bool
+    graph: Graph = field(repr=False, compare=False)
+
+    @cached_property
+    def support_full(self) -> bool:
+        """Whether some optimal weighting is strictly positive everywhere: an
+        LP maximizing s subject to omega >= s, degrees >= t*, sum omega = 1,
+        solved on the first read."""
+        n = self.graph.n
+        objective = [ZERO] * n + [ONE]
+        rows = [(_degree_row(self.graph, v) + [ZERO], ">=", self.optimum) for v in range(n)]
+        for v in range(n):
+            row = [ZERO] * (n + 1)
+            row[v] = -ONE
+            row[n] = ONE
+            rows.append((row, "<=", ZERO))  # s - omega_v <= 0
+        rows.append(([ONE] * n + [ZERO], "=", ONE))
+        return _optimal(solve_lp(objective, rows), "full-support").value > 0
 
     def beats(self, c: Fraction | int) -> bool:
         return self.optimum > Fraction(c)
@@ -61,8 +78,9 @@ def _optimal(solution, what: str):
 
 
 def optimal_weighting(g: Graph) -> WeightingResult:
-    """Exact t*(g) with primal and dual certificates, via three LP solves:
-    the primal, the dual and the full-support LP."""
+    """Exact t*(g) with primal and dual certificates from one LP solve; the
+    dual is the LP's row multipliers.  ``support_full`` solves one more LP
+    when it is first read."""
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no weighting")
@@ -72,10 +90,10 @@ def optimal_weighting(g: Graph) -> WeightingResult:
         # Any weighting gives the isolated vertex degree 0, so t* = 0; the
         # dual concentrates on an isolated vertex (no one sees its mass).
         dual = tuple(ONE if v == isolated[0] else ZERO for v in range(n))
-        return WeightingResult(ZERO, uniform, dual, True, True)
+        return WeightingResult(ZERO, uniform, dual, True, g)
 
-    # Primal: variables (omega_0..omega_{n-1}, t), maximize t.
-    cols = n + 1
+    # Primal: variables (omega_0..omega_{n-1}, t), maximize t.  The multipliers
+    # of the degree rows are the dual distribution y: deg_y(u) <= t*, sum y = 1.
     objective = [ZERO] * n + [ONE]
     rows = []
     for v in range(n):
@@ -85,36 +103,9 @@ def optimal_weighting(g: Graph) -> WeightingResult:
     primal = _optimal(solve_lp(objective, rows), "primal")
     t_star = primal.value
     omega = tuple(primal.x[:n])
-
-    # Dual: variables (y_0..y_{n-1}, z), minimize z s.t. deg_y(u) <= z, sum y = 1.
-    objective = [ZERO] * n + [-ONE]
-    rows = []
-    for u in range(n):
-        row = _degree_row(g, u) + [-ONE]
-        rows.append((row, "<=", ZERO))
-    rows.append(([ONE] * n + [ZERO], "=", ONE))
-    dual_sol = _optimal(solve_lp(objective, rows), "dual")
-    if -dual_sol.value != t_star:
-        raise CertificateError("primal/dual optima disagree")
-    dual = tuple(dual_sol.x[:n])
-
+    dual = tuple(primal.dual[:n])
     _check_certificates(g, t_star, omega, dual)
-
-    # Full support: maximize s subject to omega >= s, degrees >= t*, sum = 1.
-    objective = [ZERO] * n + [ONE]
-    rows = []
-    for v in range(n):
-        rows.append((_degree_row(g, v) + [ZERO], ">=", t_star))
-    for v in range(n):
-        row = [ZERO] * cols
-        row[v] = -ONE
-        row[n] = ONE
-        rows.append((row, "<=", ZERO))  # s - omega_v <= 0
-    rows.append(([ONE] * n + [ZERO], "=", ONE))
-    support = _optimal(solve_lp(objective, rows), "full-support")
-    support_full = support.value > 0
-
-    return WeightingResult(t_star, omega, dual, support_full, False)
+    return WeightingResult(t_star, omega, dual, False, g)
 
 
 def verify_weighting(g: Graph, weights, c: Fraction | int) -> bool:

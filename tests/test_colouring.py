@@ -15,7 +15,7 @@ from localchrom.colouring import (
     normalise_colouring,
     validate_colouring,
 )
-from localchrom.graphs import Graph, bits, blow_up, relabel
+from localchrom.graphs import Graph, bits, blow_up, complement, relabel
 
 
 def random_graph(rng, n, p):
@@ -128,6 +128,13 @@ class TestIndependenceNumber:
 
     def test_empty_graph_alpha_n(self):
         assert independence_number(Graph(6))[0] == 6
+
+    def test_deep_search_needs_no_recursion(self):
+        # the branch and bound runs on an explicit stack: every vertex of an
+        # edgeless graph joins the independent set, one level each
+        n = 1100
+        assert independence_number(Graph(n)) == (n, (1 << n) - 1)
+        assert clique_number(complement(Graph(n))) == n
 
     def test_witness_is_independent(self):
         rng = random.Random(9)

@@ -1,10 +1,11 @@
 """Extremal enumeration: membership filters, determinism, checkpoints."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from localchrom import families
+from localchrom import families, search
 from localchrom.graphs import Graph
 from localchrom.homomorphism import is_isomorphic
 from localchrom.search import check_membership, compact_line, enumerate_extremal
@@ -60,6 +61,23 @@ def test_checkpoint_resume(tmp_path):
     assert [compact_line(f) for f in direct.found] == [
         compact_line(f) for f in fresh.found if f.graph.n <= 6
     ]
+
+
+def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
+    ckpt = tmp_path / "search.ckpt"
+    enumerate_extremal(5, F(1, 2), checkpoint_path=str(ckpt))
+
+    def dump_then_crash(state, fh):
+        fh.write(json.dumps(state)[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(search.json, "dump", dump_then_crash)
+    with pytest.raises(OSError, match="disk full"):
+        enumerate_extremal(6, F(1, 2), checkpoint_path=str(ckpt), resume_path=str(ckpt))
+    monkeypatch.undo()
+    resumed = enumerate_extremal(6, F(1, 2), resume_path=str(ckpt))
+    fresh = enumerate_extremal(6, F(1, 2))
+    assert [compact_line(f) for f in resumed.found] == [compact_line(f) for f in fresh.found]
 
 
 def test_checkpoint_threshold_mismatch(tmp_path):

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from localchrom import families
+from localchrom import families, weighting
 from localchrom.graphs import Graph, WeightedGraph, blow_up, merge_twins
 from localchrom.simplex import solve_lp
 from localchrom.weighting import optimal_weighting, verify_weighting
@@ -54,6 +54,39 @@ class TestSimplex:
         assert sol.status == "optimal"
         assert sol.value == F(1, 20)
 
+    def test_row_duals_certify_the_optimum(self):
+        # seeded bounded feasible LPs: a known feasible point x0 fixes each
+        # rhs, some rows are negated so that rhs < 0, and a box keeps it bounded
+        rng = random.Random(41)
+        negative_rhs = 0
+        for _ in range(150):
+            nvar, m = rng.randint(1, 4), rng.randint(1, 5)
+            x0 = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(nvar)]
+            rows = []
+            for _ in range(m):
+                coeffs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nvar)]
+                lhs = sum(a * x for a, x in zip(coeffs, x0))
+                rel = rng.choice(["<=", ">=", "="])
+                rhs = lhs + {"<=": 1, ">=": -1, "=": 0}[rel] * rng.randint(0, 3)
+                if rng.random() < 0.5:
+                    coeffs, rhs = [-a for a in coeffs], -rhs
+                    rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+                rows.append((coeffs, rel, rhs))
+            rows += [([F(int(j == i)) for j in range(nvar)], "<=", F(5)) for i in range(nvar)]
+            objective = [F(rng.randint(-4, 4)) for _ in range(nvar)]
+            sol = solve_lp(objective, rows)
+            assert sol.status == "optimal" and len(sol.dual) == len(rows)
+            for y, (_, rel, _) in zip(sol.dual, rows):
+                if rel == "<=":
+                    assert y >= 0
+                elif rel == ">=":
+                    assert y <= 0
+            for j, c in enumerate(objective):
+                assert sum(y * coeffs[j] for y, (coeffs, _, _) in zip(sol.dual, rows)) >= c
+            assert sum(y * rhs for y, (_, _, rhs) in zip(sol.dual, rows)) == sol.value
+            negative_rhs += sum(rhs < 0 for _, _, rhs in rows)
+        assert negative_rhs > 0
+
 
 class TestOptimalWeighting:
     def test_h2(self):
@@ -91,6 +124,21 @@ class TestOptimalWeighting:
     def test_dual_distribution(self):
         r = optimal_weighting(families.h2plus())
         assert sum(r.dual) == 1 and all(y >= 0 for y in r.dual)
+
+    def test_one_lp_unless_support_is_read(self, monkeypatch):
+        calls = []
+
+        def counted(objective, rows):
+            calls.append(rows)
+            return solve_lp(objective, rows)
+
+        monkeypatch.setattr(weighting, "solve_lp", counted)
+        r = optimal_weighting(families.h2plus())
+        assert len(calls) == 1
+        assert not r.support_full
+        assert len(calls) == 2
+        assert not r.support_full
+        assert len(calls) == 2
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
