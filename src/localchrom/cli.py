@@ -165,6 +165,13 @@ def cmd_search(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
+    for lv in result.levels:
+        print(
+            f"level {lv.n}: {lv.parents} parents, {lv.masks_tried} masks tried, "
+            f"{lv.children} locally bipartite children, {lv.canonical_forms} canonical forms, "
+            f"{lv.classes} classes, {lv.seconds:.2f} s",
+            file=sys.stderr,
+        )
     print(f"searched n<={args.n} beating {c}: {len(result.found)} graphs", file=sys.stderr)
     return 0
 

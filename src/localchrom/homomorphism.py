@@ -156,18 +156,45 @@ def _refine(g: Graph, colour: list[int]) -> list[int]:
     """1-dimensional colour refinement to a fixpoint.
 
     New colours are ranks of (old colour, sorted neighbour-colour multiset),
-    which is isomorphism-invariant.
+    which is isomorphism-invariant.  Each round builds every colour cell once
+    as a bitset.  The multiset of a vertex with row ``row`` is the flat tuple
+    that repeats each cell's colour ``(row & cell).bit_count()`` times, over
+    the non-empty cells in ascending colour order; colours may be sparse
+    (individualisation doubles them), so only the cells that occur are
+    visited.  Keys of different colours rank by colour, so the ranks are
+    handed out cell by cell in ascending colour, and a singleton cell needs
+    no multiset.  Once a round adds no cell, the ranks are a strictly
+    increasing function of the old colours, which the next round would
+    reproduce, so they are returned.
     """
-    n = g.n
+    adj = g.adj
     while True:
-        keys = []
-        for v in range(n):
-            nbr = sorted(colour[u] for u in bits(g.adj[v]))
-            keys.append((colour[v], tuple(nbr)))
-        ranked = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [ranked[keys[v]] for v in range(n)]
-        if new == colour:
-            return colour
+        cells: dict[int, int] = {}
+        for v, c in enumerate(colour):
+            cells[c] = cells.get(c, 0) | 1 << v
+        by_colour = sorted(cells.items())
+        new = [0] * g.n
+        rank = 0
+        for _, cell in by_colour:
+            if not cell & (cell - 1):
+                new[cell.bit_length() - 1] = rank
+                rank += 1
+                continue
+            split: dict[tuple[int, ...], list[int]] = {}
+            for v in bits(cell):
+                row = adj[v]
+                multiset: list[int] = []
+                for d, other in by_colour:
+                    k = (row & other).bit_count()
+                    if k:
+                        multiset += (d,) * k
+                split.setdefault(tuple(multiset), []).append(v)
+            for key in sorted(split):
+                for v in split[key]:
+                    new[v] = rank
+                rank += 1
+        if rank == len(cells):
+            return new
         colour = new
 
 

@@ -6,18 +6,33 @@ bipartiteness is induced-hereditary, so every target graph is reachable
 through locally bipartite intermediates and non-locally-bipartite branches
 can be pruned during generation; edge-maximality and twin-freeness are not
 monotone under vertex addition, so they are leaf filters only.
+
+Each parent tries only the neighbour masks that are smallest in their orbit
+under Aut(parent) (B. D. McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26 (1998)).  An automorphism sigma maps parent + m onto
+parent + sigma(m), so the two children are isomorphic and either both or
+neither locally bipartite.  Masks are tried in ascending order, so a skipped
+mask comes after the orbit minimum of the same parent and its child could
+never have been the first of its class to reach ``seen``: the classes, their
+representatives and the level order are the same as when every mask is tried.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from time import perf_counter
+
+try:  # hashlib would also load OpenSSL, about 4 MB of resident memory
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .colouring import chromatic_number
 from .graphs import Graph, bits
-from .homomorphism import canonical_form
+from .homomorphism import canonical_form, subgraph_embeddings
 from .structure import (
     neighbourhood_is_bipartite,
     is_edge_maximal_locally_bipartite,
@@ -50,12 +65,27 @@ class MembershipReport:
         return self.locally_bipartite and self.edge_maximal and self.twin_free and self.beats
 
 
+@dataclass(frozen=True)
+class LevelStats:
+    """The work of generating one level of graphs on ``n`` vertices from its
+    parents on n - 1; ``seconds`` is the generation time, without the filter."""
+
+    n: int
+    parents: int
+    masks_tried: int  # orbit-minimal masks, one child built for each
+    children: int  # locally bipartite children
+    canonical_forms: int  # one per locally bipartite child
+    classes: int
+    seconds: float
+
+
 @dataclass
 class SearchResult:
     n_max: int
     c: Fraction
     found: list[FoundGraph]
     exhausted: bool
+    levels: list[LevelStats] = field(default_factory=list)  # levels generated by this run
 
 
 def check_membership(g: Graph, c: Fraction | int) -> MembershipReport:
@@ -95,16 +125,50 @@ def _filter_level(graphs: list[Graph], c: Fraction) -> list[FoundGraph]:
     return out
 
 
-def _next_level(level: list[Graph]) -> list[Graph]:
+def _orbit_minimal_masks(parent: Graph) -> list[int]:
+    """The masks over V(parent) that are smallest in their Aut(parent) orbit, ascending."""
+    autos = list(subgraph_embeddings(parent, parent, induced=True))
+    size = 1 << parent.n
+    if len(autos) == 1:  # the identity alone
+        return list(range(size))
+    covered = bytearray(size)
+    minimal = []
+    for mask in range(size):
+        if covered[mask]:
+            continue
+        minimal.append(mask)
+        for p in autos:
+            image = 0
+            for v in bits(mask):
+                image |= 1 << p[v]
+            covered[image] = 1
+    return minimal
+
+
+def _next_level(level: list[Graph], stats: list[LevelStats] | None = None) -> list[Graph]:
+    """The next level, one representative per class, ordered by canonical form.
+
+    Appends a ``LevelStats`` record to ``stats`` when one is given.
+    """
+    start = perf_counter()
     seen: dict[tuple[int, int], Graph] = {}
+    tried = children = 0
     for parent in level:
-        for mask in range(1 << parent.n):
+        masks = _orbit_minimal_masks(parent)
+        tried += len(masks)
+        for mask in masks:
             child = _locally_bipartite_child(parent, mask)
             if child is None:
                 continue
+            children += 1
             key = canonical_form(child)
             if key not in seen:
                 seen[key] = child
+    if stats is not None:
+        seconds = perf_counter() - start
+        stats.append(
+            LevelStats(level[0].n + 1, len(level), tried, children, children, len(seen), seconds)
+        )
     return [seen[k] for k in sorted(seen)]
 
 
@@ -131,34 +195,43 @@ def enumerate_extremal(
             raise ValueError("checkpoint is already past n_max")
         start_n = state["level"]
         level = [Graph.from_rows(rows) for rows in state["graphs"]]
-        found = [
-            FoundGraph(
-                Graph.from_rows(item["rows"]),
-                Fraction(item["t_star"]),
-                item["chi"],
-                canonical_form(Graph.from_rows(item["rows"])),
-            )
-            for item in state["found"]
-        ]
+        for item in state["found"]:
+            g = Graph.from_rows(item["rows"])
+            t_star = Fraction(item["t_star"])
+            report = check_membership(g, c)
+            if not report.all_pass or report.t_star != t_star:
+                raise ValueError("checkpoint lists a found graph that fails the membership check")
+            found.append(FoundGraph(g, t_star, item["chi"], canonical_form(g)))
 
     n = start_n
+    levels: list[LevelStats] = []
     if n == 1 and not resume_path:
         found.extend(_filter_level(level, c))
         _write_checkpoint(checkpoint_path, c, n, level, found)
     while n < n_max:
-        level = _next_level(level)
+        level = _next_level(level, levels)
         n += 1
         found.extend(_filter_level(level, c))
         _write_checkpoint(checkpoint_path, c, n, level, found)
     found.sort(key=lambda f: (f.graph.n, f.canon))
-    return SearchResult(n_max, c, found, exhausted=True)
+    return SearchResult(n_max, c, found, exhausted=True, levels=levels)
+
+
+def _digest(state: dict) -> str:
+    """SHA-256 over the threshold, the level number, the level rows and the found entries."""
+    body = [state.get(key) for key in ("c", "level", "graphs", "found")]
+    digest = sha256()
+    # chunk by chunk: ``json.dumps`` would hold every chunk of a large level at once
+    for chunk in json.JSONEncoder().iterencode(body):
+        digest.update(chunk.encode())
+    return digest.hexdigest()
 
 
 def _write_checkpoint(path, c, level_n, level, found) -> None:
     if path is None:
         return
     state = {
-        "version": 1,
+        "version": 2,
         "c": str(c),
         "level": level_n,
         "graphs": [list(g.adj) for g in level],
@@ -166,6 +239,7 @@ def _write_checkpoint(path, c, level_n, level, found) -> None:
             {"rows": list(f.graph.adj), "t_star": str(f.t_star), "chi": f.chi} for f in found
         ],
     }
+    state["digest"] = _digest(state)
     # Write a sibling file and rename it over the checkpoint, so that a crash
     # mid-write leaves the previous checkpoint whole.
     tmp = f"{path}.tmp"
@@ -179,8 +253,10 @@ def _write_checkpoint(path, c, level_n, level, found) -> None:
 def _load_checkpoint(path) -> dict:
     with open(path) as fh:
         state = json.load(fh)
-    if state.get("version") != 1:
+    if state.get("version") != 2:
         raise ValueError("unrecognised checkpoint version")
+    if state.get("digest") != _digest(state):
+        raise ValueError("checkpoint digest does not match its contents")
     return state
 
 

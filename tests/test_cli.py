@@ -111,6 +111,17 @@ def test_search_cli(capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("n=3")
 
 
+def test_search_cli_reports_levels_on_stderr(capsys):
+    assert main(["search", "--n", "4", "--beats", "1/2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["n=3 m=3 edges=0-1,0-2,1-2 t*=2/3 chi=3"]
+    lines = captured.err.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == ["level 2", "level 3", "level 4"]
+    assert lines[2].startswith("level 4: 4 parents, 20 masks tried, 19 locally bipartite children")
+    assert "10 classes" in lines[2]
+    assert lines[3] == "searched n<=4 beating 1/2: 1 graphs"
+
+
 def test_decompose_cli(capsys, tmp_path):
     g = blow_up(families.c7bar(), [2] * 7)
     path = tmp_path / "blow.txt"

@@ -1,17 +1,48 @@
 """Independent cross-checks for the generation and optimisation internals."""
 
+import hashlib
 import random
 import time
 from itertools import combinations, permutations, product
 
 import pytest
 
+from localchrom import search
 from localchrom.colouring import SolverTimeout, chromatic_number, k_colourable
 from localchrom.decompose import _minimise_assignment
-from localchrom.graphs import Graph
-from localchrom.homomorphism import _encode
-from localchrom.search import _next_level
+from localchrom.graphs import Graph, relabel
+from localchrom.homomorphism import _encode, canonical_form, is_isomorphic
+from localchrom.search import _locally_bipartite_child, _next_level
 from localchrom.structure import is_locally_bipartite
+
+# SHA-256 over repr([g.adj for g in level]) for levels 2..7, then over
+# repr([canonical_form(g) for g in level 7]); frozen from the plain
+# (colour, sorted neighbour colours) refinement that tried every mask.
+FROZEN_LEVELS_AND_FORMS = "4f5f8f0df2d3cecefff338dd89a3f3b3ba970c0f9184474c570d2f10edc6191e"
+
+
+def _levels(top: int) -> dict[int, list[Graph]]:
+    levels = {1: [Graph(1)]}
+    for n in range(2, top + 1):
+        levels[n] = _next_level(levels[n - 1])
+    return levels
+
+
+def _next_level_every_mask(level: list[Graph]) -> tuple[list[Graph], int]:
+    """Reference generation: every mask of every parent; also returns the
+    number of locally bipartite children, each of which gets a canonical form."""
+    seen: dict[tuple[int, int], Graph] = {}
+    children = 0
+    for parent in level:
+        for mask in range(1 << parent.n):
+            child = _locally_bipartite_child(parent, mask)
+            if child is None:
+                continue
+            children += 1
+            key = canonical_form(child)
+            if key not in seen:
+                seen[key] = child
+    return [seen[k] for k in sorted(seen)], children
 
 
 def test_level_counts_match_exhaustive_labelled_enumeration():
@@ -34,6 +65,98 @@ def test_level_counts_match_exhaustive_labelled_enumeration():
         assert len(classes) == counts[n]
     # n = 4: every graph except K4 is locally bipartite
     assert counts[4] == 10
+
+
+def test_levels_and_canonical_forms_are_frozen():
+    # the representatives, their order and the canonical-form values
+    # themselves: a refinement key that ranks colours differently changes
+    # the forms even where every class count still matches
+    levels = _levels(7)
+    digest = hashlib.sha256()
+    for n in range(2, 8):
+        digest.update(repr([g.adj for g in levels[n]]).encode())
+    assert len(levels[7]) == 674
+    digest.update(repr([canonical_form(g) for g in levels[7]]).encode())
+    assert digest.hexdigest() == FROZEN_LEVELS_AND_FORMS
+
+
+def test_orbit_pruning_matches_every_mask(monkeypatch):
+    calls = [0]
+
+    def counted(g):
+        calls[0] += 1
+        return canonical_form(g)
+
+    monkeypatch.setattr(search, "canonical_form", counted)
+    level = [Graph(1)]
+    for n in range(2, 8):
+        reference, children = _next_level_every_mask(level)
+        calls[0] = 0
+        pruned = _next_level(level)
+        assert [g.adj for g in pruned] == [g.adj for g in reference]
+        assert calls[0] <= children
+        level = pruned
+    # from 6 to 7: fewer canonical forms than locally bipartite children
+    assert children == 6487 and calls[0] < children
+
+
+def test_level_stats_count_the_pruned_work():
+    stats: list[search.LevelStats] = []
+    level = [Graph(1)]
+    for n in range(2, 7):
+        level = _next_level(level, stats)
+    assert [s.n for s in stats] == [2, 3, 4, 5, 6]
+    assert [s.classes for s in stats] == [2, 4, 10, 29, 119]
+    assert [s.parents for s in stats] == [1, 2, 4, 10, 29]
+    # masks_tried: the orbits of Aut(parent) on the vertex subsets, summed
+    assert [s.masks_tried for s in stats] == [2, 6, 20, 85, 482]
+    assert [s.children for s in stats] == [2, 6, 19, 79, 425]
+    for s in stats:
+        assert s.canonical_forms == s.children
+        assert s.seconds >= 0
+
+
+def test_is_isomorphic_vs_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(909)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        edges, non_edges = list(h.edges()), list(h.non_edges())
+        if edges and non_edges and rng.random() < 0.5:
+            # move one edge: same vertex and edge counts, often another class
+            drop, add = rng.choice(edges), rng.choice(non_edges)
+            h = Graph(n, [e for e in edges if e != drop] + [add])
+        expected = nx.is_isomorphic(_nx(nx, g), _nx(nx, h))
+        assert is_isomorphic(g, h) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def _nx(nx, g: Graph):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def test_level6_has_no_isomorphic_pair_by_networkx():
+    nx = pytest.importorskip("networkx")
+    level = _levels(6)[6]
+    by_degrees: dict[tuple[int, ...], list[Graph]] = {}
+    for g in level:
+        by_degrees.setdefault(tuple(sorted(g.degrees())), []).append(g)
+    pairs = 0
+    for graphs in by_degrees.values():
+        for g, h in combinations(graphs, 2):
+            pairs += 1
+            assert not nx.is_isomorphic(_nx(nx, g), _nx(nx, h))
+    assert len(level) == 119 and pairs > 0
 
 
 def test_chromatic_number_vs_all_assignments():

@@ -106,3 +106,43 @@ def test_n8_at_just_below_5_9():
     assert not any(is_isomorphic(f.graph, families.counterexample8()) for f in result.found)
     names = sorted(f.graph.n for f in result.found)
     assert names == [3, 7, 8]  # K3, C7BAR, H2PLUS
+
+
+def test_checkpoint_refuses_tampered_or_old_files(tmp_path):
+    ckpt = tmp_path / "search.ckpt"
+    enumerate_extremal(5, F(1, 2), checkpoint_path=str(ckpt))
+    good = json.loads(ckpt.read_text())
+    assert good["version"] == 2 and good["level"] == 5 and len(good["graphs"]) == 29
+
+    flipped = dict(good, graphs=[list(rows) for rows in good["graphs"]])
+    flipped["graphs"][7][0] ^= 0b10
+    ckpt.write_text(json.dumps(flipped))
+    with pytest.raises(ValueError, match="digest"):
+        enumerate_extremal(6, F(1, 2), resume_path=str(ckpt))
+
+    old = {key: value for key, value in good.items() if key != "digest"}
+    ckpt.write_text(json.dumps(dict(old, version=1)))
+    with pytest.raises(ValueError, match="version"):
+        enumerate_extremal(6, F(1, 2), resume_path=str(ckpt))
+
+
+def test_resume_rechecks_found_graphs(tmp_path):
+    # a checkpoint with a valid digest whose found list holds K2: t* = 1/2
+    # does not beat c = 1/2
+    ckpt = tmp_path / "search.ckpt"
+    k2 = Graph(2, [(0, 1)])
+    level = [Graph(1)]
+    for _ in range(4):
+        level = search._next_level(level)
+    planted = search.FoundGraph(k2, F(1, 2), 2, (2, 1))
+    search._write_checkpoint(str(ckpt), F(1, 2), 5, level, [planted])
+    with pytest.raises(ValueError, match="membership"):
+        enumerate_extremal(6, F(1, 2), resume_path=str(ckpt))
+
+
+def test_search_result_records_generated_levels(tmp_path):
+    ckpt = tmp_path / "search.ckpt"
+    first = enumerate_extremal(4, F(1, 2), checkpoint_path=str(ckpt))
+    assert [(s.n, s.parents, s.classes) for s in first.levels] == [(2, 1, 2), (3, 2, 4), (4, 4, 10)]
+    resumed = enumerate_extremal(6, F(1, 2), resume_path=str(ckpt))
+    assert [(s.n, s.classes) for s in resumed.levels] == [(5, 29), (6, 119)]
