@@ -25,16 +25,8 @@ from typing import Callable, Iterator
 
 from . import families
 from .colouring import chromatic_number, k_colourable, validate_colouring
-from .graphs import (
-    CertificateError,
-    Graph,
-    WeightedGraph,
-    bits,
-    common_neighbourhood,
-    mask_of,
-    merge_twins,
-)
-from .homomorphism import find_homomorphism, find_subgraph, subgraph_embeddings
+from .graphs import CertificateError, Graph, bits, common_neighbourhood, mask_of
+from .homomorphism import find_subgraph, subgraph_embeddings
 from .structure import is_locally_bipartite, sparse_missing_spoke
 
 DEGREE_THRESHOLD = Fraction(6, 11)
@@ -90,13 +82,8 @@ def _degree_ok(g: Graph) -> bool:
 def _c7bar_copies(g: Graph) -> Iterator[tuple[int, ...]] | None:
     """The C7BAR embeddings of g, in search order, or None when there is none.
 
-    A copy in g yields a homomorphism C7BAR -> g, which composes with the
-    twin-merge quotient map; so no hom to the merged graph means no copy.
-    Otherwise the first embedding decides, and it stays the first anchor.
+    The first embedding decides, and it stays the first anchor.
     """
-    merged = merge_twins(WeightedGraph(g, [1] * g.n)).graph
-    if find_homomorphism(_C7BAR, merged) is None:
-        return None
     copies = subgraph_embeddings(_C7BAR, g, induced=False)
     first = next(copies, None)
     return None if first is None else chain((first,), copies)

@@ -8,6 +8,7 @@ bitset (bit v set <=> vertex v in the set).  All rationals are
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -206,19 +207,26 @@ def blow_up(g: Graph, sizes: Iterable[int]) -> Graph:
     return Graph.from_rows(rows)
 
 
+def _classes_by_row(rows: Iterable[int]) -> dict[int, int]:
+    """Vertex bitset of each distinct row, keyed by the row, in order of first vertex.
+
+    Grouping adjacency rows gives the open-twin classes (equal neighbourhoods);
+    grouping ``adj[v] | 1 << v`` gives the closed-twin classes.
+    """
+    classes: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        classes[row] = classes.get(row, 0) | 1 << v
+    return classes
+
+
 def find_twins(g: Graph) -> list[tuple[int, int]]:
     """All unordered pairs u < v with identical neighbourhoods.
 
     Twins are never adjacent: v in adj[u] = adj[v] would be a self-loop.
     """
-    groups: dict[int, list[int]] = {}
-    for v, row in enumerate(g.adj):
-        groups.setdefault(row, []).append(v)
     pairs = []
-    for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
+    for members in _classes_by_row(g.adj).values():
+        pairs.extend(combinations(bits(members), 2))
     pairs.sort()
     return pairs
 
@@ -286,25 +294,10 @@ def merge_twins(wg: WeightedGraph) -> WeightedGraph:
     Total weight and every surviving weighted degree are preserved.
     """
     g = wg.graph
-    groups: dict[int, list[int]] = {}
-    for v, row in enumerate(g.adj):
-        groups.setdefault(row, []).append(v)
-    if all(len(m) == 1 for m in groups.values()):
+    classes = _classes_by_row(g.adj)
+    if len(classes) == g.n:
         return wg
-    reps = sorted(min(m) for m in groups.values())
-    index = {rep: i for i, rep in enumerate(reps)}
-    rep_of = {}
-    for members in groups.values():
-        rep = min(members)
-        for v in members:
-            rep_of[v] = rep
-    rows = [0] * len(reps)
-    weights = [Fraction(0)] * len(reps)
-    for members in groups.values():
-        rep = min(members)
-        i = index[rep]
-        for u in bits(g.adj[rep]):
-            rows[i] |= 1 << index[rep_of[u]]
-        for v in members:
-            weights[i] += wg.weights[v]
+    index = {row: i for i, row in enumerate(classes)}
+    rows = [mask_of(index[g.adj[u]] for u in bits(row)) for row in classes]
+    weights = [sum((wg.weights[v] for v in bits(m)), Fraction(0)) for m in classes.values()]
     return WeightedGraph(Graph.from_rows(rows), weights)

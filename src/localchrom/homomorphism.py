@@ -1,12 +1,17 @@
 """Exact decision procedures: homomorphism, (induced) subgraph, isomorphism.
 
 One backtracker, ``_backtrack``, serves ``find_homomorphism``,
-``subgraph_embeddings`` and ``find_subgraph``.  Its flag ``injective`` keeps a
-used-vertex mask and drops host vertices of too small a degree; its flag
+``subgraph_embeddings`` and ``find_subgraph``.  Its flag ``injective`` keeps
+used host vertices out and drops host vertices of too small a degree; its flag
 ``induced`` also keeps placed non-neighbours' images non-adjacent.  Pattern
 vertices are processed in descending degree order (ties by index) and
 candidate images in ascending index order, so failures and certificates are
-reproducible.  ``brute_force_homomorphism`` is a separate oracle.
+reproducible.  Host twins (equal open or equal closed neighbourhoods, as in a
+blow-up) are interchangeable outside the partial image, so a dead end is
+explored once per twin class rather than once per twin (the twin pruning of
+Ren & Wang, PVLDB 8(5), 2015); only empty subtrees are skipped, so every map
+and its position in the order are unchanged.  ``brute_force_homomorphism`` is
+a separate oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import CertificateError, Graph, bits, mask_of
+from .graphs import CertificateError, Graph, _classes_by_row, bits, mask_of
 from .structure import is_edge_maximal_locally_bipartite, is_locally_bipartite, is_twin_free
 
 
@@ -47,6 +52,17 @@ def _backtrack(
     ``induced`` also removes the neighbourhoods of placed non-neighbours.
     The search keeps one untried-candidate bitset per depth on an explicit
     stack, so its depth is not bounded by the recursion limit.
+
+    Twin pruning.  Host vertices x and y are twins when they have the same
+    open or the same closed neighbourhood (a vertex has at most one
+    non-trivial class of the two kinds), so the transposition (x y) is a host
+    automorphism.  When x's subtree at depth i is exhausted without yielding
+    a map, and x lies outside the partial image of depths < i, the twins of x
+    outside that image are dropped from the untried candidates of depth i:
+    (x y) fixes the partial map and carries every map below y (edges,
+    non-edges, injectivity and degrees alike) to one below x, so y's subtree
+    is empty too.  Only empty subtrees are skipped, so the maps and their
+    order are those of the unpruned search.
     """
     n = pattern.n
     if n == 0:
@@ -69,9 +85,14 @@ def _backtrack(
             d: mask_of(x for x in range(host.n) if host_deg[x] >= d) for d in set(pattern.degrees())
         }
         base = [at_least[pattern.degree(v)] for v in order]
+    open_classes = _classes_by_row(adj)
+    closed_classes = _classes_by_row(row | 1 << x for x, row in enumerate(adj))
+    twins = [open_classes[row] | closed_classes[row | 1 << x] for x, row in enumerate(adj)]
     image = [-1] * n
-    used = [0] * n  # used[i]: host vertices taken by depths < i
+    used = [0] * n  # used[i]: the partial image, host vertices taken by depths < i
     untried = [0] * n
+    mark = [0] * n  # mark[i]: maps yielded before depth i's current image was placed
+    yielded = 0
     last = n - 1
     i = 0
     untried[0] = base[0]
@@ -79,17 +100,23 @@ def _backtrack(
         candidates = untried[i]
         if not candidates:
             i -= 1
+            if i >= 0 and yielded == mark[i]:
+                x = image[order[i]]
+                if not used[i] >> x & 1:
+                    untried[i] &= ~twins[x] | used[i]
             continue
         low = candidates & -candidates
         untried[i] = candidates ^ low
         image[order[i]] = low.bit_length() - 1
         if i == last:
+            yielded += 1
             yield tuple(image)
             continue
+        mark[i] = yielded
         i += 1
+        used[i] = used[i - 1] | low
         candidates = base[i]
         if injective:
-            used[i] = used[i - 1] | low
             candidates &= ~used[i]
         for u in earlier_nbr[i]:
             candidates &= adj[image[u]]
@@ -111,29 +138,26 @@ def brute_force_homomorphism(g: Graph, h: Graph) -> bool:
     Organised as a prefix walk: a partial assignment is abandoned exactly when
     it already violates an edge, which discards precisely the total maps
     extending it.  No ordering heuristics, no degree reasoning: this is the
-    independent cross-check for the backtracking solver.
+    independent cross-check for the backtracking solver.  The walk keeps each
+    vertex's current candidate in a list rather than on the call stack, so its
+    depth is not bounded by the recursion limit.
     """
     if g.n == 0:
         return True
-    image = [-1] * g.n
-
-    def place(v: int) -> bool:
-        if v == g.n:
-            return True
-        for x in range(h.n):
-            ok = True
-            for u in bits(g.adj[v]):
-                if u < v and not h.has_edge(x, image[u]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = x
-                if place(v + 1):
-                    return True
-        image[v] = -1
-        return False
-
-    return place(0)
+    earlier = [list(bits(g.adj[v] & ((1 << v) - 1))) for v in range(g.n)]
+    image = [-1] * g.n  # image[v]: the candidate v is at; v's prefix is image[:v]
+    v = 0
+    while v >= 0:
+        image[v] += 1
+        x = image[v]
+        if x == h.n:
+            image[v] = -1
+            v -= 1
+        elif all(h.has_edge(x, image[u]) for u in earlier[v]):
+            if v == g.n - 1:
+                return True
+            v += 1
+    return False
 
 
 def subgraph_embeddings(pattern: Graph, host: Graph, induced: bool) -> Iterator[tuple[int, ...]]:

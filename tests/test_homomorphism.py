@@ -1,5 +1,6 @@
 """Homomorphism / subgraph / isomorphism solver tests with brute-force oracles."""
 
+import hashlib
 import random
 from itertools import combinations, permutations, product
 
@@ -7,8 +8,9 @@ import pytest
 
 from localchrom import families
 from localchrom.colouring import chromatic_number
-from localchrom.graphs import Graph, blow_up, complement, cycle_power, relabel
+from localchrom.graphs import Graph, blow_up, blow_up_classes, complement, cycle_power, relabel
 from localchrom.homomorphism import (
+    _backtrack,
     _pattern_order,
     brute_force_homomorphism,
     canonical_form,
@@ -24,6 +26,20 @@ from localchrom.homomorphism import (
 
 def random_graph(rng, n, p):
     return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def twin_host(rng, classes=(1, 5)):
+    """A relabelled blow-up whose classes have 1-3 vertices, each class either
+    independent (open twins) or a clique (closed, adjacent twins)."""
+    base = random_graph(rng, rng.randint(*classes), rng.uniform(0.3, 0.9))
+    sizes = [rng.randint(1, 3) for _ in range(base.n)]
+    edges = list(blow_up(base, sizes).edges())
+    for members in blow_up_classes(sizes):
+        if rng.random() < 0.5:
+            edges += combinations(members, 2)
+    perm = list(range(sum(sizes)))
+    rng.shuffle(perm)
+    return relabel(Graph(len(perm), edges), perm)
 
 
 def all_maps_oracle(g, h):
@@ -150,6 +166,20 @@ def preserves(p, h, image, induced):
     return True
 
 
+def homs_in_order(p, h):
+    """Every homomorphism p -> h, from itertools.product in lexicographic order
+    of the images along _pattern_order."""
+    order = _pattern_order(p)
+    homs = []
+    for images in product(range(h.n), repeat=p.n):
+        image = [0] * p.n
+        for v, x in zip(order, images):
+            image[v] = x
+        if preserves(p, h, image, False):
+            homs.append(tuple(image))
+    return homs
+
+
 class TestBacktracker:
     """The one backtracker behind find_homomorphism, subgraph_embeddings and find_subgraph."""
 
@@ -161,32 +191,58 @@ class TestBacktracker:
         assert emb is not None and is_homomorphism(path(1200), cycle_power(1300, 1), emb)
         assert len(set(emb)) == 1200
 
-    def test_enumeration_order_vs_labelled_oracle(self):
-        # maps come out in lexicographic order of their images along _pattern_order
-        rng = random.Random(31)
-        for _ in range(150):
-            p = random_graph(rng, rng.randint(0, 4), rng.uniform(0.2, 0.8))
-            h = random_graph(rng, rng.randint(0, 6), rng.uniform(0.2, 0.8))
-            order = _pattern_order(p)
+    def test_brute_force_does_not_recurse(self):
+        assert brute_force_homomorphism(path(1500), Graph(2, [(0, 1)]))
 
-            def key(image):
-                return tuple(image[v] for v in order)
-
+    def test_maps_on_twin_hosts_are_frozen(self):
+        # the first homomorphism and every embedding on 300 twin-rich hosts,
+        # hashed before the backtracker learned to prune twins
+        rng = random.Random(2015)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            h = twin_host(rng)
+            p = random_graph(rng, rng.randint(1, 5), rng.uniform(0.2, 0.8))
+            digest.update(repr(find_homomorphism(p, h)).encode())
             for induced in (False, True):
-                oracle = sorted(
-                    (img for img in permutations(range(h.n), p.n) if preserves(p, h, img, induced)),
-                    key=key,
-                )
-                assert list(subgraph_embeddings(p, h, induced)) == oracle
-            first = None
-            for images in product(range(h.n), repeat=p.n):
-                image = [0] * p.n
-                for v, x in zip(order, images):
-                    image[v] = x
-                if preserves(p, h, image, False):
-                    first = tuple(image)
-                    break
-            assert find_homomorphism(p, h) == first
+                digest.update(repr(list(subgraph_embeddings(p, h, induced))).encode())
+        expected = "0db8815ed7532a8c5321a6e9f94abefbfbb4103e024717bc8ca3c2a49b69ed20"
+        assert digest.hexdigest() == expected
+
+    def test_negative_search_in_a_blow_up_prunes_twins(self):
+        # unpruned, this search repeats every dead end once per twin (minutes)
+        assert find_subgraph(families.c7bar(), blow_up(families.h2plus(), [10] * 8)) is None
+
+    def test_enumeration_order_vs_labelled_oracle(self):
+        # maps come out in lexicographic order of their images along _pattern_order,
+        # on random hosts and on hosts full of open and closed twins, in both modes
+        rng = random.Random(31)
+        shared = 0  # maps sending two pattern vertices to one host vertex
+        for case in range(250):
+            p = random_graph(rng, rng.randint(0, 4), rng.uniform(0.2, 0.8))
+            if case < 150:
+                h = random_graph(rng, rng.randint(0, 6), rng.uniform(0.2, 0.8))
+            else:
+                h = twin_host(rng, classes=(1, 3))
+            homs = homs_in_order(p, h)
+            assert find_homomorphism(p, h) == (homs[0] if homs else None)
+            for induced in (False, True):
+                oracle = [img for img in homs if not induced or preserves(p, h, img, True)]
+                assert list(_backtrack(p, h, injective=False, induced=induced)) == oracle
+                injective = [img for img in oracle if len(set(img)) == p.n]
+                assert list(subgraph_embeddings(p, h, induced)) == injective
+                shared += len(oracle) - len(injective)
+        assert shared
+
+    def test_twin_of_a_used_image_is_still_tried(self):
+        # u = 0 and v = 1 (degree 3) are placed first and are joined by a path of
+        # length 3, so v cannot take u's image x; y, a closed twin of x, must still
+        # be tried after x fails, because (x y) moves u's image
+        p = Graph(8, [(0, 2), (2, 3), (3, 1), (0, 4), (0, 5), (1, 6), (1, 7)])
+        assert _pattern_order(p)[:2] == [0, 1]
+        for h in (cycle_power(3, 1), Graph(2, [(0, 1)])):
+            homs = homs_in_order(p, h)
+            assert homs and find_homomorphism(p, h) == homs[0]
+            assert list(_backtrack(p, h, injective=False, induced=False)) == homs
 
     def test_embeddings_vs_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -210,8 +266,11 @@ class TestBacktracker:
 
         rng = random.Random(57)
         named = [families.h0(), families.c7bar(), cycle_power(5, 1)]
-        for case in range(30):
-            h = random_graph(rng, rng.randint(8, 10), rng.uniform(0.3, 0.8))
+        for case in range(45):
+            if case < 30:
+                h = random_graph(rng, rng.randint(8, 10), rng.uniform(0.3, 0.8))
+            else:  # hosts with open and closed twins
+                h = twin_host(rng, classes=(2, 4))
             if case < len(named):
                 p = named[case]
             else:
