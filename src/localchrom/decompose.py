@@ -150,77 +150,49 @@ def _minimise_assignment(
     over the flexible vertices when that space is small enough; the theorems
     guarantee S = 0 is reachable under their hypotheses.
     """
-    members = sorted(assignment)
-    nbrs = {r: [u for u in bits(g.adj[r]) if u in assignment] for r in members}
+    nbrs = {r: [u for u in bits(g.adj[r]) if u in assignment] for r in assignment}
 
-    def move_cost(r: int, label: int) -> int:
-        return sum(1 for u in nbrs[r] if frozenset((label, assignment[u])) in penalised)
+    def conflicts(r: int, label: int, labels: dict[int, int]) -> int:
+        """The neighbours of r labelled in ``labels`` whose pair with ``label`` is penalised."""
+        return sum(u in labels and frozenset((label, labels[u])) in penalised for u in nbrs[r])
 
-    def total() -> int:
-        s = 0
-        for r in members:
-            for u in nbrs[r]:
-                if u > r and frozenset((assignment[r], assignment[u])) in penalised:
-                    s += 1
-        return s
-
-    flexible = [r for r in members if len(admissible[r]) > 1]
+    flexible = [r for r in sorted(assignment) if len(admissible[r]) > 1]
     improved = True
     while improved:
         improved = False
         for r in flexible:
-            here = move_cost(r, assignment[r])
+            here = conflicts(r, assignment[r], assignment)
             for label in admissible[r]:
-                if label != assignment[r] and move_cost(r, label) < here:
+                if label != assignment[r] and conflicts(r, label, assignment) < here:
                     assignment[r] = label
                     improved = True
                     break
 
-    best_s = total()
+    # every penalised edge is counted from both ends
+    best_s = sum(conflicts(r, c, assignment) for r, c in assignment.items()) // 2
     if best_s > 0 and len(flexible) <= 20 and prod(len(admissible[r]) for r in flexible) <= 1 << 20:
-        fixed_cost = 0
-        flex_set = set(flexible)
-        for r in members:
-            if r in flex_set:
-                continue
-            for u in nbrs[r]:
-                if u > r and u not in flex_set and frozenset(
-                    (assignment[r], assignment[u])
-                ) in penalised:
-                    fixed_cost += 1
-        best_choice = [assignment[r] for r in flexible]
+        known = {r: c for r, c in assignment.items() if r not in flexible}
+        best_choice: dict[int, int] = {}  # empty while nothing beats the greedy labels
 
-        def branch(i: int, cost: int, choice: list[int]) -> None:
+        def branch(i: int, cost: int) -> None:
+            """Place flexible[i:] on top of ``known``, the fixed and placed labels."""
             nonlocal best_s, best_choice
             if cost >= best_s:
                 return
             if i == len(flexible):
                 best_s = cost
-                best_choice = list(choice)
+                best_choice = {r: known[r] for r in flexible}
                 return
             r = flexible[i]
-            placed = {flexible[j]: choice[j] for j in range(i)}
             for label in admissible[r]:
-                extra = 0
-                for u in nbrs[r]:
-                    if u in placed:
-                        other = placed[u]
-                    elif u not in flex_set:
-                        other = assignment[u]
-                    else:
-                        continue
-                    if frozenset((label, other)) in penalised:
-                        extra += 1
-                choice.append(label)
-                branch(i + 1, cost + extra, choice)
-                choice.pop()
+                known[r] = label
+                branch(i + 1, cost + conflicts(r, label, known))
                 if best_s == 0:
-                    return
+                    break
+            del known[r]
 
-        branch(0, fixed_cost, [])
-        for r, label in zip(flexible, best_choice):
-            assignment[r] = label
-        best_s = total()
+        branch(0, sum(conflicts(r, c, known) for r, c in known.items()) // 2)
+        assignment.update(best_choice)
     return assignment, best_s
 
 
@@ -419,11 +391,6 @@ _H2PLUS_CASE = _Case(
 )
 
 
-def _build_h2plus(g: Graph, anchor7: tuple[int, ...]) -> DecompositionCertificate:
-    """anchor7 = the H2 part (v_0..v_6) of an embedded H2+ copy."""
-    return _build(g, anchor7, _H2PLUS_CASE)
-
-
 # ---------------------------------------------------------------------------
 # Public entry points: input checks, then one anchor loop.
 
@@ -524,46 +491,35 @@ def verify_profile(g: Graph) -> ProfileReport:
     ratio = Fraction(delta, g.n)
     if ratio > Fraction(4, 7):
         regime = "above-4/7"
-        colouring = k_colourable(g, 3)
-        if colouring is None:
-            return ProfileReport(
-                g.n, delta, ratio, regime, "PROMISE-VIOLATED", None, None, None, True,
-                "delta > 4/7 |G| but no 3-colouring exists",
-            )
-        return ProfileReport(
-            g.n, delta, ratio, regime, "3-colouring", colouring, None, None, False,
-            "3-colouring found as promised",
-        )
-    if ratio > DEGREE_THRESHOLD:
+    elif ratio > DEGREE_THRESHOLD:
         regime = "above-6/11"
-        colouring = k_colourable(g, 3)
-        if colouring is not None:
-            return ProfileReport(
-                g.n, delta, ratio, regime, "3-colouring", colouring, None, None, False,
-                "3-colourable",
-            )
-        copies = _c7bar_copies(g)
-        cert = _decompose(g, copies, _MAX_ANCHORS)
-        if cert.ok:
-            return ProfileReport(
-                g.n, delta, ratio, regime, cert.outcome, cert.colouring,
-                cert.target, cert.hom, False, f"homomorphism to {cert.target}",
-            )
-        if copies is not None:
-            detail = f"contains C7BAR but decomposition failed: {cert.reason}"
-        else:
-            detail = f"not 3-colourable, no C7BAR, and H2+ decomposition failed: {cert.reason}"
+    else:
+        regime = "outside"
+
+    def report(outcome, detail, colouring=None, target=None, hom=None, hard=False):
         return ProfileReport(
-            g.n, delta, ratio, regime, "PROMISE-VIOLATED", None, None, None, True, detail
+            g.n, delta, ratio, regime, outcome, colouring, target, hom, hard, detail
         )
-    regime = "outside"
-    colouring = k_colourable(g, 4)
+
+    if regime == "outside":
+        colouring = k_colourable(g, 4)
+        if colouring is None:
+            return report("outside-range", "outside theorem range; not 4-colourable")
+        detail = "outside theorem range; 4-colouring found opportunistically"
+        return report("chi<=4-opportunistic", detail, colouring)
+    colouring = k_colourable(g, 3)
     if colouring is not None:
-        return ProfileReport(
-            g.n, delta, ratio, regime, "chi<=4-opportunistic", colouring, None, None, False,
-            "outside theorem range; 4-colouring found opportunistically",
-        )
-    return ProfileReport(
-        g.n, delta, ratio, regime, "outside-range", None, None, None, False,
-        "outside theorem range; not 4-colourable",
-    )
+        detail = "3-colouring found as promised" if regime == "above-4/7" else "3-colourable"
+        return report("3-colouring", detail, colouring)
+    if regime == "above-4/7":
+        return report("PROMISE-VIOLATED", "delta > 4/7 |G| but no 3-colouring exists", hard=True)
+    copies = _c7bar_copies(g)
+    cert = _decompose(g, copies, _MAX_ANCHORS)
+    if cert.ok:
+        detail = f"homomorphism to {cert.target}"
+        return report(cert.outcome, detail, cert.colouring, cert.target, cert.hom)
+    if copies is not None:
+        detail = f"contains C7BAR but decomposition failed: {cert.reason}"
+    else:
+        detail = f"not 3-colourable, no C7BAR, and H2+ decomposition failed: {cert.reason}"
+    return report("PROMISE-VIOLATED", detail, hard=True)

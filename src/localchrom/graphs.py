@@ -96,7 +96,9 @@ class Graph:
         return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.adj)
+        # from a list: tuple() of a generator builds by resizing, and the freed
+        # results then pile up in CPython's per-size tuple free lists
+        return tuple([row.bit_count() for row in self.adj])
 
     def min_degree(self) -> int:
         return min(self.degrees()) if self.n else 0
@@ -142,17 +144,6 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
         for u in bits(g.adj[v]):
             rows[perm[v]] |= 1 << perm[u]
     return Graph.from_rows(rows)
-
-
-def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
-    """Induced subgraph on the vertices of ``mask`` plus the old labels in order."""
-    verts = list(bits(mask))
-    index = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for u in bits(g.adj[v] & mask):
-            rows[i] |= 1 << index[u]
-    return Graph.from_rows(rows), verts
 
 
 def complement(g: Graph) -> Graph:
@@ -217,6 +208,17 @@ def _classes_by_row(rows: Iterable[int]) -> dict[int, int]:
     for v, row in enumerate(rows):
         classes[row] = classes.get(row, 0) | 1 << v
     return classes
+
+
+def _twin_masks(adj: tuple[int, ...]) -> list[int]:
+    """Each vertex's twin class: the vertices with its open or its closed neighbourhood.
+
+    A vertex has at most one non-trivial class of the two kinds, so the masks
+    partition the vertices; swapping two members of a class is an automorphism.
+    """
+    open_classes = _classes_by_row(adj)
+    closed_classes = _classes_by_row(row | 1 << v for v, row in enumerate(adj))
+    return [open_classes[row] | closed_classes[row | 1 << v] for v, row in enumerate(adj)]
 
 
 def find_twins(g: Graph) -> list[tuple[int, int]]:

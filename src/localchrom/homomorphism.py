@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import CertificateError, Graph, _classes_by_row, bits, mask_of
+from .graphs import CertificateError, Graph, _twin_masks, bits, mask_of
 from .structure import is_edge_maximal_locally_bipartite, is_locally_bipartite, is_twin_free
 
 
@@ -85,9 +85,7 @@ def _backtrack(
             d: mask_of(x for x in range(host.n) if host_deg[x] >= d) for d in set(pattern.degrees())
         }
         base = [at_least[pattern.degree(v)] for v in order]
-    open_classes = _classes_by_row(adj)
-    closed_classes = _classes_by_row(row | 1 << x for x, row in enumerate(adj))
-    twins = [open_classes[row] | closed_classes[row | 1 << x] for x, row in enumerate(adj)]
+    twins = _twin_masks(adj)
     image = [-1] * n
     used = [0] * n  # used[i]: the partial image, host vertices taken by depths < i
     untried = [0] * n
@@ -167,9 +165,7 @@ def subgraph_embeddings(pattern: Graph, host: Graph, induced: bool) -> Iterator[
 
 
 def find_subgraph(pattern: Graph, host: Graph, induced: bool = False) -> tuple[int, ...] | None:
-    for embedding in subgraph_embeddings(pattern, host, induced):
-        return embedding
-    return None
+    return next(subgraph_embeddings(pattern, host, induced), None)
 
 
 # ---------------------------------------------------------------------------
@@ -245,42 +241,41 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     exceeds the best complete encoding.  Refinement keys and the cell choice
     are isomorphism-invariant, so the set of leaf encodings (hence its
     minimum) is a complete invariant: equal forms iff isomorphic graphs.
+
+    Twins share a cell until one of them is individualised, and swapping two
+    is an automorphism fixing the node, so their subtrees have the same leaf
+    encodings: a node individualises one vertex per twin class of its target
+    cell.  The search runs on an explicit stack, not bounded by recursion.
     """
     n = g.n
     if n == 0:
         return (0, 0)
     total_bits = n * (n - 1) // 2
-    best: list[int | None] = [None]
-
-    def search(colour: list[int]) -> None:
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colour):
-            cells.setdefault(c, []).append(v)
-        ordered = [cells[c] for c in sorted(cells)]
-        fixed_order: list[int] = []
-        for cell in ordered:
-            if len(cell) > 1:
-                break
-            fixed_order.append(cell[0])
-        if len(fixed_order) == n:
-            code = _encode(g, fixed_order)
-            if best[0] is None or code < best[0]:
-                best[0] = code
-            return
-        if best[0] is not None and len(fixed_order) > 1:
-            k = len(fixed_order)
-            if _encode(g, fixed_order) > best[0] >> (total_bits - k * (k - 1) // 2):
-                return
-        target = next(cell for cell in ordered if len(cell) > 1)
-        for v in target:
-            # individualize v: strictly smaller colour than its former cellmates
-            child = [colour[u] * 2 + (0 if u == v else 1) for u in range(n)]
-            search(_refine(g, child))
-
-    search(_refine(g, [0] * n))
-    if best[0] is None:
+    twins = _twin_masks(g.adj)
+    best: int | None = None
+    stack = [[0] * n]
+    while stack:
+        colour = _refine(g, stack.pop())
+        order = sorted(range(n), key=colour.__getitem__)
+        # order[:k]: the singleton cells in front of the first larger cell
+        k = next((i for i in range(n - 1) if colour[order[i]] == colour[order[i + 1]]), n)
+        if k == n:
+            code = _encode(g, order)
+            if best is None or code < best:
+                best = code
+            continue
+        if best is not None and k > 1:
+            if _encode(g, order[:k]) > best >> (total_bits - k * (k - 1) // 2):
+                continue
+        chosen = 0
+        for v in reversed(order[k:]):
+            if colour[v] == colour[order[k]] and not chosen >> v & 1:
+                chosen |= twins[v]
+                # individualize v: strictly smaller colour than its former cellmates
+                stack.append([colour[u] * 2 + (0 if u == v else 1) for u in range(n)])
+    if best is None:
         raise CertificateError("canonical_form reached no leaf")
-    return (n, best[0])
+    return (n, best)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

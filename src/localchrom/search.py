@@ -250,13 +250,30 @@ def _write_checkpoint(path, c, level_n, level, found) -> None:
     os.replace(tmp, path)
 
 
+def _int_list(xs, n=None) -> bool:
+    return isinstance(xs, list) and all(type(x) is int for x in xs) and n in (None, len(xs))
+
+
 def _load_checkpoint(path) -> dict:
+    """The state saved at ``path``; ValueError unless it is a whole version-2 checkpoint."""
     with open(path) as fh:
         state = json.load(fh)
+    if not isinstance(state, dict):
+        raise ValueError("checkpoint is not a JSON object")
     if state.get("version") != 2:
         raise ValueError("unrecognised checkpoint version")
     if state.get("digest") != _digest(state):
         raise ValueError("checkpoint digest does not match its contents")
+    level, graphs, found = state.get("level"), state.get("graphs"), state.get("found")
+    if type(level) is not int or not 1 <= level <= MAX_N or not isinstance(state.get("c"), str):
+        raise ValueError(f"checkpoint needs a str threshold c and an int level in 1..{MAX_N}")
+    if not (isinstance(graphs, list) and graphs and all(_int_list(g, level) for g in graphs)):
+        raise ValueError(f"checkpoint graphs are not a non-empty list of {level} int rows each")
+    if not isinstance(found, list) or not all(
+        isinstance(f, dict) and _int_list(f.get("rows")) and isinstance(f.get("t_star"), str)
+        and type(f.get("chi")) is int for f in found
+    ):
+        raise ValueError("checkpoint found entries need int rows, a str t_star and an int chi")
     return state
 
 

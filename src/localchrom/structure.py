@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import CertificateError, Graph, bits, induced_subgraph
+from .graphs import CertificateError, Graph, bits
 
 
 class PairClass(Enum):
@@ -39,15 +39,17 @@ class OddWheelWitness:
         return f"centre: {self.centre} rim: {','.join(map(str, self.rim))}"
 
 
-def _shortest_odd_cycle(h: Graph) -> tuple[int, ...] | None:
-    """Shortest odd cycle of h (None if bipartite), by BFS from every root.
+def _shortest_odd_cycle(adj, region: int) -> tuple[int, ...] | None:
+    """Shortest odd cycle of the subgraph of ``adj`` induced by the bitset
+    ``region`` (None if bipartite), by BFS from every root.
 
-    For a root r and an edge xy with depth(x) = depth(y) mod 2 in r's BFS
-    tree, the tree paths x->z and y->z to their lowest common ancestor close
-    an odd simple cycle of length <= depth(x) + depth(y) + 1.
+    For a root r, the depths of adjacent vertices in r's BFS tree differ by
+    at most one, so an edge xy closes an odd cycle exactly when depth(x) =
+    depth(y): the tree paths x->z and y->z to their lowest common ancestor
+    then close an odd simple cycle of length 2 (depth(x) - depth(z)) + 1.
     """
     best: tuple[int, ...] | None = None
-    for root in range(h.n):
+    for root in bits(region):
         depth = {root: 0}
         parent = {root: -1}
         queue = deque([root])
@@ -55,30 +57,22 @@ def _shortest_odd_cycle(h: Graph) -> tuple[int, ...] | None:
         while queue:
             v = queue.popleft()
             order.append(v)
-            for u in bits(h.adj[v]):
+            for u in bits(adj[v] & region):
                 if u not in depth:
                     depth[u] = depth[v] + 1
                     parent[u] = v
                     queue.append(u)
         for v in order:
-            for u in bits(h.adj[v]):
-                if u <= v or u not in depth:
-                    continue
-                if (depth[u] + depth[v]) % 2 == 0:
+            for u in bits(adj[v] & region):
+                if u > v and depth[u] == depth[v]:
                     px, py = [v], [u]
                     x, y = v, u
-                    while depth[x] > depth[y]:
-                        x = parent[x]
-                        px.append(x)
-                    while depth[y] > depth[x]:
-                        y = parent[y]
-                        py.append(y)
                     while x != y:
                         x, y = parent[x], parent[y]
                         px.append(x)
                         py.append(y)
                     cycle = tuple(px + py[-2::-1])
-                    if len(cycle) % 2 == 1 and (best is None or len(cycle) < len(best)):
+                    if best is None or len(cycle) < len(best):
                         best = cycle
     return best
 
@@ -86,10 +80,9 @@ def _shortest_odd_cycle(h: Graph) -> tuple[int, ...] | None:
 def odd_wheel(g: Graph) -> OddWheelWitness | None:
     """First odd wheel by centre index, with the shortest rim in that neighbourhood."""
     for centre in range(g.n):
-        h, labels = induced_subgraph(g, g.adj[centre])
-        cycle = _shortest_odd_cycle(h)
+        cycle = _shortest_odd_cycle(g.adj, g.adj[centre])
         if cycle is not None:
-            witness = OddWheelWitness(centre, tuple(labels[v] for v in cycle))
+            witness = OddWheelWitness(centre, cycle)
             if not witness.validate(g):
                 raise CertificateError(f"odd wheel witness {witness} does not validate")
             return witness
@@ -196,8 +189,9 @@ def is_twin_free(g: Graph) -> bool:
     return len(set(g.adj)) == g.n
 
 
-def _blocks_through(h: Graph, target: int) -> list[int]:
-    """Vertex bitsets of the biconnected blocks containing ``target``.
+def _blocks_through(adj, region: int, target: int) -> list[int]:
+    """Vertex bitsets of the biconnected blocks containing ``target`` in the
+    subgraph of ``adj`` induced by the bitset ``region``.
 
     Tarjan's depth-first search, on an explicit stack of (vertex, parent,
     untried neighbours) so that its depth is not bounded by the recursion limit.
@@ -206,14 +200,14 @@ def _blocks_through(h: Graph, target: int) -> list[int]:
     low = {target: 0}
     edge_stack: list[tuple[int, int]] = []
     blocks: list[int] = []
-    stack = [(target, -1, bits(h.adj[target]))]
+    stack = [(target, -1, bits(adj[target] & region))]
     while stack:
         v, parent, untried = stack[-1]
         for u in untried:
             if u not in disc:
                 disc[u] = low[u] = len(disc)
                 edge_stack.append((v, u))
-                stack.append((u, v, bits(h.adj[u])))
+                stack.append((u, v, bits(adj[u] & region)))
                 break
             if u != parent and disc[u] < disc[v]:
                 edge_stack.append((v, u))
@@ -234,15 +228,16 @@ def _blocks_through(h: Graph, target: int) -> list[int]:
     return [b for b in blocks if b >> target & 1]
 
 
-def _odd_cycle_through(h: Graph, target: int) -> bool:
-    """Whether some simple odd cycle of h passes through ``target``.
+def _odd_cycle_through(adj, region: int, target: int) -> bool:
+    """Whether some simple odd cycle of the subgraph of ``adj`` induced by the
+    bitset ``region`` passes through ``target``.
 
     A 2-connected non-bipartite graph has an odd cycle through every vertex
     (route two disjoint paths from the vertex to an odd cycle; the two arcs
     between their endpoints have different parities), so it suffices to test
     the target's biconnected blocks for bipartiteness.
     """
-    return not all(_two_colourable(h.adj, members) for members in _blocks_through(h, target))
+    return not all(_two_colourable(adj, block) for block in _blocks_through(adj, region, target))
 
 
 def sparse_missing_spoke(g: Graph) -> tuple[int, int] | None:
@@ -255,8 +250,6 @@ def sparse_missing_spoke(g: Graph) -> tuple[int, int] | None:
         for v in range(g.n):
             if u == v or classify_pair(g, min(u, v), max(u, v)) is not PairClass.SPARSE:
                 continue
-            region = g.adj[u] | (1 << v)
-            h, labels = induced_subgraph(g, region)
-            if _odd_cycle_through(h, labels.index(v)):
+            if _odd_cycle_through(g.adj, g.adj[u] | (1 << v), v):
                 return (u, v)
     return None

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from localchrom import families
+from localchrom import families, search
 from localchrom.cli import main
 from localchrom.graphio import emit_graph, emit_weighted_graph, parse_graph
 from localchrom.graphs import WeightedGraph, blow_up
@@ -120,6 +120,31 @@ def test_search_cli_reports_levels_on_stderr(capsys):
     assert lines[2].startswith("level 4: 4 parents, 20 masks tried, 19 locally bipartite children")
     assert "10 classes" in lines[2]
     assert lines[3] == "searched n<=4 beating 1/2: 1 graphs"
+
+
+def _digested(state):
+    return dict(state, digest=search._digest(state))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        [],
+        _digested({"version": 2, "c": "1/2", "graphs": [[0]], "found": []}),
+        _digested({"version": 2, "c": "1/2", "level": 1, "graphs": [["0"]], "found": []}),
+        _digested(
+            {"version": 2, "c": "1/2", "level": 1, "graphs": [[0]], "found": [{"rows": [0]}]}
+        ),
+    ],
+    ids=["not-an-object", "no-level", "string-row", "found-without-scores"],
+)
+def test_search_resume_rejects_malformed_checkpoint(capsys, tmp_path, state):
+    path = tmp_path / "bad.ckpt"
+    path.write_text(json.dumps(state))
+    assert main(["search", "--n", "4", "--beats", "1/2", "--resume", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: checkpoint")
 
 
 def test_decompose_cli(capsys, tmp_path):

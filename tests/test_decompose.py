@@ -1,7 +1,10 @@
 """Decomposition certificates and the end-to-end theorem pipeline."""
 
+import hashlib
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -109,7 +112,7 @@ class TestAugmentedBranch:
         # straight onto H2PLUS, so the tolerated-pair branch is exercised by
         # driving the builder directly on a thinner instance: a [2]*8 blow-up
         # plus a forced R1 vertex and a forced R5 vertex joined by an edge.
-        from localchrom.decompose import _build_h2plus
+        from localchrom.decompose import _H2PLUS_CASE, _build
         from localchrom.graphs import bits, mask_of
 
         base = blow_up(families.h2plus(), [2] * 8)
@@ -124,7 +127,7 @@ class TestAugmentedBranch:
 
         assert is_locally_bipartite(g)
         anchor7 = tuple(c[0] for c in classes[:7])
-        cert = _build_h2plus(g, anchor7)
+        cert = _build(g, anchor7, _H2PLUS_CASE)
         assert cert.outcome == "HOM_AUGMENTED"
         assert cert.failed_upgrades == ("e(R1,R5)=0",)
         assert cert.s_value == 1  # exactly the tolerated x-y edge
@@ -132,6 +135,44 @@ class TestAugmentedBranch:
         assert is_homomorphism(g, families.h2plus_augmented(), cert.hom)
         assert not is_homomorphism(g, families.h2plus(), cert.hom)
         assert validate_colouring(g, cert.colouring, 4)
+
+
+class TestMinimiseAssignment:
+    def test_assignments_are_frozen(self, monkeypatch):
+        # SHA-256 over (assignment, S) on 300 seeded cases, half of them with
+        # the H2+ penalties and some vertices fixed in R502, frozen before the
+        # conflict count was written once
+        from localchrom import decompose
+        from localchrom.decompose import _C7BAR_CASE, _H2PLUS_CASE, R502, _minimise_assignment
+
+        spaces = []  # the size of each search space the branch-and-bound was offered
+
+        def counted_prod(sizes):
+            spaces.append(math.prod(sizes))
+            return spaces[-1]
+
+        monkeypatch.setattr(decompose, "prod", counted_prod)
+        rng = random.Random(4000)
+        digest = hashlib.sha256()
+        positive = 0
+        for case in range(300):
+            n = rng.randint(4, 20)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.45])
+            h2plus = case % 2 == 1
+            admissible = {}
+            for r in sorted(rng.sample(range(n), rng.randint(2, n))):
+                if h2plus and rng.random() < 0.2:
+                    admissible[r] = (R502,)
+                else:
+                    admissible[r] = tuple(sorted(rng.sample(range(7), rng.randint(1, 3))))
+            assignment = {r: options[0] for r, options in admissible.items()}
+            penalised = (_H2PLUS_CASE if h2plus else _C7BAR_CASE).penalised
+            assignment, s = _minimise_assignment(g, assignment, admissible, penalised)
+            digest.update(repr((sorted(assignment.items()), s)).encode())
+            positive += s > 0
+        # 118 cases keep S > 0 and 130 reach the branch-and-bound
+        assert (positive, sum(space <= 1 << 20 for space in spaces)) == (118, 130)
+        assert digest.hexdigest() == "ef48c8abc32e646a410bc3e6e0e6613f37d3e0aedc8854c4990ac8e595721d88"
 
 
 class TestDecomposeAuto:

@@ -1,7 +1,10 @@
 """Homomorphism / subgraph / isomorphism solver tests with brute-force oracles."""
 
 import hashlib
+import inspect
 import random
+import sys
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -309,6 +312,36 @@ class TestIsomorphism:
             h = random_graph(rng, n, rng.uniform(0.2, 0.8))
             oracle = any(relabel(g, list(p)) == h for p in permutations(range(n)))
             assert is_isomorphic(g, h) == oracle
+
+    def test_twin_rich_forms_are_frozen(self):
+        # SHA-256 over canonical_form of 300 relabelled blow-ups with open and
+        # closed twin classes of at most three vertices, frozen before the
+        # search branched once per twin class
+        rng = random.Random(1998)
+        digest = hashlib.sha256()
+        kept = 0
+        while kept < 300:
+            g = twin_host(rng, (2, 5))
+            open_classes = Counter(g.adj)
+            closed_classes = Counter(row | 1 << v for v, row in enumerate(g.adj))
+            if g.n > 10 or max(*open_classes.values(), *closed_classes.values()) > 3:
+                continue
+            kept += 1
+            digest.update(repr(canonical_form(g)).encode())
+        expected = "de0a98cdb2e587f64bbed9e6bf14ce03b63f86dfdf1f0b292aed85cff3636efc"
+        assert digest.hexdigest() == expected
+
+    def test_edgeless_and_complete_need_no_recursion(self):
+        # all 200 vertices are twins, so the search branches once per level
+        # and goes 200 levels deep, with the recursion limit 50 frames away
+        g = Graph(200)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            forms = canonical_form(g), canonical_form(complement(g))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert forms == ((200, 0), (200, (1 << 200 * 199 // 2) - 1))
 
     def test_regular_non_isomorphic_pair(self):
         # both 4-regular on 8 vertices; refinement alone cannot split them

@@ -1,12 +1,14 @@
 """Local-structure tests, with an independent odd-wheel oracle."""
 
+import hashlib
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 
 from localchrom import families
-from localchrom.graphs import Graph, bits, blow_up, mask_of
+from localchrom.graphs import Graph, bits, blow_up, mask_of, relabel
 from localchrom.homomorphism import find_subgraph, subgraph_embeddings
 from localchrom.structure import (
     OddWheelWitness,
@@ -203,6 +205,44 @@ class TestFiveVertexCorollary:
             assert count > 0  # these families all contain H0
 
 
+def triangle_free_hub(rng, n):
+    """A hub over a random triangle-free graph on n - 1 vertices, relabelled:
+    its odd wheels, if any, have rims of length 5 or more."""
+    rows = [0] * (n - 1)
+    for _ in range(2 * n):
+        u, v = rng.sample(range(n - 1), 2)
+        if not rows[u] & rows[v]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    g = Graph.from_rows(rows).with_vertex((1 << (n - 1)) - 1)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_witnesses_are_frozen():
+    # SHA-256 over odd_wheel's (centre, rim) and sparse_missing_spoke on 500
+    # seeded graphs, frozen while both searched a relabelled induced copy
+    rng = random.Random(3000)
+    digest = hashlib.sha256()
+    rims = Counter()
+    spokes = 0
+    for i in range(500):
+        n = rng.randint(1, 13)
+        if i % 3 == 0 and n > 2:
+            g = triangle_free_hub(rng, n)
+        else:
+            g = random_graph(rng, n, rng.uniform(0.1, 0.8))
+        witness = odd_wheel(g)
+        spoke = sparse_missing_spoke(g)
+        found = None if witness is None else (witness.centre, witness.rim)
+        digest.update(repr((found, spoke)).encode())
+        rims[None if witness is None else len(witness.rim)] += 1
+        spokes += spoke is not None
+    assert rims == {None: 323, 3: 105, 5: 71, 7: 1} and spokes == 56
+    assert digest.hexdigest() == "d7b08198714fd1d84a2448858c9498908d965957e1070d31c36eadc2ff248491"
+
+
 class TestOddCycleThrough:
     def test_block_logic_matches_path_enumeration(self):
         # oracle: exhaustive simple-path DFS (exponential, small n only)
@@ -227,14 +267,14 @@ class TestOddCycleThrough:
         for _ in range(120):
             g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.15, 0.7))
             for v in range(g.n):
-                assert _odd_cycle_through(g, v) == oracle(g, v)
+                assert _odd_cycle_through(g.adj, (1 << g.n) - 1, v) == oracle(g, v)
 
     def test_polynomial_on_dense_bipartite_region(self):
         # K_{9,9} has no odd cycles at all; path enumeration would explode here
         from localchrom.structure import _odd_cycle_through
 
         g = blow_up(Graph(2, [(0, 1)]), [9, 9])
-        assert not _odd_cycle_through(g, 0)
+        assert not _odd_cycle_through(g.adj, (1 << g.n) - 1, 0)
 
 
 class TestSparseMissingSpoke:
