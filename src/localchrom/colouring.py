@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 
-from .graphs import CertificateError, Graph, bits, complement
+from .graphs import CertificateError, Graph, _classes_by_row, bits, complement
 
 
 class SolverTimeout(Exception):
@@ -46,17 +46,22 @@ def validate_colouring(g: Graph, colours: tuple[int, ...], k: int | None = None)
         return False
     if k is not None and any(not 1 <= c <= k for c in colours):
         return False
-    return all(colours[u] != colours[v] for u, v in g.edges())
+    classes = _classes_by_row(colours)
+    return not any(row & classes[c] for row, c in zip(g.adj, colours))
 
 
 def k_colourable(g: Graph, k: int, deadline: float | None = None) -> tuple[int, ...] | None:
     """A proper k-colouring (colours 1..k, first-occurrence normalised) or None.
 
-    DSATUR-ordered backtracking.  A greedy clique is pre-coloured 1..q (any
-    proper colouring can be renamed to agree, so this only breaks symmetry),
-    and a branch offers at most one unused colour.  The search keeps its
-    branches on an explicit stack, so its depth is not bounded by the
-    recursion limit.
+    DSATUR-ordered backtracking on bitsets (Brélaz 1979; San Segundo 2012).
+    A greedy clique is pre-coloured 1..q (any proper colouring can be renamed
+    to agree, so this only breaks symmetry), and a branch offers at most one
+    unused colour.  ``seen[c]`` holds the vertices with a neighbour coloured
+    c; a vertex's saturation, the number of c with it in ``seen[c]``, is kept
+    bit-sliced (its bit j is the vertex's bit in ``level[j]``), so colouring
+    a vertex adds one to a whole set of counters by a ripple carry.  The
+    search keeps its branches on an explicit stack, so its depth is not
+    bounded by the recursion limit.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -67,56 +72,75 @@ def k_colourable(g: Graph, k: int, deadline: float | None = None) -> tuple[int, 
     if clique.bit_count() > k:
         return None
     colour = [0] * n
-    forbidden = [0] * n  # bitmask of colours 1..k seen in the neighbourhood
+    seen = [0] * (k + 1)
+    level = [0] * k.bit_length()  # a saturation is at most k
+    uncoloured = (1 << n) - 1
     used = 0
 
-    def assign(v: int, c: int) -> list[int]:
+    def assign(v: int, c: int) -> int:
+        """Colour v with c; returns the vertices whose saturation it raised."""
+        nonlocal uncoloured
         colour[v] = c
-        touched = []
-        for u in bits(g.adj[v]):
-            if not colour[u] and not forbidden[u] >> c & 1:
-                forbidden[u] |= 1 << c
-                touched.append(u)
-        return touched
+        uncoloured ^= 1 << v
+        raised = g.adj[v] & ~seen[c]
+        seen[c] |= raised
+        carry, j = raised, 0
+        while carry:
+            old = level[j]
+            level[j] = old ^ carry
+            carry &= old
+            j += 1
+        return raised
 
-    def undo(v: int, c: int, touched: list[int]) -> None:
+    def undo(v: int, c: int, raised: int) -> None:
+        nonlocal uncoloured
         colour[v] = 0
-        for u in touched:
-            forbidden[u] &= ~(1 << c)
+        uncoloured |= 1 << v
+        seen[c] ^= raised
+        borrow, j = raised, 0
+        while borrow:
+            old = level[j]
+            level[j] = old ^ borrow
+            borrow &= ~old
+            j += 1
 
     for i, v in enumerate(bits(clique)):
         assign(v, i + 1)
         used = max(used, i + 1)
-    remaining = n - clique.bit_count()
-    degree = g.degrees()
+    by_degree = _classes_by_row(g.degrees())
+    degree_classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
 
     # One frame per search vertex: [vertex, colour tried, top colour, used
-    # colours before it, neighbours whose forbidden set the colour touched].
+    # colours before it, vertices whose saturation the colour raised].
     stack: list[list] = []
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout("k_colourable deadline expired")
-        if remaining == 0:
+        if not uncoloured:
             return normalise_colouring(colour)
-        v = max(
-            (u for u in range(n) if not colour[u]),
-            key=lambda u: (forbidden[u].bit_count(), degree[u], -u),
-        )
-        stack.append([v, 0, min(k, used + 1), used, None])
+        # the uncoloured vertex of largest (saturation, degree, -index)
+        best = uncoloured
+        for sliced in reversed(level):
+            if best & sliced:
+                best &= sliced
+        for members in degree_classes:
+            if best & members:
+                best &= members
+                break
+        v = (best & -best).bit_length() - 1
+        stack.append([v, 0, min(k, used + 1), used, 0])
         # Give the top frame its next colour, popping the frames that have none.
         while stack:
             frame = stack[-1]
-            v, c, top, used, touched = frame
+            v, c, top, used, raised = frame
             if c:
-                undo(v, c, touched)
-                remaining += 1
+                undo(v, c, raised)
             c += 1
-            while c <= top and forbidden[v] >> c & 1:
+            while c <= top and seen[c] >> v & 1:
                 c += 1
             if c <= top:
                 frame[1], frame[4] = c, assign(v, c)
                 used = max(used, c)
-                remaining -= 1
                 break
             stack.pop()
         else:

@@ -109,8 +109,18 @@ def _edge_between(g: Graph, a: int, b: int) -> tuple[int, int] | None:
 
 
 def _broken_edge(g: Graph, target: Graph, hom: tuple[int, ...]) -> tuple[int, int] | None:
-    """The first edge of g that ``hom`` does not map onto an edge of target."""
-    return next(((u, v) for u, v in g.edges() if not target.has_edge(hom[u], hom[v])), None)
+    """The first edge of g, in the order of ``g.edges()``, that ``hom`` does
+    not map onto an edge of target: uv is kept iff v lies in the preimage
+    ``allowed[hom[u]]`` of hom[u]'s neighbourhood."""
+    preimage = [0] * target.n
+    for v, t in enumerate(hom):
+        preimage[t] |= 1 << v
+    allowed = [_union(preimage, bits(row)) for row in target.adj]
+    for u in range(g.n):
+        bad = g.adj[u] >> (u + 1) << (u + 1) & ~allowed[hom[u]]
+        if bad:
+            return (u, (bad & -bad).bit_length() - 1)
+    return None
 
 
 def _union(masks: list[int], indices) -> int:
@@ -285,7 +295,7 @@ def _classes(g: Graph, anchor: tuple[int, ...], case: _Case, audit: dict[str, st
             assignment[r] = R502
             admissible[r] = (R502,)
             continue
-        options = tuple(i for i in range(7) if dn & ~allowed[i] == 0)
+        options = tuple([i for i in range(7) if dn & ~allowed[i] == 0])
         if not options:
             raise _Reject(f"vertex {r} has no admissible class")
         admissible[r] = options
@@ -299,10 +309,11 @@ def _classes(g: Graph, anchor: tuple[int, ...], case: _Case, audit: dict[str, st
     for r, c in assignment.items():
         label[r] = c
     members = sorted(assignment)
-    parts = {f"D{i}": tuple(bits(d_sets[i])) for i in range(7)}
+    # tuples from lists, as in Graph.degrees
+    parts = {f"D{i}": tuple([*bits(d_sets[i])]) for i in range(7)}
     for c in range(R502 + 1 if case.hub else 7):
-        parts["R502" if c == R502 else f"R{c}"] = tuple(r for r in members if assignment[r] == c)
-    parts["D"] = tuple(bits(d_mask))
+        parts["R502" if c == R502 else f"R{c}"] = tuple([r for r in members if assignment[r] == c])
+    parts["D"] = tuple([*bits(d_mask)])
     parts["R"] = tuple(members)
     return d_sets, tuple(label), parts, s_value
 
@@ -315,7 +326,7 @@ def _build(g: Graph, anchor: tuple[int, ...], case: _Case) -> DecompositionCerti
         outcome, target, palette, failed_upgrades = case.finish(g, d_sets, hom, parts, s_value)
     except _Reject as exc:
         return _failed(case.kind, exc.reason, anchor=anchor, audit=audit, **exc.details)
-    colouring = tuple(palette[c] for c in hom)
+    colouring = tuple([palette[c] for c in hom])
     if not validate_colouring(g, colouring, 4):
         raise CertificateError(f"the {target} colouring is not a proper 4-colouring")
     return DecompositionCertificate(

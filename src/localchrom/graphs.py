@@ -202,7 +202,8 @@ def _classes_by_row(rows: Iterable[int]) -> dict[int, int]:
     """Vertex bitset of each distinct row, keyed by the row, in order of first vertex.
 
     Grouping adjacency rows gives the open-twin classes (equal neighbourhoods);
-    grouping ``adj[v] | 1 << v`` gives the closed-twin classes.
+    grouping ``adj[v] | 1 << v`` gives the closed-twin classes.  Any integer
+    key per vertex works: ``colouring`` groups colours and degrees with it.
     """
     classes: dict[int, int] = {}
     for v, row in enumerate(rows):
@@ -239,7 +240,7 @@ class WeightedGraph:
     __slots__ = ("graph", "weights")
 
     def __init__(self, graph: Graph, weights: Iterable[Fraction | int]):
-        weights = tuple(Fraction(w) for w in weights)
+        weights = tuple([Fraction(w) for w in weights])
         if len(weights) != graph.n:
             raise ValueError("need one weight per vertex")
         if any(w < 0 for w in weights):

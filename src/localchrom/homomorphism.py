@@ -32,7 +32,7 @@ def is_homomorphism(g: Graph, h: Graph, mapping: tuple[int, ...]) -> bool:
 
 def compose(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
     """Composite certificate: G -> H -> K from G -> H and H -> K."""
-    return tuple(second[x] for x in first)
+    return tuple([second[x] for x in first])
 
 
 def _pattern_order(g: Graph) -> list[int]:

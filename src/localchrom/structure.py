@@ -80,9 +80,10 @@ def _shortest_odd_cycle(adj, region: int) -> tuple[int, ...] | None:
 def odd_wheel(g: Graph) -> OddWheelWitness | None:
     """First odd wheel by centre index, with the shortest rim in that neighbourhood."""
     for centre in range(g.n):
-        cycle = _shortest_odd_cycle(g.adj, g.adj[centre])
-        if cycle is not None:
-            witness = OddWheelWitness(centre, cycle)
+        # one 2-colouring settles a bipartite neighbourhood; only an odd one
+        # needs the BFS from every root
+        if not _two_colourable(g.adj, g.adj[centre]):
+            witness = OddWheelWitness(centre, _shortest_odd_cycle(g.adj, g.adj[centre]))
             if not witness.validate(g):
                 raise CertificateError(f"odd wheel witness {witness} does not validate")
             return witness
@@ -90,8 +91,11 @@ def odd_wheel(g: Graph) -> OddWheelWitness | None:
 
 
 def is_locally_bipartite(g: Graph) -> bool:
-    """Cheap decision (one BFS 2-colouring per neighbourhood, no witness)."""
-    return all(neighbourhood_is_bipartite(g, v) for v in range(g.n))
+    """Cheap decision (one BFS 2-colouring per distinct neighbourhood, no witness).
+
+    The verdict depends on the neighbourhood row alone, so twins share one.
+    """
+    return all(_two_colourable(g.adj, row) for row in set(g.adj))
 
 
 def neighbourhood_is_bipartite(g: Graph, centre: int, rows=None) -> bool:

@@ -1,7 +1,8 @@
 """Exact colouring and independence-number tests."""
 
+import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -67,12 +68,69 @@ class TestKColourable:
 
     def test_deep_search_needs_no_recursion(self):
         # the search runs on an explicit stack: a 1500-vertex path is one
-        # branch 1500 levels deep, and the 1400-vertex C7BAR blow-up fails
-        # at every depth
+        # branch 1500 levels deep
         g = Graph(1500, [(i, i + 1) for i in range(1499)])
         col = k_colourable(g, 2)
         assert col is not None and validate_colouring(g, col, 2)
+
+    def test_large_c7bar_blow_up_not_3_colourable(self):
+        # 1,400 vertices; the search proves None in about 1,000 nodes
         assert k_colourable(blow_up(families.c7bar(), [200] * 7), 3) is None
+
+    def test_certificates_are_frozen(self):
+        # SHA-256 over k_colourable for k = 1..6 on 2,000 seeded random
+        # graphs and 24 relabelled blow-ups, frozen at the full-scan DSATUR
+        rng = random.Random(20121)
+        graphs = [random_graph(rng, rng.randint(1, 16), rng.random()) for _ in range(2000)]
+        for base in (families.c7bar(), families.h2plus(), families.delta(3)):
+            for _ in range(8):
+                g = blow_up(base, [rng.randint(1, 6) for _ in range(base.n)])
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                graphs.append(relabel(g, perm))
+        digest = hashlib.sha256()
+        for g in graphs:
+            for k in range(1, 7):
+                digest.update(f"{k_colourable(g, k)}\n".encode())
+        assert digest.hexdigest() == "6487c9593d2a255aeca4d3b952ced5236e27e5fb7e6abb9bd85041f2cf34e009"
+
+    def test_vs_brute_force(self):
+        # oracle: every map to 0..k-1, n <= 8
+        rng = random.Random(31)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 8), rng.random())
+            edges = list(g.edges())
+            for k in range(1, 5):
+                brute = any(
+                    all(col[u] != col[v] for u, v in edges)
+                    for col in product(range(k), repeat=g.n)
+                )
+                col = k_colourable(g, k)
+                assert (col is not None) == brute
+                if col is not None:
+                    assert all(1 <= c <= k for c in col)
+                    assert all(col[u] != col[v] for u, v in edges)
+
+
+class TestValidateColouring:
+    def test_vs_edge_scan(self):
+        rng = random.Random(41)
+        verdicts = set()
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(0, 9), rng.uniform(0.1, 0.6))
+            k = rng.randint(1, 4)
+            colours = tuple(rng.randint(0, k + 1) for _ in range(g.n))
+            expected = all(1 <= c <= k for c in colours) and all(
+                colours[u] != colours[v] for u, v in g.edges()
+            )
+            assert validate_colouring(g, colours, k) == expected
+            proper = all(colours[u] != colours[v] for u, v in g.edges())
+            assert validate_colouring(g, colours) == proper
+            verdicts.add((expected, proper))
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    def test_wrong_length(self):
+        assert not validate_colouring(families.c7bar(), (1, 2, 3))
 
 
 class TestChromaticNumber:

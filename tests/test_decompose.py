@@ -175,6 +175,32 @@ class TestMinimiseAssignment:
         assert digest.hexdigest() == "ef48c8abc32e646a410bc3e6e0e6613f37d3e0aedc8854c4990ac8e595721d88"
 
 
+class TestBrokenEdge:
+    def test_vs_edge_scan(self):
+        # oracle: the first edge of g.edges() whose image is not an edge
+        from localchrom.decompose import _broken_edge
+
+        rng = random.Random(4100)
+        targets = [families.c7bar(), families.h2plus(), families.h2plus_augmented()]
+        found = 0
+        for _ in range(300):
+            target = rng.choice(targets)
+            n = rng.randint(0, 12)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.3])
+            hom = tuple(rng.randrange(target.n) for _ in range(n))
+            if rng.random() < 0.5:
+                # keep only the edges hom maps onto edges, then add at most one back
+                kept = [(u, v) for u, v in g.edges() if target.has_edge(hom[u], hom[v])]
+                extra = [e for e in g.edges() if e not in kept][:1]
+                g = Graph(n, kept + extra)
+            expected = next(
+                ((u, v) for u, v in g.edges() if not target.has_edge(hom[u], hom[v])), None
+            )
+            assert _broken_edge(g, target, hom) == expected
+            found += expected is not None
+        assert 50 < found < 250
+
+
 class TestDecomposeAuto:
     def test_routes_by_anchor(self):
         from localchrom.decompose import decompose_auto

@@ -97,6 +97,10 @@ class TestLocallyBipartite:
                     g.with_edge(u, v)
                 )
 
+    def test_large_c7bar_blow_up_has_no_odd_wheel(self):
+        # 280 bipartite neighbourhoods of 120 vertices each, one 2-colouring apiece
+        assert odd_wheel(blow_up(families.c7bar(), [40] * 7)) is None
+
     def test_witness_str_format(self):
         witness = OddWheelWitness(2, (0, 1, 3))
         assert str(witness) == "centre: 2 rim: 0,1,3"
