@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import families
@@ -36,6 +37,11 @@ def _read_graph(path: str) -> Graph:
         raise SystemExit(2)
 
 
+def _open_output(path: str | None):
+    """The -o file opened for writing, or stdout (left open) without -o."""
+    return nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
 def cmd_families(args) -> int:
     if args.action == "list":
         for name in families.list_families():
@@ -47,11 +53,12 @@ def cmd_families(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = to_dot(g, name=args.family_id.replace("(", "_").replace(")", "")) if args.dot else emit_graph(g)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        with _open_output(args.output) as out:
+            out.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -152,19 +159,15 @@ def cmd_weight(args) -> int:
 def cmd_search(args) -> int:
     try:
         c = Fraction(args.beats)
-        result = enumerate_extremal(
-            args.n, c, checkpoint_path=args.checkpoint, resume_path=args.resume
-        )
+        with _open_output(args.output) as out:
+            result = enumerate_extremal(
+                args.n, c, checkpoint_path=args.checkpoint, resume_path=args.resume
+            )
+            for f in result.found:
+                print(compact_line(f), file=out)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = sys.stdout if args.output is None else open(args.output, "w")
-    try:
-        for f in result.found:
-            print(compact_line(f), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     for lv in result.levels:
         print(
             f"level {lv.n}: {lv.parents} parents, {lv.masks_tried} masks tried, "

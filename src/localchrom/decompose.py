@@ -406,9 +406,7 @@ _H2PLUS_CASE = _Case(
 # Public entry points: input checks, then one anchor loop.
 
 
-def _decompose(
-    g: Graph, copies: Iterator[tuple[int, ...]] | None, max_anchors: int
-) -> DecompositionCertificate:
+def _decompose(g: Graph, copies: Iterator[tuple[int, ...]] | None) -> DecompositionCertificate:
     """Spot check and anchor loop for a locally bipartite g of degree above 6/11.
 
     ``copies`` are the C7BAR embeddings from ``_c7bar_copies``; None means g
@@ -423,14 +421,14 @@ def _decompose(
     cert = None
     for tried, embedding in enumerate(copies, start=1):
         cert = _build(g, embedding[:7], case)
-        if cert.ok or tried >= max_anchors:
+        if cert.ok or tried >= _MAX_ANCHORS:
             break
     if cert is None:
         return _failed(case.kind, "no H2PLUS copy")
     return cert
 
 
-def decompose_c7bar(g: Graph, max_anchors: int = _MAX_ANCHORS) -> DecompositionCertificate:
+def decompose_c7bar(g: Graph) -> DecompositionCertificate:
     """Homomorphism to the C7 complement for locally bipartite g with
     delta(g) > 6/11 |g| containing a copy of it."""
     kind = "C7BAR"
@@ -441,10 +439,10 @@ def decompose_c7bar(g: Graph, max_anchors: int = _MAX_ANCHORS) -> DecompositionC
         return _failed(kind, "no C7BAR copy")
     if not _degree_ok(g):
         return _failed(kind, "degree too low")
-    return _decompose(g, copies, max_anchors)
+    return _decompose(g, copies)
 
 
-def decompose_h2plus(g: Graph, max_anchors: int = _MAX_ANCHORS) -> DecompositionCertificate:
+def decompose_h2plus(g: Graph) -> DecompositionCertificate:
     """Homomorphism to H2+ (or its 4-colourable augmentation) for locally
     bipartite g with delta(g) > 6/11 |g| containing H2+ but no C7 complement."""
     kind = "H2PLUS"
@@ -454,17 +452,17 @@ def decompose_h2plus(g: Graph, max_anchors: int = _MAX_ANCHORS) -> Decomposition
         return _failed(kind, "degree too low")
     if _c7bar_copies(g) is not None:
         return _failed(kind, "contains C7BAR copy; use decompose_c7bar")
-    return _decompose(g, None, max_anchors)
+    return _decompose(g, None)
 
 
-def decompose_auto(g: Graph, max_anchors: int = _MAX_ANCHORS) -> DecompositionCertificate:
+def decompose_auto(g: Graph) -> DecompositionCertificate:
     """Route to the C7BAR case when a copy is present, else to the H2+ case."""
     if not is_locally_bipartite(g):
         return _failed("H2PLUS", "not locally bipartite")
     copies = _c7bar_copies(g)
     if not _degree_ok(g):
         return _failed("H2PLUS" if copies is None else "C7BAR", "degree too low")
-    return _decompose(g, copies, max_anchors)
+    return _decompose(g, copies)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +523,7 @@ def verify_profile(g: Graph) -> ProfileReport:
     if regime == "above-4/7":
         return report("PROMISE-VIOLATED", "delta > 4/7 |G| but no 3-colouring exists", hard=True)
     copies = _c7bar_copies(g)
-    cert = _decompose(g, copies, _MAX_ANCHORS)
+    cert = _decompose(g, copies)
     if cert.ok:
         detail = f"homomorphism to {cert.target}"
         return report(cert.outcome, detail, cert.colouring, cert.target, cert.hom)

@@ -30,7 +30,7 @@ from .homomorphism import (
 )
 from .search import check_membership, compact_line, enumerate_extremal
 from .structure import is_edge_maximal_locally_bipartite, is_locally_bipartite, is_twin_free
-from .weighting import optimal_weighting, verify_weighting
+from .weighting import WeightingResult, optimal_weighting, verify_weighting
 
 PROPERTY_SEED = 20260810
 PROPERTY_CASES = 200
@@ -38,14 +38,14 @@ PROPERTY_CASES = 200
 # Frozen after the first verified enumerate_extremal(7, 1/2) run (the run is
 # the oracle): exactly K3 and a canonically labelled C7BAR, each re-verified
 # against check_membership before freezing.
-EXTREMAL_N7_GOLDEN: list[str] | None = [
+EXTREMAL_N7_GOLDEN: list[str] = [
     "n=3 m=3 edges=0-1,0-2,1-2 t*=2/3 chi=3",
     "n=7 m=14 edges=0-2,0-3,0-4,0-5,1-3,1-4,1-5,1-6,2-3,2-5,2-6,3-4,4-6,5-6 t*=4/7 chi=4",
 ]
 
 # Exact LP value frozen after the first verified run; the figure weighting
 # attains it, so t* >= 6/11 was forced and the LP shows equality.
-COUNTEREXAMPLE8_T_STAR: Fraction | None = Fraction(6, 11)
+COUNTEREXAMPLE8_T_STAR = Fraction(6, 11)
 
 
 class ClaimFailure(Exception):
@@ -175,7 +175,7 @@ def _check_weighting_claim(
     expected_t: Fraction,
     figure_weights: tuple[Fraction, ...] | None,
     expected_degrees: dict[int, Fraction] | None = None,
-) -> str:
+) -> tuple[str, WeightingResult]:
     g = families.generate(fid)
     if figure_weights is not None:
         wg = WeightedGraph(g, figure_weights)
@@ -190,21 +190,20 @@ def _check_weighting_claim(
     result = optimal_weighting(g)
     if result.optimum != expected_t:
         raise ClaimFailure(f"t*({fid}) = {result.optimum}, expected {expected_t}")
-    return f"t*({fid}) = {expected_t}, dual certificate verified"
+    return f"t*({fid}) = {expected_t}, dual certificate verified", result
 
 
 def claim_weighting_h2() -> str:
-    return _check_weighting_claim("H2", Fraction(6, 11), families.H2_FIGURE_WEIGHTS)
+    return _check_weighting_claim("H2", Fraction(6, 11), families.H2_FIGURE_WEIGHTS)[0]
 
 
 def claim_weighting_h2plus() -> str:
-    detail = _check_weighting_claim(
+    detail, result = _check_weighting_claim(
         "H2PLUS",
         Fraction(5, 9),
         families.H2PLUS_FIGURE_WEIGHTS,
         expected_degrees={7: Fraction(2, 3)},
     )
-    result = optimal_weighting(families.h2plus())
     zeros = {v for v, w in enumerate(result.weights) if w == 0}
     if zeros != {1, 6}:
         raise ClaimFailure(f"optimal weighting zeros at {sorted(zeros)}, expected {{1, 6}}")
@@ -216,7 +215,7 @@ def claim_weighting_h2plus() -> str:
 def claim_weighting_c7bar() -> str:
     detail = _check_weighting_claim(
         "C7BAR", Fraction(4, 7), tuple(Fraction(1, 7) for _ in range(7))
-    )
+    )[0]
     return detail + " (uniform)"
 
 
@@ -284,8 +283,6 @@ def claim_counterexample8() -> str:
         if find_homomorphism(g, families.generate(fid)) is not None:
             raise ClaimFailure(f"unexpected homomorphism to {fid}")
     t_star = optimal_weighting(g).optimum
-    if COUNTEREXAMPLE8_T_STAR is None:
-        raise ClaimFailure("exact t* not frozen yet (development oracle missing)")
     if t_star != COUNTEREXAMPLE8_T_STAR:
         raise ClaimFailure(f"t* = {t_star}, frozen value {COUNTEREXAMPLE8_T_STAR}")
     return (
@@ -361,8 +358,6 @@ def claim_extremal_search_n7() -> str:
         membership = check_membership(f.graph, Fraction(1, 2))
         if not membership.all_pass:
             raise ClaimFailure(f"output graph fails check_membership: {compact_line(f)}")
-    if EXTREMAL_N7_GOLDEN is None:
-        raise ClaimFailure("regression golden not frozen yet (development oracle missing)")
     if lines != EXTREMAL_N7_GOLDEN:
         raise ClaimFailure(f"output differs from frozen golden: {lines}")
     return f"exhaustive to n=7: {len(lines)} graphs, matches frozen golden"

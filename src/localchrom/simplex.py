@@ -1,6 +1,8 @@
 """Two-phase primal simplex over exact rationals with Bland's rule.
 
 Small dense LPs only (the weighting LPs have ~n variables and ~n rows).
+Rows are "<=" or "=" with a nonnegative right-hand side; ">=" rows and
+negative right-hand sides are rejected, since no caller needs them.
 Bland's anti-cycling rule guarantees termination; everything is a Fraction so
 strict-inequality semantics downstream are meaningful.  An optimal solution
 comes with one dual multiplier per input row, read off the final tableau, so
@@ -16,7 +18,6 @@ from .graphs import CertificateError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 @dataclass
@@ -24,8 +25,8 @@ class LPSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: list[Fraction]
     value: Fraction | None
-    # One multiplier per input row: >= 0 for "<=", <= 0 for ">=", free for
-    # "="; A^T y >= objective and rhs . y == value.  Empty unless optimal.
+    # One multiplier per input row: >= 0 for "<=", free for "=";
+    # A^T y >= objective and rhs . y == value.  Empty unless optimal.
     dual: list[Fraction]
 
 
@@ -35,42 +36,38 @@ def solve_lp(
 ) -> LPSolution:
     """Maximize objective . x subject to rows (coeffs, rel, rhs), x >= 0.
 
-    rel is one of "<=", ">=", "=".
+    rel is "<=" or "=" and rhs >= 0, so each row starts basic in its own
+    unit column (its slack or its artificial); anything else raises
+    ValueError.
     """
     nvar = len(objective)
     m = len(rows)
-    signs, rels = [], []  # each row times its sign has rhs >= 0 and relation rel
     for coeffs, rel, b in rows:
         if len(coeffs) != nvar:
             raise ValueError("row length mismatch")
-        if rel not in FLIP:
+        if rel not in ("<=", "="):
             raise ValueError(f"bad relation {rel!r}")
-        flipped = Fraction(b) < 0
-        signs.append(-1 if flipped else 1)
-        rels.append(FLIP[rel] if flipped else rel)
+        if Fraction(b) < 0:
+            raise ValueError("negative right-hand side")
 
-    # Columns: structural | one slack per inequality | one artificial per row
-    # that is not "<=" | rhs.  Each row starts with a unit column basic (its
-    # slack for "<=", its artificial otherwise); that column's final reduced
-    # cost is minus the row's dual multiplier.
+    # Columns: structural | one slack per "<=" row | one artificial per "="
+    # row | rhs.  Each row starts with its unit column basic; that column's
+    # final reduced cost is minus the row's dual multiplier.
     slack = nvar
-    art = nvar + sum(rel != "=" for rel in rels)
-    total_cols = art + sum(rel != "<=" for rel in rels)
+    art = nvar + sum(rel == "<=" for _, rel, _ in rows)
+    total_cols = art + sum(rel == "=" for _, rel, _ in rows)
     art_cols = range(art, total_cols)
     table: list[list[Fraction]] = []
     basis: list[int] = []
-    for (coeffs, _, b), sign, rel in zip(rows, signs, rels):
-        row = [sign * Fraction(c) for c in coeffs] + [ZERO] * (total_cols - nvar)
-        row.append(sign * Fraction(b))
-        if rel != "=":
-            row[slack] = ONE if rel == "<=" else -ONE
-            slack += 1
+    for coeffs, rel, b in rows:
+        row = [Fraction(c) for c in coeffs] + [ZERO] * (total_cols - nvar)
+        row.append(Fraction(b))
         if rel == "<=":
-            basis.append(slack - 1)
+            column, slack = slack, slack + 1
         else:
-            row[art] = ONE
-            basis.append(art)
-            art += 1
+            column, art = art, art + 1
+        row[column] = ONE
+        basis.append(column)
         table.append(row)
     unit = list(basis)
 
@@ -145,5 +142,4 @@ def solve_lp(
     for i, b in enumerate(basis):
         if b < nvar:
             x[b] = table[i][-1]
-    dual = [-sign * obj[c] for sign, c in zip(signs, unit)]
-    return LPSolution("optimal", x, -obj[-1], dual)
+    return LPSolution("optimal", x, -obj[-1], [-obj[c] for c in unit])

@@ -98,10 +98,9 @@ def is_locally_bipartite(g: Graph) -> bool:
     return all(_two_colourable(g.adj, row) for row in set(g.adj))
 
 
-def neighbourhood_is_bipartite(g: Graph, centre: int, rows=None) -> bool:
-    """2-colour G[adj(centre)] by BFS; rows may override g.adj."""
-    adj = rows if rows is not None else g.adj
-    return _two_colourable(adj, adj[centre])
+def neighbourhood_is_bipartite(g: Graph, centre: int) -> bool:
+    """2-colour G[adj(centre)] by BFS."""
+    return _two_colourable(g.adj, g.adj[centre])
 
 
 def _two_colourable(adj, members: int) -> bool:
@@ -141,7 +140,7 @@ def locally_bipartite_after_adding(g: Graph, u: int, v: int) -> bool:
     rows[u] |= 1 << v
     rows[v] |= 1 << u
     affected = (1 << u) | (1 << v) | (g.adj[u] & g.adj[v])
-    return all(neighbourhood_is_bipartite(g, w, rows) for w in bits(affected))
+    return all(_two_colourable(rows, rows[w]) for w in bits(affected))
 
 
 def classify_pair(g: Graph, u: int, v: int) -> PairClass:

@@ -29,19 +29,24 @@ class WeightingResult:
 
     @cached_property
     def support_full(self) -> bool:
-        """Whether some optimal weighting is strictly positive everywhere: an
-        LP maximizing s subject to omega >= s, degrees >= t*, sum omega = 1,
-        solved on the first read."""
-        n = self.graph.n
-        objective = [ZERO] * n + [ONE]
-        rows = [(_degree_row(self.graph, v) + [ZERO], ">=", self.optimum) for v in range(n)]
-        for v in range(n):
-            row = [ZERO] * (n + 1)
-            row[v] = -ONE
-            row[n] = ONE
-            rows.append((row, "<=", ZERO))  # s - omega_v <= 0
-        rows.append(([ONE] * n + [ZERO], "=", ONE))
-        return _optimal(solve_lp(objective, rows), "full-support").value > 0
+        """Whether some optimal weighting is strictly positive everywhere.
+
+        By strict complementarity (Goldman & Tucker, "Theory of linear
+        programming", 1956), some optimal omega > 0 iff every optimal dual
+        distribution y is tight at every vertex: deg_y(u) = t* for all u.
+        For t* > 0 the optimal duals are exactly {y >= 0, sum y = 1,
+        deg_y(u) <= t*}, and sum_u deg_y(u) = sum_v deg(v) y_v with each
+        term <= t*, so the minimum of sum_v deg(v) y_v over them is n t*
+        iff all of them are tight.  With an isolated vertex t* = 0, the
+        duals sit on the isolated vertices, the minimum is 0 and the answer
+        is True (the uniform weighting is optimal).  One LP of n + 1 rows,
+        solved on the first read.
+        """
+        g, t = self.graph, self.optimum
+        objective = [-Fraction(g.degree(v)) for v in range(g.n)]
+        rows = [(_degree_row(g, u), "<=", t) for u in range(g.n)]
+        rows.append(([ONE] * g.n, "=", ONE))
+        return _optimal(solve_lp(objective, rows), "full-support").value == -g.n * t
 
     def beats(self, c: Fraction | int) -> bool:
         return self.optimum > Fraction(c)
@@ -79,8 +84,8 @@ def _optimal(solution, what: str):
 
 def optimal_weighting(g: Graph) -> WeightingResult:
     """Exact t*(g) with primal and dual certificates from one LP solve; the
-    dual is the LP's row multipliers.  ``support_full`` solves one more LP
-    when it is first read."""
+    dual is the LP's row multipliers.  ``support_full`` solves one more LP,
+    over the optimal duals, when it is first read."""
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no weighting")

@@ -45,6 +45,11 @@ def test_families_emit_unknown(capsys):
     assert main(["families", "emit", "NOPE"]) == 2
 
 
+def test_families_emit_unwritable_output_is_usage_error(capsys, tmp_path):
+    assert main(["families", "emit", "H0", "-o", str(tmp_path / "missing" / "h0.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_check_output(capsys, c7bar_file, tmp_path):
     assert main(["check", c7bar_file]) == 0
     out = capsys.readouterr().out
@@ -109,6 +114,14 @@ def test_search_cli(capsys, tmp_path):
     assert main(["search", "--n", "4", "--beats", "1/2", "-o", str(out_file)]) == 0
     lines = out_file.read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("n=3")
+
+
+def test_search_unwritable_output_is_usage_error_before_searching(capsys, tmp_path):
+    ckpt = tmp_path / "run.ckpt"
+    argv = ["search", "--n", "4", "--beats", "1/2", "--checkpoint", str(ckpt)]
+    assert main(argv + ["-o", str(tmp_path / "missing" / "found.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not ckpt.exists()
 
 
 def test_search_cli_reports_levels_on_stderr(capsys):

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from localchrom import families, weighting
-from localchrom.graphs import Graph, WeightedGraph, blow_up, merge_twins
+from localchrom.graphs import Graph, WeightedGraph, bits, blow_up, merge_twins, relabel
 from localchrom.simplex import solve_lp
 from localchrom.weighting import optimal_weighting, verify_weighting
 
@@ -31,17 +31,17 @@ class TestSimplex:
         assert sol.status == "optimal" and sol.value == F(3) and sol.x == [F(0), F(1)]
 
     def test_infeasible(self):
-        sol = solve_lp([F(1)], [([F(1)], "<=", F(1)), ([F(1)], ">=", F(2))])
+        sol = solve_lp([F(1)], [([F(1)], "=", F(1)), ([F(1)], "=", F(2))])
         assert sol.status == "infeasible"
 
     def test_unbounded(self):
         sol = solve_lp([F(1)], [([F(-1)], "<=", F(1))])
         assert sol.status == "unbounded"
 
-    def test_negative_rhs_normalisation(self):
-        # x >= 2 expressed as -x <= -2
-        sol = solve_lp([F(-1)], [([F(-1)], "<=", F(-2))])
-        assert sol.status == "optimal" and sol.x == [F(2)]
+    def test_ge_rows_and_negative_rhs_rejected(self):
+        for row in [([F(1)], ">=", F(2)), ([F(-1)], "<=", F(-2)), ([F(1)], "=", F(-1))]:
+            with pytest.raises(ValueError):
+                solve_lp([F(1)], [([F(1)], "<=", F(3)), row])
 
     def test_degenerate_cycling_guard(self):
         # Beale's cycling example; Bland's rule must terminate at 1/20
@@ -56,9 +56,9 @@ class TestSimplex:
 
     def test_row_duals_certify_the_optimum(self):
         # seeded bounded feasible LPs: a known feasible point x0 fixes each
-        # rhs, some rows are negated so that rhs < 0, and a box keeps it bounded
+        # rhs (an "=" row is negated where its lhs at x0 is negative), and a
+        # box keeps it bounded
         rng = random.Random(41)
-        negative_rhs = 0
         for _ in range(150):
             nvar, m = rng.randint(1, 4), rng.randint(1, 5)
             x0 = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(nvar)]
@@ -66,11 +66,13 @@ class TestSimplex:
             for _ in range(m):
                 coeffs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nvar)]
                 lhs = sum(a * x for a, x in zip(coeffs, x0))
-                rel = rng.choice(["<=", ">=", "="])
-                rhs = lhs + {"<=": 1, ">=": -1, "=": 0}[rel] * rng.randint(0, 3)
-                if rng.random() < 0.5:
-                    coeffs, rhs = [-a for a in coeffs], -rhs
-                    rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+                rel = rng.choice(["<=", "="])
+                if rel == "<=":
+                    rhs = max(lhs, 0) + rng.randint(0, 3)
+                elif lhs < 0:
+                    coeffs, rhs = [-a for a in coeffs], -lhs
+                else:
+                    rhs = lhs
                 rows.append((coeffs, rel, rhs))
             rows += [([F(int(j == i)) for j in range(nvar)], "<=", F(5)) for i in range(nvar)]
             objective = [F(rng.randint(-4, 4)) for _ in range(nvar)]
@@ -79,13 +81,31 @@ class TestSimplex:
             for y, (_, rel, _) in zip(sol.dual, rows):
                 if rel == "<=":
                     assert y >= 0
-                elif rel == ">=":
-                    assert y <= 0
             for j, c in enumerate(objective):
                 assert sum(y * coeffs[j] for y, (coeffs, _, _) in zip(sol.dual, rows)) >= c
             assert sum(y * rhs for y, (_, _, rhs) in zip(sol.dual, rows)) == sol.value
-            negative_rhs += sum(rhs < 0 for _, _, rhs in rows)
-        assert negative_rhs > 0
+
+
+def _support_full_reference(g, t):
+    """Primal test of full support: maximise s subject to omega_v >= s,
+    deg_omega(v) >= t and sum omega = 1; full support iff the optimum s > 0.
+    Variables omega (n), s, and one surplus per degree row (n)."""
+    n = g.n
+    objective = [F(0)] * n + [F(1)] + [F(0)] * n
+    rows = []
+    for v in range(n):
+        row = [F(0)] * (2 * n + 1)
+        for u in bits(g.adj[v]):
+            row[u] = F(1)
+        row[n + 1 + v] = F(-1)
+        rows.append((row, "=", t))  # deg_omega(v) - surplus_v = t
+        row = [F(0)] * (2 * n + 1)
+        row[v], row[n] = F(-1), F(1)
+        rows.append((row, "<=", F(0)))  # s - omega_v <= 0
+    rows.append(([F(1)] * n + [F(0)] * (n + 1), "=", F(1)))
+    sol = solve_lp(objective, rows)
+    assert sol.status == "optimal"
+    return sol.value > 0
 
 
 class TestOptimalWeighting:
@@ -139,6 +159,31 @@ class TestOptimalWeighting:
         assert len(calls) == 2
         assert not r.support_full
         assert len(calls) == 2
+
+    def test_support_full_matches_the_primal_formulation(self):
+        # the t* catalogue of the benchmark, relabelled as it relabels it
+        ids = ["H2", "H2PLUS", "C7BAR", "COUNTEREXAMPLE8", "H2PLUS_AUG", "WHEEL(5)", "WHEEL(7)"]
+        ids += [f"DELTA({ell})" for ell in range(3, 8)] + [f"ANDRASFAI({i})" for i in range(3, 9)]
+        catalogue = [families.generate(fid) for fid in ids]
+        h2plus, c7bar = families.h2plus(), families.c7bar()
+        catalogue += [blow_up(h2plus, [2] * 8), blow_up(h2plus, [3] * 8), blow_up(c7bar, [3] * 7)]
+        graphs = []
+        rng = random.Random(1)
+        for g in catalogue:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs.append(relabel(g, perm))
+        rng = random.Random(43)
+        graphs += [random_graph(rng, rng.randint(2, 9), rng.random()) for _ in range(150)]
+        for base in (h2plus, families.h2(), c7bar, families.counterexample8()):
+            graphs.append(blow_up(base, [rng.randint(1, 3) for _ in range(base.n)]))
+        graphs += [Graph(1), Graph(3, [(0, 1)]), Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])]
+        outcomes = set()
+        for g in graphs:
+            r = optimal_weighting(g)
+            assert r.support_full == _support_full_reference(g, r.optimum), g
+            outcomes.add((r.support_full, r.has_isolated_vertex))
+        assert outcomes == {(True, False), (False, False), (True, True)}
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
