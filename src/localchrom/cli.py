@@ -114,6 +114,9 @@ def cmd_colour(args) -> int:
     except SolverTimeout:
         print("error: timeout", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if colouring is None:
         print(f"NONE: not {args.k}-colourable")
         return 1
@@ -138,16 +141,16 @@ def cmd_weight(args) -> int:
         except GraphFormatError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+    try:
+        c = None if args.beats is None else Fraction(args.beats)
+    except (ValueError, ZeroDivisionError):
+        print(f"error: malformed threshold {args.beats!r}", file=sys.stderr)
+        return 2
     result = optimal_weighting(g)
     print(f"t*={result.optimum} omega: " + ",".join(str(w) for w in result.weights))
     if result.has_isolated_vertex:
         print("warning: isolated vertex forces t* = 0", file=sys.stderr)
-    if args.beats is not None:
-        try:
-            c = Fraction(args.beats)
-        except (ValueError, ZeroDivisionError):
-            print(f"error: malformed threshold {args.beats!r}", file=sys.stderr)
-            return 2
+    if c is not None:
         if wg is not None:
             given = verify_weighting(g, wg.weights, c)
             print(f"GIVEN-WEIGHTING {'BEATS' if given else 'DOES-NOT-BEAT'} {c}")

@@ -59,7 +59,8 @@ def k_colourable(g: Graph, k: int, deadline: float | None = None) -> tuple[int, 
     unused colour.  ``seen[c]`` holds the vertices with a neighbour coloured
     c; a vertex's saturation, the number of c with it in ``seen[c]``, is kept
     bit-sliced (its bit j is the vertex's bit in ``level[j]``), so colouring
-    a vertex adds one to a whole set of counters by a ripple carry.  The
+    a vertex adds one to a whole set of counters by a ripple carry, and
+    backtracking restores the ``seen[c]`` and ``level`` it overwrote.  The
     search keeps its branches on an explicit stack, so its depth is not
     bounded by the recursion limit.
     """
@@ -77,32 +78,21 @@ def k_colourable(g: Graph, k: int, deadline: float | None = None) -> tuple[int, 
     uncoloured = (1 << n) - 1
     used = 0
 
-    def assign(v: int, c: int) -> int:
-        """Colour v with c; returns the vertices whose saturation it raised."""
+    def assign(v: int, c: int) -> tuple[int, list[int]]:
+        """Colour v with c; returns what it overwrites, ``(seen[c], level[:])``."""
         nonlocal uncoloured
+        saved = seen[c], level[:]
         colour[v] = c
         uncoloured ^= 1 << v
-        raised = g.adj[v] & ~seen[c]
-        seen[c] |= raised
-        carry, j = raised, 0
+        carry = g.adj[v] & ~seen[c]
+        seen[c] |= carry
+        j = 0
         while carry:
             old = level[j]
             level[j] = old ^ carry
             carry &= old
             j += 1
-        return raised
-
-    def undo(v: int, c: int, raised: int) -> None:
-        nonlocal uncoloured
-        colour[v] = 0
-        uncoloured |= 1 << v
-        seen[c] ^= raised
-        borrow, j = raised, 0
-        while borrow:
-            old = level[j]
-            level[j] = old ^ borrow
-            borrow &= ~old
-            j += 1
+        return saved
 
     for i, v in enumerate(bits(clique)):
         assign(v, i + 1)
@@ -111,7 +101,7 @@ def k_colourable(g: Graph, k: int, deadline: float | None = None) -> tuple[int, 
     degree_classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
 
     # One frame per search vertex: [vertex, colour tried, top colour, used
-    # colours before it, vertices whose saturation the colour raised].
+    # colours before it, what assigning that colour overwrote].
     stack: list[list] = []
     while True:
         if deadline is not None and time.monotonic() > deadline:
@@ -128,13 +118,15 @@ def k_colourable(g: Graph, k: int, deadline: float | None = None) -> tuple[int, 
                 best &= members
                 break
         v = (best & -best).bit_length() - 1
-        stack.append([v, 0, min(k, used + 1), used, 0])
+        stack.append([v, 0, min(k, used + 1), used, None])
         # Give the top frame its next colour, popping the frames that have none.
         while stack:
             frame = stack[-1]
-            v, c, top, used, raised = frame
+            v, c, top, used, saved = frame
             if c:
-                undo(v, c, raised)
+                colour[v] = 0
+                uncoloured |= 1 << v
+                seen[c], level[:] = saved
             c += 1
             while c <= top and seen[c] >> v & 1:
                 c += 1

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from . import families
 from .colouring import chromatic_number, clique_number, k_colourable
-from .graphs import Graph, WeightedGraph, bits, blow_up, merge_twins, relabel, weighted_degree
+from .graphs import Graph, WeightedGraph, bits, blow_up, mask_of, merge_twins, relabel, weighted_degree
 from .homomorphism import compose, find_homomorphism, find_subgraph, is_homomorphism, verify_hom_forces_induced
 from .structure import PairClass, classify_pair, dense_set, is_locally_bipartite
 
@@ -65,19 +65,12 @@ def suite_independent_set_pairs_dense(rng: random.Random, cases: int) -> list[st
 def suite_c4_diagonal_dense(rng: random.Random, cases: int) -> list[str]:
     """delta > n/2: every induced 4-cycle has at least one dense diagonal."""
     violations = []
-    done = 0
-    while done < cases:
+    for _ in range(cases):
         g = _random_high_degree_graph(rng)
-        done += 1
         for subset in combinations(range(g.n), 4):
-            sub_edges = [(u, v) for u, v in combinations(subset, 2) if g.has_edge(u, v)]
-            if len(sub_edges) != 4:
-                continue
-            degs = {v: 0 for v in subset}
-            for u, v in sub_edges:
-                degs[u] += 1
-                degs[v] += 1
-            if any(d != 2 for d in degs.values()):
+            # an induced 4-cycle: each member has exactly two neighbours among them
+            members = mask_of(subset)
+            if any((g.adj[v] & members).bit_count() != 2 for v in subset):
                 continue
             diagonals = [(u, v) for u, v in combinations(subset, 2) if not g.has_edge(u, v)]
             if not any(classify_pair(g, u, v) is PairClass.DENSE for u, v in diagonals):
@@ -215,10 +208,7 @@ PROPERTY_SUITES = [
 
 
 def _has_triangle(g: Graph) -> bool:
-    return any(
-        g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
-        for a, b, c in combinations(range(g.n), 3)
-    )
+    return any(g.adj[u] & g.adj[v] for u, v in g.edges())
 
 
 def _aes_candidate(rng: random.Random) -> Graph:

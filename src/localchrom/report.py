@@ -220,13 +220,8 @@ def claim_weighting_c7bar() -> str:
 
 
 def claim_weighting_delta3() -> str:
-    g = families.delta(3)
     uniform = tuple(Fraction(1, 11) for _ in range(11))
-    if not all(weighted_degree(WeightedGraph(g, uniform), v) == Fraction(6, 11) for v in range(11)):
-        raise ClaimFailure("uniform weighting of DELTA(3) is not 6/11-regular")
-    result = optimal_weighting(g)
-    if result.optimum != Fraction(6, 11):
-        raise ClaimFailure(f"t*(DELTA(3)) = {result.optimum}, expected 6/11")
+    _check_weighting_claim("DELTA(3)", Fraction(6, 11), uniform)
     return "t*(DELTA(3)) = 6/11 at the uniform weighting"
 
 

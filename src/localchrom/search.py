@@ -98,19 +98,6 @@ def check_membership(g: Graph, c: Fraction | int) -> MembershipReport:
     return MembershipReport(lb, edge_max, twin_free, t_star, beats)
 
 
-def _locally_bipartite_child(parent: Graph, mask: int) -> Graph | None:
-    """parent + (vertex adjacent to mask) if it stays locally bipartite, else None.
-
-    Only the new vertex's neighbourhood and those of its neighbours change.
-    """
-    child = parent.with_vertex(mask)
-    if neighbourhood_is_bipartite(child, child.n - 1) and all(
-        neighbourhood_is_bipartite(child, w) for w in bits(mask)
-    ):
-        return child
-    return None
-
-
 def _filter_level(graphs: list[Graph], c: Fraction) -> list[FoundGraph]:
     out = []
     for g in graphs:
@@ -157,8 +144,9 @@ def _next_level(level: list[Graph], stats: list[LevelStats] | None = None) -> li
         masks = _orbit_minimal_masks(parent)
         tried += len(masks)
         for mask in masks:
-            child = _locally_bipartite_child(parent, mask)
-            if child is None:
+            # only the new vertex's neighbourhood and those of its neighbours change
+            child = parent.with_vertex(mask)
+            if not all(neighbourhood_is_bipartite(child, w) for w in (parent.n, *bits(mask))):
                 continue
             children += 1
             key = canonical_form(child)
@@ -184,17 +172,20 @@ def enumerate_extremal(
         raise ValueError(f"n_max must be between 1 and {MAX_N}")
     c = Fraction(c)
 
-    start_n = 1
-    level = [Graph(1)]
-    found: list[FoundGraph] = []
-    if resume_path is not None:
+    levels: list[LevelStats] = []
+    if resume_path is None:
+        n, level = 1, [Graph(1)]
+        found = _filter_level(level, c)
+        _write_checkpoint(checkpoint_path, c, n, level, found)
+    else:
         state = _load_checkpoint(resume_path)
         if Fraction(state["c"]) != c:
             raise ValueError("checkpoint was produced for a different threshold c")
         if state["level"] > n_max:
             raise ValueError("checkpoint is already past n_max")
-        start_n = state["level"]
+        n = state["level"]
         level = [Graph.from_rows(rows) for rows in state["graphs"]]
+        found = []
         for item in state["found"]:
             g = Graph.from_rows(item["rows"])
             t_star = Fraction(item["t_star"])
@@ -202,12 +193,6 @@ def enumerate_extremal(
             if not report.all_pass or report.t_star != t_star:
                 raise ValueError("checkpoint lists a found graph that fails the membership check")
             found.append(FoundGraph(g, t_star, item["chi"], canonical_form(g)))
-
-    n = start_n
-    levels: list[LevelStats] = []
-    if n == 1 and not resume_path:
-        found.extend(_filter_level(level, c))
-        _write_checkpoint(checkpoint_path, c, n, level, found)
     while n < n_max:
         level = _next_level(level, levels)
         n += 1

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import CertificateError, Graph, bits
+from .graphs import CertificateError, Graph, _twin_masks, bits
 
 
 class PairClass(Enum):
@@ -183,9 +183,20 @@ def saturate(g: Graph) -> Graph:
 
 
 def is_edge_maximal_locally_bipartite(g: Graph) -> bool:
+    """Whether g is locally bipartite and adding any non-edge breaks that.
+
+    One non-edge is tried per unordered pair of twin classes
+    (``graphs._twin_masks``).  Any permutation inside a twin class is an
+    automorphism, so for two non-edges uv and u'v' with u, u' in one class
+    and v, v' in the other (or all four in one class), some automorphism
+    carries uv to u'v' and g + uv to g + u'v': every non-edge of one class
+    pair gives the same verdict.
+    """
     if not is_locally_bipartite(g):
         return False
-    return not any(locally_bipartite_after_adding(g, u, v) for u, v in g.non_edges())
+    twins = _twin_masks(g.adj)
+    representative = {frozenset((twins[u], twins[v])): (u, v) for u, v in g.non_edges()}
+    return not any(locally_bipartite_after_adding(g, u, v) for u, v in representative.values())
 
 
 def is_twin_free(g: Graph) -> bool:

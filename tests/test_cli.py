@@ -7,7 +7,7 @@ import pytest
 from localchrom import families, search
 from localchrom.cli import main
 from localchrom.graphio import emit_graph, emit_weighted_graph, parse_graph
-from localchrom.graphs import WeightedGraph, blow_up
+from localchrom.graphs import Graph, WeightedGraph, blow_up
 
 
 @pytest.fixture
@@ -79,6 +79,28 @@ def test_hom_iso(capsys, tmp_path, c7bar_file):
     assert capsys.readouterr().out.strip() == "YES"
 
 
+def test_hom_iso_no(capsys, h2_file, c7bar_file):
+    assert main(["hom", h2_file, c7bar_file, "--iso"]) == 1
+    assert capsys.readouterr().out.strip() == "NO"
+
+
+def test_hom_induced_map_validates(capsys, tmp_path, c7bar_file):
+    c7bar, host = families.c7bar(), blow_up(families.c7bar(), [2] * 7)
+    host_file = tmp_path / "host.txt"
+    host_file.write_text(emit_graph(host))
+    assert main(["hom", c7bar_file, str(host_file), "--induced"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("YES map: ")
+    image = [int(x) for x in out[len("YES map: "):].split(",")]
+    # injective, and edges and non-edges both preserved
+    assert len(set(image)) == c7bar.n
+    assert all(
+        c7bar.has_edge(u, v) == host.has_edge(image[u], image[v])
+        for u in range(c7bar.n)
+        for v in range(u + 1, c7bar.n)
+    )
+
+
 def test_chi(capsys, c7bar_file):
     assert main(["chi", c7bar_file]) == 0
     out = capsys.readouterr().out
@@ -90,6 +112,12 @@ def test_colour(capsys, c7bar_file):
     assert capsys.readouterr().out.startswith("k=4 colouring:")
     assert main(["colour", c7bar_file, "-k", "3"]) == 1
     assert capsys.readouterr().out.startswith("NONE")
+
+
+def test_colour_k_below_one_is_usage_error(capsys, c7bar_file):
+    assert main(["colour", c7bar_file, "-k", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: k must be >= 1\n"
 
 
 def test_weight(capsys, h2_file):
@@ -170,6 +198,14 @@ def test_decompose_cli(capsys, tmp_path):
     assert "map " in out and "part D0" in out
 
 
+def test_decompose_cli_failed_prints_reason(capsys, tmp_path):
+    path = tmp_path / "k3.txt"
+    path.write_text(emit_graph(blow_up(Graph(3, [(0, 1), (0, 2), (1, 2)]), [5] * 3)))
+    assert main(["decompose", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["outcome FAILED", "reason no H2PLUS copy"]
+
+
 def test_verify_profile_cli(capsys, tmp_path):
     g = blow_up(families.h2(), [3, 1, 2, 1, 1, 2, 1])
     path = tmp_path / "h2blow.txt"
@@ -203,6 +239,12 @@ def test_missing_file_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "/nonexistent/file.txt"])
     assert exc.value.code == 2
+
+
+def test_weight_malformed_threshold_prints_nothing_on_stdout(capsys, h2_file):
+    assert main(["weight", h2_file, "--beats", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: malformed threshold 'abc'\n"
 
 
 def test_malformed_threshold_is_usage_error(capsys, h2_file):

@@ -137,6 +137,32 @@ class TestAugmentedBranch:
         assert validate_colouring(g, cert.colouring, 4)
 
 
+class TestBuildRejects:
+    # C7BAR on 0..6 (non-edges i, i + 3), anchored at the identity, plus
+    # crafted extra vertices: each reject reason ends the certificate early,
+    # with the anchor and whatever the audit had recorded by then
+    @pytest.mark.parametrize(
+        "extra_edges, reason, audit",
+        [
+            ([(v, 7) for v in (0, 1, 2, 3, 4)], "a vertex has five neighbours in the anchor copy", {}),
+            # {0, 1, 2, 3} is no anchor neighbourhood {i - 2, i - 1, i + 1, i + 2}
+            ([(v, 7) for v in (0, 1, 2, 3)], "four-neighbour vertices do not match the D_i pattern", {}),
+            # three consecutive anchor vertices lie in no anchor neighbourhood
+            ([(v, 7) for v in (0, 1, 2)], "vertex 7 has no admissible class", {"R-size": "|R|=1 <= 4|G|-7delta=11"}),
+            # two vertices off the anchor: both land in T_0, which has no loop
+            ([(7, 8)], "edge (7, 8) joins T_0 and T_0", {"R-size": "|R|=2 <= 4|G|-7delta=29"}),
+        ],
+    )
+    def test_reason_anchor_and_audit(self, extra_edges, reason, audit):
+        from localchrom.decompose import _C7BAR_CASE, _build
+
+        g = Graph(1 + max(map(max, extra_edges)), list(families.c7bar().edges()) + extra_edges)
+        anchor = tuple(range(7))
+        cert = _build(g, anchor, _C7BAR_CASE)
+        assert (cert.outcome, cert.reason) == ("FAILED", reason)
+        assert cert.anchor == anchor and cert.audit == audit
+
+
 class TestMinimiseAssignment:
     def test_assignments_are_frozen(self, monkeypatch):
         # SHA-256 over (assignment, S) on 300 seeded cases, half of them with

@@ -12,7 +12,7 @@ from localchrom.colouring import SolverTimeout, chromatic_number, k_colourable
 from localchrom.decompose import _minimise_assignment
 from localchrom.graphs import Graph, relabel
 from localchrom.homomorphism import _encode, canonical_form, is_isomorphic
-from localchrom.search import _locally_bipartite_child, _next_level
+from localchrom.search import _next_level
 from localchrom.structure import is_locally_bipartite
 
 # SHA-256 over repr([g.adj for g in level]) for levels 2..7, then over
@@ -29,14 +29,15 @@ def _levels(top: int) -> dict[int, list[Graph]]:
 
 
 def _next_level_every_mask(level: list[Graph]) -> tuple[list[Graph], int]:
-    """Reference generation: every mask of every parent; also returns the
-    number of locally bipartite children, each of which gets a canonical form."""
+    """Reference generation: every mask of every parent, each child checked
+    whole by ``is_locally_bipartite``; also returns the number of locally
+    bipartite children, each of which gets a canonical form."""
     seen: dict[tuple[int, int], Graph] = {}
     children = 0
     for parent in level:
         for mask in range(1 << parent.n):
-            child = _locally_bipartite_child(parent, mask)
-            if child is None:
+            child = parent.with_vertex(mask)
+            if not is_locally_bipartite(child):
                 continue
             children += 1
             key = canonical_form(child)
@@ -157,6 +158,18 @@ def test_level6_has_no_isomorphic_pair_by_networkx():
             pairs += 1
             assert not nx.is_isomorphic(_nx(nx, g), _nx(nx, h))
     assert len(level) == 119 and pairs > 0
+
+
+def test_level7_has_no_isomorphic_pair_by_networkx():
+    # as at level 6: only graphs with equal degree sequences can be isomorphic
+    nx = pytest.importorskip("networkx")
+    level = _levels(7)[7]
+    by_degrees: dict[tuple[int, ...], list[Graph]] = {}
+    for g in level:
+        by_degrees.setdefault(tuple(sorted(g.degrees())), []).append(g)
+    pairs = [(g, h) for graphs in by_degrees.values() for g, h in combinations(graphs, 2)]
+    assert len(level) == 674 and len(pairs) == 2106
+    assert not any(nx.is_isomorphic(_nx(nx, g), _nx(nx, h)) for g, h in pairs)
 
 
 def test_chromatic_number_vs_all_assignments():

@@ -193,6 +193,23 @@ class TestEdgeMaximalAndTwins:
         for fid in ("H0", "H2", "H2PLUS", "C7BAR", "COUNTEREXAMPLE8"):
             assert is_twin_free(families.generate(fid)), fid
 
+    def test_edge_maximal_matches_every_non_edge(self):
+        # the definition, one non-edge at a time, on relabelled blow-ups whose
+        # twin classes make many non-edges share a verdict
+        rng = random.Random(1010)
+        bases = [families.generate(fid) for fid in ("H0", "H2", "H2PLUS", "C7BAR", "DELTA(2)")]
+        outcomes = Counter()
+        for case in range(300):
+            base = bases[case % len(bases)]
+            sizes = [rng.randint(1, 3) for _ in range(base.n)]
+            g = relabel(blow_up(base, sizes), rng.sample(range(sum(sizes)), sum(sizes)))
+            expected = is_locally_bipartite(g) and not any(
+                is_locally_bipartite(g.with_edge(u, v)) for u, v in g.non_edges()
+            )
+            assert is_edge_maximal_locally_bipartite(g) == expected, case
+            outcomes[expected] += 1
+        assert outcomes[True] > 0 and outcomes[False] > 0
+
 
 class TestFiveVertexCorollary:
     def test_no_vertex_has_five_neighbours_in_an_h0_copy(self):
