@@ -2,12 +2,19 @@
 
 Given a locally bipartite graph with min degree above 6/11 of its order, the
 vertices with four neighbours in the anchor copy split into common
-neighbourhoods D_i; the rest are assigned to compatible classes R_i (plus the
-special class R502 in the H2+ case) so that collapsing each T_i = D_i u R_i
-onto anchor vertex i is a homomorphism.  The only freedom is in the R_i
-assignment; a quadratic penalty S counts the edges that would break the
-collapse, and the hypotheses guarantee an assignment with S = 0 (S minus the
-four tolerated class pairs, in the H2+ case).
+neighbourhoods D_i, and D_i collapses onto anchor vertex i.  Every other
+vertex (the set R) gets a list: the classes i whose D-neighbourhood allows it,
+or the special class R502 alone in the H2+ case.  A collapse of each
+T_i = D_i u R_i onto i is then exactly a list homomorphism of G onto the
+target (Hell & Nesetril, *Graphs and Homomorphisms*, 2004; Feder, Hell &
+Huang, *Combinatorica* 19, 1999).  The edges inside D are checked before the
+lists are drawn up and the edges between D and R are kept by the lists, so
+a search of G[R] onto the target decides, one component at a time; it is the
+backtracker of ``homomorphism``, which finds the first list homomorphism or
+shows that there is none.  The targets are C7BAR, or H2PLUS and then its
+augmentation H2PLUS_AUG, whose four extra edges are the tolerated class
+pairs; S counts the edges on tolerated pairs.  The hypotheses guarantee a
+list homomorphism with S = 0.
 
 Both cases run one class builder, driven by the seven-vertex anchor pattern
 (C7BAR, or the H2 part of H2+): D_i is the common neighbourhood of the anchor
@@ -20,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import prod
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import families
 from .colouring import chromatic_number, k_colourable, validate_colouring
 from .graphs import CertificateError, Graph, bits, common_neighbourhood, mask_of
-from .homomorphism import find_subgraph, subgraph_embeddings
+from .homomorphism import _backtrack, find_subgraph, subgraph_embeddings
 from .structure import is_locally_bipartite, sparse_missing_spoke
 
 DEGREE_THRESHOLD = Fraction(6, 11)
@@ -67,12 +73,7 @@ def _failed(kind: str, reason: str, **kw) -> DecompositionCertificate:
 
 
 class _Reject(Exception):
-    """A failed check of the class builder; ``details`` go into the certificate."""
-
-    def __init__(self, reason: str, **details):
-        super().__init__(reason)
-        self.reason = reason
-        self.details = details
+    """A failed check of the class builder; its message is the certificate's reason."""
 
 
 def _degree_ok(g: Graph) -> bool:
@@ -130,80 +131,48 @@ def _union(masks: list[int], indices) -> int:
     return out
 
 
-def _joins(bad: tuple[int, int], hom: tuple[int, ...]) -> str:
-    """A reason naming an edge that the collapse breaks, and the classes it joins."""
-    a, b = ("R502" if hom[x] == R502 else f"T_{hom[x]}" for x in bad)
-    return f"edge {bad} joins {a} and {b}"
+def _components(g: Graph, mask: int) -> Iterator[int]:
+    """The vertex bitsets of the connected components of g[mask], by least vertex."""
+    while mask:
+        component = frontier = mask & -mask
+        while frontier:
+            frontier = _union(g.adj, bits(frontier)) & mask & ~component
+            component |= frontier
+        yield component
+        mask &= ~component
 
 
-def _palette(target: Graph) -> tuple[int, ...]:
-    """The solver's 4-colouring of a target, read by class label."""
+def _list_hom(g: Graph, lists: dict[int, int], target: Graph) -> dict[int, int] | None:
+    """The first list homomorphism of G[R] onto target, R being the keys of
+    ``lists``, or None.
+
+    Each component of G[R] is searched on its own, so a component without a
+    list homomorphism cannot make the search retry every map of the others.
+    A component's vertices keep their relative order, so the maps are those
+    of one search of the whole of G[R].
+    """
+    image: dict[int, int] = {}
+    for component in _components(g, mask_of(lists)):
+        members = [*bits(component)]
+        index = {v: k for k, v in enumerate(members)}
+        rows = [mask_of(index[u] for u in bits(g.adj[v] & component)) for v in members]
+        options = [lists[v] for v in members]
+        found = next(_backtrack(Graph.from_rows(rows), target, False, False, options), None)
+        if found is None:
+            return None
+        image.update(zip(members, found))
+    return image
+
+
+def _palette(name: str, target: Graph) -> tuple[int, ...]:
+    """The 4-colouring of a target, read by class label: the figure's for
+    H2PLUS_AUG, the solver's for the others."""
+    if name == "H2PLUS_AUG":
+        return families.AUGMENTED_FIGURE_COLOURING
     colouring = chromatic_number(target)[1]
     if len(set(colouring)) != 4:
         raise CertificateError("the decomposition target is not 4-chromatic")
     return colouring
-
-
-# ---------------------------------------------------------------------------
-# Penalised-assignment minimisation shared by both cases.
-
-
-def _minimise_assignment(
-    g: Graph,
-    assignment: dict[int, int],
-    admissible: dict[int, tuple[int, ...]],
-    penalised: set[frozenset],
-) -> tuple[dict[int, int], int]:
-    """Minimise S = number of edges whose endpoint classes form a penalised pair.
-
-    Greedy single-vertex improvement first, then exhaustive branch-and-bound
-    over the flexible vertices when that space is small enough; the theorems
-    guarantee S = 0 is reachable under their hypotheses.
-    """
-    nbrs = {r: [u for u in bits(g.adj[r]) if u in assignment] for r in assignment}
-
-    def conflicts(r: int, label: int, labels: dict[int, int]) -> int:
-        """The neighbours of r labelled in ``labels`` whose pair with ``label`` is penalised."""
-        return sum(u in labels and frozenset((label, labels[u])) in penalised for u in nbrs[r])
-
-    flexible = [r for r in sorted(assignment) if len(admissible[r]) > 1]
-    improved = True
-    while improved:
-        improved = False
-        for r in flexible:
-            here = conflicts(r, assignment[r], assignment)
-            for label in admissible[r]:
-                if label != assignment[r] and conflicts(r, label, assignment) < here:
-                    assignment[r] = label
-                    improved = True
-                    break
-
-    # every penalised edge is counted from both ends
-    best_s = sum(conflicts(r, c, assignment) for r, c in assignment.items()) // 2
-    if best_s > 0 and len(flexible) <= 20 and prod(len(admissible[r]) for r in flexible) <= 1 << 20:
-        known = {r: c for r, c in assignment.items() if r not in flexible}
-        best_choice: dict[int, int] = {}  # empty while nothing beats the greedy labels
-
-        def branch(i: int, cost: int) -> None:
-            """Place flexible[i:] on top of ``known``, the fixed and placed labels."""
-            nonlocal best_s, best_choice
-            if cost >= best_s:
-                return
-            if i == len(flexible):
-                best_s = cost
-                best_choice = {r: known[r] for r in flexible}
-                return
-            r = flexible[i]
-            for label in admissible[r]:
-                known[r] = label
-                branch(i + 1, cost + conflicts(r, label, known))
-                if best_s == 0:
-                    break
-            del known[r]
-
-        branch(0, sum(conflicts(r, c, known) for r, c in known.items()) // 2)
-        assignment.update(best_choice)
-    return assignment, best_s
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +187,36 @@ class _Case:
     audit, the union of the D_i of the degree-4 pattern vertices and the
     vertices outside it.
     A vertex that meets every D_i with i in ``hub`` goes to the class R502.
-    ``finish`` is the case's own last step: it returns the outcome, the target
-    name, the palette and the failed upgrades, or raises _Reject.
+    ``targets`` are (outcome, target name, target graph), tried in order:
+    the first that G[R] has a list homomorphism onto decides.
+    ``tolerated`` names the pairs of R-class unions that the last target
+    joins and the first does not; S counts the edges between them.
     """
 
     kind: str
     pattern: Graph
     star_name: str
     outside_name: str
-    penalised: frozenset[frozenset[int]]
     hub: tuple[int, ...]
-    finish: Callable
+    targets: tuple[tuple[str, str, Graph], ...]
+    tolerated: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
 
 
 def _classes(g: Graph, anchor: tuple[int, ...], case: _Case, audit: dict[str, str]):
-    """The steps both cases share, from the D_i to the minimised assignment.
+    """The steps both cases share, from the D_i to the lists of the R-vertices.
 
-    Returns the D_i bitsets, the class label of every vertex (D_i -> i, the
-    other vertices by the assignment), the parts and S; raises _Reject at the
-    first check that fails.
+    Returns the D_i bitsets and a dict from each vertex outside every D_i, in
+    increasing order, to its list: the bitset of the labels i whose pattern
+    neighbours' D_j hold all its D-neighbours, or of R502 alone.  Raises
+    _Reject at the first check that fails.
+
+    Two conditions need no check of their own: the D_i are disjoint, and a
+    vertex of H2's D_1 or D_6 has exactly three anchor neighbours.  Any two
+    pattern neighbourhoods of C7BAR or H2 cover five vertices, so a vertex
+    in two D_i has five anchor neighbours, and a vertex of D_1 or D_6 with a
+    fourth anchor neighbour has four that hold no other pattern
+    neighbourhood, so it is a four-neighbour vertex outside the D_i of the
+    degree-4 vertices: the first two checks reject both.
     """
     n = g.n
     pattern = case.pattern
@@ -249,20 +229,10 @@ def _classes(g: Graph, anchor: tuple[int, ...], case: _Case, audit: dict[str, st
         common_neighbourhood(g, mask_of(anchor[j] for j in bits(pattern.adj[i])))
         for i in range(7)
     ]
-    for i in range(7):
-        for j in range(i + 1, 7):
-            if d_sets[i] & d_sets[j]:
-                raise _Reject(f"D_{i} and D_{j} intersect")
     d_mask = _union(d_sets, range(7))
     star = _union(d_sets, (i for i in range(7) if pattern.degree(i) == 4))
     if mask_of(x for x in range(n) if counts[x] == 4) != star:
         raise _Reject(f"four-neighbour vertices do not match the {case.star_name} pattern")
-    # A vertex of D_i has exactly deg(i) anchor neighbours (H2's D_1 and D_6).
-    for i in range(7):
-        if pattern.degree(i) != 4:
-            for x in bits(d_sets[i]):
-                if counts[x] != pattern.degree(i):
-                    raise _Reject(f"vertex {x} in D_{i} has extra anchor neighbours")
 
     outside = ((1 << n) - 1) & ~star
     bound = 4 * n - 7 * g.min_degree()
@@ -284,102 +254,76 @@ def _classes(g: Graph, anchor: tuple[int, ...], case: _Case, audit: dict[str, st
 
     allowed = [_union(d_sets, bits(pattern.adj[i])) for i in range(7)]
     hub = _union(d_sets, case.hub)
-    assignment: dict[int, int] = {}
-    admissible: dict[int, tuple[int, ...]] = {}
+    lists: dict[int, int] = {}
     for r in bits(((1 << n) - 1) & ~d_mask):
         dn = g.adj[r] & d_mask
         if case.hub and all(dn & d_sets[i] for i in case.hub):
             if dn & ~hub:
                 names = ", ".join(f"D_{i}" for i in case.hub)
                 raise _Reject(f"vertex {r} meets {names} and more")
-            assignment[r] = R502
-            admissible[r] = (R502,)
+            lists[r] = 1 << R502
             continue
-        options = tuple([i for i in range(7) if dn & ~allowed[i] == 0])
-        if not options:
+        lists[r] = mask_of(i for i in range(7) if dn & ~allowed[i] == 0)
+        if not lists[r]:
             raise _Reject(f"vertex {r} has no admissible class")
-        admissible[r] = options
-        assignment[r] = options[0]
-    assignment, s_value = _minimise_assignment(g, assignment, admissible, case.penalised)
-
-    label = [-1] * n
-    for i in range(7):
-        for x in bits(d_sets[i]):
-            label[x] = i
-    for r, c in assignment.items():
-        label[r] = c
-    members = sorted(assignment)
-    # tuples from lists, as in Graph.degrees
-    parts = {f"D{i}": tuple([*bits(d_sets[i])]) for i in range(7)}
-    for c in range(R502 + 1 if case.hub else 7):
-        parts["R502" if c == R502 else f"R{c}"] = tuple([r for r in members if assignment[r] == c])
-    parts["D"] = tuple([*bits(d_mask)])
-    parts["R"] = tuple(members)
-    return d_sets, tuple(label), parts, s_value
+    return d_sets, lists
 
 
 def _build(g: Graph, anchor: tuple[int, ...], case: _Case) -> DecompositionCertificate:
-    """One anchor's certificate: the shared steps, then the case's last step."""
+    """One anchor's certificate: the lists, then one list-homomorphism search
+    of G[R] per target, re-checked edge by edge on the whole of g."""
     audit: dict[str, str] = {}
     try:
-        d_sets, hom, parts, s_value = _classes(g, anchor, case, audit)
-        outcome, target, palette, failed_upgrades = case.finish(g, d_sets, hom, parts, s_value)
+        d_sets, lists = _classes(g, anchor, case, audit)
     except _Reject as exc:
-        return _failed(case.kind, exc.reason, anchor=anchor, audit=audit, **exc.details)
+        return _failed(case.kind, str(exc), anchor=anchor, audit=audit)
+    for outcome, name, target in case.targets:
+        image = _list_hom(g, lists, target)
+        if image is not None:
+            break
+    else:
+        reason = f"no list homomorphism of G[R] onto {name}"
+        return _failed(case.kind, reason, anchor=anchor, audit=audit)
+
+    label = [-1] * g.n
+    for i in range(7):
+        for x in bits(d_sets[i]):
+            label[x] = i
+    r_masks = [0] * target.n
+    for r, c in image.items():
+        label[r] = c
+        r_masks[c] |= 1 << r
+    hom = tuple(label)
+    bad = _broken_edge(g, target, hom)
+    if bad is not None:
+        raise CertificateError(f"the {name} map breaks the edge {bad}")
+    palette = _palette(name, target)
     colouring = tuple([palette[c] for c in hom])
     if not validate_colouring(g, colouring, 4):
-        raise CertificateError(f"the {target} colouring is not a proper 4-colouring")
+        raise CertificateError(f"the {name} colouring is not a proper 4-colouring")
+
+    # tuples from lists, as in Graph.degrees
+    parts = {f"D{i}": tuple([*bits(d_sets[i])]) for i in range(7)}
+    for c in range(R502 + 1 if case.hub else 7):
+        parts["R502" if c == R502 else f"R{c}"] = tuple([*bits(r_masks[c])])
+    parts["D"] = tuple([*bits(_union(d_sets, range(7)))])
+    parts["R"] = tuple(lists)
+    tolerated = [
+        (pair, sum((g.adj[u] & _union(r_masks, b)).bit_count() for u in bits(_union(r_masks, a))))
+        for pair, a, b in case.tolerated
+    ]
     return DecompositionCertificate(
         kind=case.kind,
         outcome=outcome,
         anchor=anchor,
         parts=parts,
-        s_value=s_value,
-        target=target,
+        s_value=sum(count for _, count in tolerated),
+        target=name,
         hom=hom,
         colouring=colouring,
-        failed_upgrades=failed_upgrades,
+        failed_upgrades=tuple([pair for pair, count in tolerated if count]),
         audit=audit,
     )
-
-
-def _finish_c7bar(g, d_sets, hom, parts, s_value):
-    if s_value > 0:
-        raise _Reject(f"S-minimisation stuck at S={s_value}", parts=parts, s_value=s_value)
-    bad = _broken_edge(g, _C7BAR, hom)
-    if bad is not None:
-        raise _Reject(_joins(bad, hom), parts=parts, s_value=s_value)
-    return "HOM_C7BAR", "C7BAR", _palette(_C7BAR), ()
-
-
-def _finish_h2plus(g, d_sets, hom, parts, s_value):
-    # Claims that hold for every valid assignment under the hypotheses.
-    r502_mask = mask_of(parts["R502"])
-    bad = _edge_between(g, r502_mask, r502_mask)
-    if bad is not None:
-        raise _Reject(f"edge {bad} inside R502", parts=parts)
-    for i in (1, 6):
-        bad = _edge_between(g, r502_mask, d_sets[i] | mask_of(parts[f"R{i}"]))
-        if bad is not None:
-            raise _Reject(f"edge {bad} between R502 and T_{i}", parts=parts)
-
-    # The tolerated pairs: each edge class that H2+ lacks but its augmentation has.
-    r_masks = [mask_of(parts[f"R{c}"]) for c in range(7)]
-    failed_upgrades = tuple(
-        name
-        for name, a, b in (
-            ("e(R1,R5)=0", r_masks[1], r_masks[5]),
-            ("e(R2,R6)=0", r_masks[2], r_masks[6]),
-            ("e(R3uR4,R502)=0", r_masks[3] | r_masks[4], r502_mask),
-        )
-        if _edge_between(g, a, b)
-    )
-    if not failed_upgrades and _broken_edge(g, _H2PLUS, hom) is None:
-        return "HOM_H2PLUS", "H2PLUS", _palette(_H2PLUS), ()
-    bad = _broken_edge(g, _H2PLUS_AUG, hom)
-    if bad is None:
-        return "HOM_AUGMENTED", "H2PLUS_AUG", families.AUGMENTED_FIGURE_COLOURING, failed_upgrades
-    raise _Reject(f"{_joins(bad, hom)} (S={s_value})", parts=parts, s_value=s_value)
 
 
 _C7BAR_CASE = _Case(
@@ -387,18 +331,26 @@ _C7BAR_CASE = _Case(
     pattern=_C7BAR,
     star_name="D_i",
     outside_name="R",
-    penalised=frozenset(frozenset(pair) for pair in _OPPOSITE),
     hub=(),
-    finish=_finish_c7bar,
+    targets=(("HOM_C7BAR", "C7BAR", _C7BAR),),
+    tolerated=(),
 )
 _H2PLUS_CASE = _Case(
     kind="H2PLUS",
     pattern=families.h2(),
     star_name="D*",
     outside_name="R u D1 u D6",
-    penalised=frozenset(frozenset(pair) for pair in _OPPOSITE + ((3, R502), (4, R502))),
     hub=(5, 0, 2),  # the H2+ centre's neighbours, in the order reasons name them
-    finish=_finish_h2plus,
+    targets=(
+        ("HOM_H2PLUS", "H2PLUS", _H2PLUS),
+        ("HOM_AUGMENTED", "H2PLUS_AUG", _H2PLUS_AUG),
+    ),
+    # the edges of H2PLUS_AUG that H2PLUS lacks: 1-5, 2-6, and the centre to 3 and 4
+    tolerated=(
+        ("e(R1,R5)=0", (1,), (5,)),
+        ("e(R2,R6)=0", (2,), (6,)),
+        ("e(R3uR4,R502)=0", (3, 4), (R502,)),
+    ),
 )
 
 

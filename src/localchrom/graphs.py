@@ -55,13 +55,19 @@ class Graph:
         object.__setattr__(self, "adj", tuple(rows))
 
     @classmethod
+    def _of_valid_rows(cls, rows: tuple[int, ...]) -> "Graph":
+        """The graph on adjacency rows that already meet the invariants: no checks."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(rows))
+        object.__setattr__(g, "adj", rows)
+        return g
+
+    @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
         """Trusted constructor from adjacency rows (validates invariants)."""
         rows = tuple(rows)
         n = len(rows)
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", rows)
+        g = cls._of_valid_rows(rows)
         full = (1 << n) - 1
         for v, row in enumerate(rows):
             if row & ~full:
@@ -127,12 +133,17 @@ class Graph:
         return Graph.from_rows(rows)
 
     def with_vertex(self, neighbour_mask: int = 0) -> "Graph":
-        """New graph with vertex n appended, adjacent to ``neighbour_mask``."""
+        """New graph with vertex n appended, adjacent to ``neighbour_mask``.
+
+        The parent's rows meet the invariants, and a mask inside 0..n-1 keeps
+        them, so only the mask is checked.
+        """
         if neighbour_mask >> self.n:
             raise ValueError("neighbour mask out of range")
-        rows = [row | ((neighbour_mask >> v & 1) << self.n) for v, row in enumerate(self.adj)]
-        rows.append(neighbour_mask)
-        return Graph.from_rows(rows)
+        rows = [*self.adj, neighbour_mask]
+        for v in bits(neighbour_mask):
+            rows[v] |= 1 << self.n
+        return Graph._of_valid_rows(tuple(rows))
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:

@@ -1,17 +1,18 @@
 """Exact decision procedures: homomorphism, (induced) subgraph, isomorphism.
 
 One backtracker, ``_backtrack``, serves ``find_homomorphism``,
-``subgraph_embeddings`` and ``find_subgraph``.  Its flag ``injective`` keeps
-used host vertices out and drops host vertices of too small a degree; its flag
-``induced`` also keeps placed non-neighbours' images non-adjacent.  Pattern
-vertices are processed in descending degree order (ties by index) and
-candidate images in ascending index order, so failures and certificates are
-reproducible.  Host twins (equal open or equal closed neighbourhoods, as in a
-blow-up) are interchangeable outside the partial image, so a dead end is
-explored once per twin class rather than once per twin (the twin pruning of
-Ren & Wang, PVLDB 8(5), 2015); only empty subtrees are skipped, so every map
-and its position in the order are unchanged.  ``brute_force_homomorphism`` is
-a separate oracle.
+``subgraph_embeddings``, ``find_subgraph`` and the list homomorphisms of
+``decompose``.  Its flag ``injective`` keeps used host vertices out and drops
+host vertices of too small a degree; its flag ``induced`` also keeps placed
+non-neighbours' images non-adjacent; its ``lists`` keep each pattern vertex's
+images inside its own list.  Pattern vertices are processed in descending
+degree order (ties by index) and candidate images in ascending index order,
+so failures and certificates are reproducible.  Host twins (equal open or
+equal closed neighbourhoods, as in a blow-up) are interchangeable outside the
+partial image, so a dead end is explored once per twin class rather than once
+per twin (the twin pruning of Ren & Wang, PVLDB 8(5), 2015); only empty
+subtrees are skipped, so every map and its position in the order are
+unchanged.  ``brute_force_homomorphism`` is a separate oracle.
 """
 
 from __future__ import annotations
@@ -40,29 +41,38 @@ def _pattern_order(g: Graph) -> list[int]:
 
 
 def _backtrack(
-    pattern: Graph, host: Graph, injective: bool, induced: bool
+    pattern: Graph,
+    host: Graph,
+    injective: bool,
+    induced: bool,
+    lists: list[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Every map V(pattern) -> V(host) preserving edges, in a fixed order.
 
     Pattern vertices are placed in ``_pattern_order`` and each one's images
     are tried in ascending index, so the maps come out in lexicographic order
     of their images along that order.  The candidate bitset of a pattern
-    vertex is the intersection of its placed neighbours' host neighbourhoods;
-    ``injective`` also removes used host vertices and those of smaller degree,
-    ``induced`` also removes the neighbourhoods of placed non-neighbours.
-    The search keeps one untried-candidate bitset per depth on an explicit
-    stack, so its depth is not bounded by the recursion limit.
+    vertex is the intersection of its base mask and its placed neighbours'
+    host neighbourhoods; ``induced`` also removes the neighbourhoods of placed
+    non-neighbours, and ``injective`` also removes used host vertices.  The
+    base mask is the whole host, cut down to the host vertices of at least
+    the pattern vertex's degree when ``injective``, and to ``lists[v]`` (one
+    host bitset per pattern vertex v: a list homomorphism) when given.  The
+    search keeps one untried-candidate bitset per depth on an explicit stack,
+    so its depth is not bounded by the recursion limit.
 
     Twin pruning.  Host vertices x and y are twins when they have the same
     open or the same closed neighbourhood (a vertex has at most one
-    non-trivial class of the two kinds), so the transposition (x y) is a host
-    automorphism.  When x's subtree at depth i is exhausted without yielding
-    a map, and x lies outside the partial image of depths < i, the twins of x
+    non-trivial class of the two kinds) and lie in the same base masks, so
+    the transposition (x y) is a host automorphism that fixes every base
+    mask; with the whole host or degree masks, twins always lie in the same
+    ones.  When x's subtree at depth i is exhausted without yielding a map,
+    and x lies outside the partial image of depths < i, the twins of x
     outside that image are dropped from the untried candidates of depth i:
     (x y) fixes the partial map and carries every map below y (edges,
-    non-edges, injectivity and degrees alike) to one below x, so y's subtree
-    is empty too.  Only empty subtrees are skipped, so the maps and their
-    order are those of the unpruned search.
+    non-edges, injectivity and base masks alike) to one below x, so y's
+    subtree is empty too.  Only empty subtrees are skipped, so the maps and
+    their order are those of the unpruned search.
     """
     n = pattern.n
     if n == 0:
@@ -85,7 +95,11 @@ def _backtrack(
             d: mask_of(x for x in range(host.n) if host_deg[x] >= d) for d in set(pattern.degrees())
         }
         base = [at_least[pattern.degree(v)] for v in order]
+    if lists is not None:
+        base = [b & lists[v] for b, v in zip(base, order)]
     twins = _twin_masks(adj)
+    for m in set(base):
+        twins = [t & (m if m >> x & 1 else ~m) for x, t in enumerate(twins)]
     image = [-1] * n
     used = [0] * n  # used[i]: the partial image, host vertices taken by depths < i
     untried = [0] * n

@@ -1,22 +1,21 @@
 """Decomposition certificates and the end-to-end theorem pipeline."""
 
-import hashlib
-import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from localchrom import families
 from localchrom.colouring import chromatic_number, validate_colouring
 from localchrom.decompose import (
+    _list_hom,
     decompose_c7bar,
     decompose_h2plus,
     verify_profile,
 )
-from localchrom.graphs import Graph, blow_up, blow_up_classes, mask_of
-from localchrom.homomorphism import is_homomorphism
+from localchrom.graphs import Graph, bits, blow_up, blow_up_classes, mask_of
+from localchrom.homomorphism import _backtrack, _pattern_order, is_homomorphism
 from localchrom.report import h2plus_decomposition_instance
 
 F = Fraction
@@ -149,8 +148,14 @@ class TestBuildRejects:
             ([(v, 7) for v in (0, 1, 2, 3)], "four-neighbour vertices do not match the D_i pattern", {}),
             # three consecutive anchor vertices lie in no anchor neighbourhood
             ([(v, 7) for v in (0, 1, 2)], "vertex 7 has no admissible class", {"R-size": "|R|=1 <= 4|G|-7delta=11"}),
-            # two vertices off the anchor: both land in T_0, which has no loop
-            ([(7, 8)], "edge (7, 8) joins T_0 and T_0", {"R-size": "|R|=2 <= 4|G|-7delta=29"}),
+            # a K4 off the anchor: C7BAR has clique number 3
+            (
+                list(combinations(range(7, 11), 2)),
+                "no list homomorphism of G[R] onto C7BAR",
+                {"R-size": "|R|=4 <= 4|G|-7delta=23"},
+            ),
+            # a vertex of D_0 and D_3 is adjacent to {1, 2, 5, 6} u {1, 2, 4, 5}
+            ([(v, 7) for v in (1, 2, 4, 5, 6)], "a vertex has five neighbours in the anchor copy", {}),
         ],
     )
     def test_reason_anchor_and_audit(self, extra_edges, reason, audit):
@@ -162,43 +167,96 @@ class TestBuildRejects:
         assert (cert.outcome, cert.reason) == ("FAILED", reason)
         assert cert.anchor == anchor and cert.audit == audit
 
+    def test_vertex_of_d1_with_a_fourth_anchor_neighbour(self):
+        # H2 on 0..6 anchored at the identity: vertex 7 lies in D_1 (it is
+        # adjacent to N(1) = {0, 2, 3}), and its fourth anchor neighbour 4
+        # makes it a four-neighbour vertex outside every degree-4 D_i
+        from localchrom.decompose import _H2PLUS_CASE, _build
 
-class TestMinimiseAssignment:
-    def test_assignments_are_frozen(self, monkeypatch):
-        # SHA-256 over (assignment, S) on 300 seeded cases, half of them with
-        # the H2+ penalties and some vertices fixed in R502, frozen before the
-        # conflict count was written once
-        from localchrom import decompose
-        from localchrom.decompose import _C7BAR_CASE, _H2PLUS_CASE, R502, _minimise_assignment
+        g = Graph(8, list(families.h2().edges()) + [(v, 7) for v in (0, 2, 3, 4)])
+        cert = _build(g, tuple(range(7)), _H2PLUS_CASE)
+        reason = "four-neighbour vertices do not match the D* pattern"
+        assert (cert.outcome, cert.reason) == ("FAILED", reason)
+        assert cert.audit == {}
 
-        spaces = []  # the size of each search space the branch-and-bound was offered
+    @pytest.mark.parametrize("pattern", [families.c7bar(), families.h2()], ids=["C7BAR", "H2"])
+    def test_two_pattern_neighbourhoods_cover_five_vertices(self, pattern):
+        # why _classes needs no disjointness check and no check of the
+        # anchor degree of H2's D_1 and D_6
+        for i, j in combinations(range(7), 2):
+            assert (pattern.adj[i] | pattern.adj[j]).bit_count() >= 5
 
-        def counted_prod(sizes):
-            spaces.append(math.prod(sizes))
-            return spaces[-1]
+    def test_edge_off_the_anchor_maps_onto_an_edge(self):
+        # two adjacent vertices off the anchor may go to any class: the first
+        # list homomorphism sends them to the edge 0-1 of C7BAR
+        from localchrom.decompose import _C7BAR_CASE, _build
 
-        monkeypatch.setattr(decompose, "prod", counted_prod)
+        g = Graph(9, list(families.c7bar().edges()) + [(7, 8)])
+        cert = _build(g, tuple(range(7)), _C7BAR_CASE)
+        assert cert.outcome == "HOM_C7BAR" and cert.s_value == 0
+        assert cert.hom == (0, 1, 2, 3, 4, 5, 6, 0, 1)
+        assert (cert.parts["R0"], cert.parts["R1"], cert.parts["R"]) == ((7,), (8,), (7, 8))
+        assert is_homomorphism(g, families.c7bar(), cert.hom)
+
+
+class TestListHomomorphism:
+    def test_vs_brute_force(self):
+        # every list homomorphism onto the three decomposition targets, in the
+        # backtracker's order, against a filter over all maps that keep the
+        # lists; many lists hold just one of H2PLUS_AUG's twins 2 and 5
         rng = random.Random(4000)
-        digest = hashlib.sha256()
-        positive = 0
-        for case in range(300):
-            n = rng.randint(4, 20)
-            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.45])
-            h2plus = case % 2 == 1
-            admissible = {}
-            for r in sorted(rng.sample(range(n), rng.randint(2, n))):
-                if h2plus and rng.random() < 0.2:
-                    admissible[r] = (R502,)
-                else:
-                    admissible[r] = tuple(sorted(rng.sample(range(7), rng.randint(1, 3))))
-            assignment = {r: options[0] for r, options in admissible.items()}
-            penalised = (_H2PLUS_CASE if h2plus else _C7BAR_CASE).penalised
-            assignment, s = _minimise_assignment(g, assignment, admissible, penalised)
-            digest.update(repr((sorted(assignment.items()), s)).encode())
-            positive += s > 0
-        # 118 cases keep S > 0 and 130 reach the branch-and-bound
-        assert (positive, sum(space <= 1 << 20 for space in spaces)) == (118, 130)
-        assert digest.hexdigest() == "ef48c8abc32e646a410bc3e6e0e6613f37d3e0aedc8854c4990ac8e595721d88"
+        targets = [families.c7bar(), families.h2plus(), families.h2plus_augmented()]
+        found = set()
+        split_twins = 0
+        for case in range(360):
+            target = targets[case % 3]
+            n = rng.randint(1, 6)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+            lists = []
+            for _ in range(n):
+                members = rng.sample(range(target.n), rng.randint(1, 4))
+                if target is targets[2] and rng.random() < 0.5:
+                    members = [x for x in members if x not in (2, 5)] + [rng.choice((2, 5))]
+                lists.append(mask_of(members))
+            maps = [
+                m
+                for m in product(*(list(bits(options)) for options in lists))
+                if all(target.has_edge(m[u], m[v]) for u, v in g.edges())
+            ]
+            order = _pattern_order(g)
+            maps.sort(key=lambda m: [m[v] for v in order])
+            assert list(_backtrack(g, target, False, False, lists)) == maps
+            # one component at a time, the first map is that of one search
+            first = _list_hom(g, dict(enumerate(lists)), target)
+            assert first == (dict(enumerate(maps[0])) if maps else None)
+            found.add(bool(maps))
+            split_twins += any((options >> 2 ^ options >> 5) & 1 for options in lists)
+        assert found == {True, False}
+        assert split_twins > 50
+
+
+    def test_components_are_searched_apart(self, monkeypatch):
+        # three K_{3,3} off the C7BAR anchor come first in the search order and
+        # have many maps each; the K4 after them has none.  One search of G[R]
+        # would retry the K4 under every map of the K_{3,3}s (over two minutes
+        # with two of them); one search per component stops at the K4.
+        from localchrom import decompose
+        from localchrom.decompose import _C7BAR_CASE, _build
+
+        sizes = []
+
+        def counted(pattern, host, injective, induced, lists):
+            sizes.append(pattern.n)
+            return _backtrack(pattern, host, injective, induced, lists)
+
+        monkeypatch.setattr(decompose, "_backtrack", counted)
+        edges = list(families.c7bar().edges())
+        for v in (7, 13, 19):
+            edges += [(x, y) for x in range(v, v + 3) for y in range(v + 3, v + 6)]
+        edges += list(combinations(range(25, 29), 2))
+        cert = _build(Graph(29, edges), tuple(range(7)), _C7BAR_CASE)
+        assert cert.reason == "no list homomorphism of G[R] onto C7BAR"
+        assert sizes == [6, 6, 6, 4]
 
 
 class TestBrokenEdge:

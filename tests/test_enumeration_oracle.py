@@ -9,7 +9,6 @@ import pytest
 
 from localchrom import search
 from localchrom.colouring import SolverTimeout, chromatic_number, k_colourable
-from localchrom.decompose import _minimise_assignment
 from localchrom.graphs import Graph, relabel
 from localchrom.homomorphism import _encode, canonical_form, is_isomorphic
 from localchrom.search import _next_level
@@ -187,29 +186,6 @@ def test_chromatic_number_vs_all_assignments():
             )
         )
         assert chromatic_number(g)[0] == brute
-
-
-def test_minimise_assignment_reaches_brute_force_optimum():
-    rng = random.Random(404)
-    penalised = {frozenset((i, (i + 3) % 7)) for i in range(7)}
-    for _ in range(40):
-        n = rng.randint(2, 8)
-        g = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.5])
-        admissible = {
-            v: tuple(sorted(rng.sample(range(7), rng.randint(1, 3)))) for v in range(n)
-        }
-        assignment = {v: admissible[v][0] for v in range(n)}
-        _, s = _minimise_assignment(g, assignment, admissible, penalised)
-
-        def cost(choice):
-            return sum(
-                1
-                for u, v in g.edges()
-                if frozenset((choice[u], choice[v])) in penalised
-            )
-
-        best = min(cost(dict(zip(range(n), pick))) for pick in product(*(admissible[v] for v in range(n))))
-        assert s == best
 
 
 def test_colouring_deadline_is_cooperative():

@@ -52,6 +52,22 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph.from_rows([0b010, 0b000, 0b000])
 
+    def test_with_vertex_matches_the_edge_list_constructor(self):
+        # the child skips from_rows's checks, so compare it with the graph that
+        # Graph() builds and checks from the child's edge list; the mask is
+        # still checked
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(0, 9)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+            mask = rng.getrandbits(n) if n else 0
+            child = g.with_vertex(mask)
+            assert child == Graph(n + 1, list(g.edges()) + [(v, n) for v in bits(mask)])
+            assert child.adj[n] == mask and g.n == n
+        for bad in (1 << 3, -1):
+            with pytest.raises(ValueError):
+                Graph(3).with_vertex(bad)
+
     def test_immutable(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):

@@ -11,7 +11,16 @@ import pytest
 
 from localchrom import families
 from localchrom.colouring import chromatic_number
-from localchrom.graphs import Graph, blow_up, blow_up_classes, complement, cycle_power, relabel
+from localchrom.graphs import (
+    Graph,
+    _twin_masks,
+    blow_up,
+    blow_up_classes,
+    complement,
+    cycle_power,
+    mask_of,
+    relabel,
+)
 from localchrom.homomorphism import (
     _backtrack,
     _pattern_order,
@@ -235,6 +244,31 @@ class TestBacktracker:
                 assert list(subgraph_embeddings(p, h, induced)) == injective
                 shared += len(oracle) - len(injective)
         assert shared
+
+    def test_lists_vs_labelled_oracle(self):
+        # with a list per pattern vertex, the maps are the oracle's maps that
+        # keep the lists, in the oracle's order, in all four modes; on hosts
+        # full of twins, a list that holds one twin of a class and not another
+        # must keep the twin pruning from skipping the other
+        rng = random.Random(47)
+        split = 0
+        for _ in range(150):
+            h = twin_host(rng, classes=(1, 3))
+            p = random_graph(rng, rng.randint(1, 4), rng.uniform(0.2, 0.8))
+            lists = [mask_of(rng.sample(range(h.n), rng.randint(1, h.n))) for _ in range(p.n)]
+            homs = [
+                img
+                for img in homs_in_order(p, h)
+                if all(lists[v] >> x & 1 for v, x in enumerate(img))
+            ]
+            for induced in (False, True):
+                oracle = [img for img in homs if not induced or preserves(p, h, img, True)]
+                assert list(_backtrack(p, h, False, induced, lists)) == oracle
+                injective = [img for img in oracle if len(set(img)) == p.n]
+                assert list(_backtrack(p, h, True, induced, lists)) == injective
+            twins = _twin_masks(h.adj)
+            split += any(options & t not in (0, t) for options in lists for t in twins)
+        assert split > 50
 
     def test_twin_of_a_used_image_is_still_tried(self):
         # u = 0 and v = 1 (degree 3) are placed first and are joined by a path of

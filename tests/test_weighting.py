@@ -1,5 +1,6 @@
 """Exact simplex and blow-up weighting tests."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -86,6 +87,22 @@ class TestSimplex:
             assert sum(y * rhs for y, (_, _, rhs) in zip(sol.dual, rows)) == sol.value
 
 
+def _relabelled_catalogue():
+    """The 21 graphs of the benchmark's t* catalogue, relabelled as it relabels them."""
+    ids = ["H2", "H2PLUS", "C7BAR", "COUNTEREXAMPLE8", "H2PLUS_AUG", "WHEEL(5)", "WHEEL(7)"]
+    ids += [f"DELTA({ell})" for ell in range(3, 8)] + [f"ANDRASFAI({i})" for i in range(3, 9)]
+    catalogue = [families.generate(fid) for fid in ids]
+    h2plus, c7bar = families.h2plus(), families.c7bar()
+    catalogue += [blow_up(h2plus, [2] * 8), blow_up(h2plus, [3] * 8), blow_up(c7bar, [3] * 7)]
+    graphs = []
+    rng = random.Random(1)
+    for g in catalogue:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(relabel(g, perm))
+    return graphs
+
+
 def _support_full_reference(g, t):
     """Primal test of full support: maximise s subject to omega_v >= s,
     deg_omega(v) >= t and sum omega = 1; full support iff the optimum s > 0.
@@ -161,20 +178,10 @@ class TestOptimalWeighting:
         assert len(calls) == 2
 
     def test_support_full_matches_the_primal_formulation(self):
-        # the t* catalogue of the benchmark, relabelled as it relabels it
-        ids = ["H2", "H2PLUS", "C7BAR", "COUNTEREXAMPLE8", "H2PLUS_AUG", "WHEEL(5)", "WHEEL(7)"]
-        ids += [f"DELTA({ell})" for ell in range(3, 8)] + [f"ANDRASFAI({i})" for i in range(3, 9)]
-        catalogue = [families.generate(fid) for fid in ids]
-        h2plus, c7bar = families.h2plus(), families.c7bar()
-        catalogue += [blow_up(h2plus, [2] * 8), blow_up(h2plus, [3] * 8), blow_up(c7bar, [3] * 7)]
-        graphs = []
-        rng = random.Random(1)
-        for g in catalogue:
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            graphs.append(relabel(g, perm))
+        graphs = _relabelled_catalogue()
         rng = random.Random(43)
         graphs += [random_graph(rng, rng.randint(2, 9), rng.random()) for _ in range(150)]
+        h2plus, c7bar = families.h2plus(), families.c7bar()
         for base in (h2plus, families.h2(), c7bar, families.counterexample8()):
             graphs.append(blow_up(base, [rng.randint(1, 3) for _ in range(base.n)]))
         graphs += [Graph(1), Graph(3, [(0, 1)]), Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])]
@@ -184,6 +191,29 @@ class TestOptimalWeighting:
             assert r.support_full == _support_full_reference(g, r.optimum), g
             outcomes.add((r.support_full, r.has_isolated_vertex))
         assert outcomes == {(True, False), (False, False), (True, True)}
+
+    def test_results_are_frozen(self):
+        # SHA-256 over (t*, weights, dual, support_full) of 206 graphs: the
+        # relabelled catalogue, 150 random graphs on 2-9 vertices, the five
+        # families the catalogue leaves out and 30 blow-ups with classes of
+        # 1-2; frozen from the one-LP support_full, before any change to the
+        # pivoting of simplex.py
+        graphs = _relabelled_catalogue()
+        rng = random.Random(43)
+        graphs += [random_graph(rng, rng.randint(2, 9), rng.random()) for _ in range(150)]
+        left_out = ("H0", "H1", "DELTA(2)", "ANDRASFAI(1)", "ANDRASFAI(2)")
+        graphs += [families.generate(fid) for fid in left_out]
+        rng = random.Random(44)
+        for fid in ("H0", "H2", "H2PLUS", "C7BAR", "COUNTEREXAMPLE8") * 6:
+            base = families.generate(fid)
+            graphs.append(blow_up(base, [rng.randint(1, 2) for _ in range(base.n)]))
+        assert len(graphs) == 206
+        digest = hashlib.sha256()
+        for g in graphs:
+            r = optimal_weighting(g)
+            digest.update(repr((r.optimum, r.weights, r.dual, r.support_full)).encode())
+        expected = "11f48a1bf16f10b7b07efc81d269b303b351e9c43b81a8461baa46d50c65316a"
+        assert digest.hexdigest() == expected
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
