@@ -96,7 +96,7 @@ def cmd_hom(args) -> int:
 
 def cmd_chi(args) -> int:
     g = _read_graph(args.file)
-    deadline = time.monotonic() + args.timeout if args.timeout else None
+    deadline = None if args.timeout is None else time.monotonic() + args.timeout
     try:
         k, colouring = chromatic_number(g, deadline)
     except SolverTimeout:
@@ -108,7 +108,7 @@ def cmd_chi(args) -> int:
 
 def cmd_colour(args) -> int:
     g = _read_graph(args.file)
-    deadline = time.monotonic() + args.timeout if args.timeout else None
+    deadline = None if args.timeout is None else time.monotonic() + args.timeout
     try:
         colouring = k_colourable(g, args.k, deadline)
     except SolverTimeout:
@@ -237,11 +237,21 @@ def cmd_verify_profile(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     report = verify_paper(only=args.only, timeout=args.timeout)
+    if not report.entries:
+        print(f"error: no claim id contains {args.only!r}", file=sys.stderr)
+        return 2
     if args.format == "json":
         print(report.render_json())
     else:
         print(report.render_text())
     return report.exit_code
+
+
+def seconds(text: str) -> float:
+    """A --timeout value; 0 is a budget that has already run out."""
+    if not float(text) >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"not a non-negative number of seconds: {text!r}")
+    return float(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="exact chromatic number with witness")
     p.add_argument("file")
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--timeout", type=seconds, default=None)
     p.set_defaults(fn=cmd_chi)
 
     p = sub.add_parser("colour", help="exact k-colourability with witness")
     p.add_argument("file")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--timeout", type=seconds, default=None)
     p.set_defaults(fn=cmd_colour)
 
     p = sub.add_parser("weight", help="optimal blow-up weighting t* (exact LP)")
@@ -307,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="run the acceptance-claim report")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--only", default=None, help="substring filter on claim ids")
-    p.add_argument("--timeout", type=float, default=None, help="global budget in seconds")
+    p.add_argument("--timeout", type=seconds, default=None, help="global budget in seconds")
     p.set_defaults(fn=cmd_verify_paper)
 
     return parser

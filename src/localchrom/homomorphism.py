@@ -258,13 +258,25 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     is an automorphism fixing the node, so their subtrees have the same leaf
     encodings: a node individualises one vertex per twin class of its target
     cell.  The search runs on an explicit stack, not bounded by recursion.
+
+    Two leaves of minimal encoding differ by an automorphism (B. D. McKay,
+    "Practical graph isomorphism", 1981).  Those found and the twin
+    transpositions generate Aut(g): Aut(g) acts regularly on the minimal
+    leaves of the unpruned tree, the strict prefix prune cuts none of them,
+    and a leaf the twin rule skips is a twin-swapped image of a visited one.
     """
+    return (g.n, _canonical_search(g)[0])
+
+
+def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
+    """``canonical_form``'s encoding, and the map first[i] -> order[i] from the
+    first leaf ``first`` of minimal encoding to each later one ``order``."""
     n = g.n
-    if n == 0:
-        return (0, 0)
     total_bits = n * (n - 1) // 2
     twins = _twin_masks(g.adj)
     best: int | None = None
+    first: list[int] = []
+    autos: list[tuple[int, ...]] = []
     stack = [[0] * n]
     while stack:
         colour = _refine(g, stack.pop())
@@ -274,7 +286,9 @@ def canonical_form(g: Graph) -> tuple[int, int]:
         if k == n:
             code = _encode(g, order)
             if best is None or code < best:
-                best = code
+                best, first, autos = code, order, []
+            elif code == best:
+                autos.append(tuple([v for _, v in sorted(zip(first, order))]))
             continue
         if best is not None and k > 1:
             if _encode(g, order[:k]) > best >> (total_bits - k * (k - 1) // 2):
@@ -287,7 +301,20 @@ def canonical_form(g: Graph) -> tuple[int, int]:
                 stack.append([colour[u] * 2 + (0 if u == v else 1) for u in range(n)])
     if best is None:
         raise CertificateError("canonical_form reached no leaf")
-    return (n, best)
+    return best, autos
+
+
+def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Permutations v -> p[v] that generate Aut(g) (see ``canonical_form``): the
+    recorded automorphisms and, in each twin class, its least member's swaps."""
+    gens = _canonical_search(g)[1]
+    for cls in dict.fromkeys(_twin_masks(g.adj)):
+        low, *rest = bits(cls)
+        for v in rest:
+            p = list(range(g.n))
+            p[low], p[v] = v, low
+            gens.append(tuple(p))
+    return gens
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

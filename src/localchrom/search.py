@@ -15,6 +15,9 @@ neither locally bipartite.  Masks are tried in ascending order, so a skipped
 mask comes after the orbit minimum of the same parent and its child could
 never have been the first of its class to reach ``seen``: the classes, their
 representatives and the level order are the same as when every mask is tried.
+The orbit of a mask is its closure under generators of Aut(parent) that the
+canonical-form search finds: the maps between its leaves of minimal encoding
+and the twin transpositions (the argument is in ``canonical_form``).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ except ImportError:
 
 from .colouring import chromatic_number
 from .graphs import Graph, bits
-from .homomorphism import canonical_form, subgraph_embeddings
+from .homomorphism import _automorphism_generators, canonical_form
 from .structure import (
     neighbourhood_is_bipartite,
     is_edge_maximal_locally_bipartite,
@@ -114,21 +117,24 @@ def _filter_level(graphs: list[Graph], c: Fraction) -> list[FoundGraph]:
 
 def _orbit_minimal_masks(parent: Graph) -> list[int]:
     """The masks over V(parent) that are smallest in their Aut(parent) orbit, ascending."""
-    autos = list(subgraph_embeddings(parent, parent, induced=True))
-    size = 1 << parent.n
-    if len(autos) == 1:  # the identity alone
-        return list(range(size))
-    covered = bytearray(size)
+    tables = []  # one per generator p: table[m] is the image of the mask m under p
+    for p in _automorphism_generators(parent):
+        table = [0]
+        for v in range(parent.n):
+            table += [image | 1 << p[v] for image in table]
+        tables.append(table)
+    covered = bytearray(1 << parent.n)
     minimal = []
-    for mask in range(size):
-        if covered[mask]:
-            continue
-        minimal.append(mask)
-        for p in autos:
-            image = 0
-            for v in bits(mask):
-                image |= 1 << p[v]
-            covered[image] = 1
+    for mask in range(1 << parent.n):
+        if not covered[mask]:
+            minimal.append(mask)
+            covered[mask] = 1
+            orbit = [mask]
+            for m in orbit:  # the orbit grows while it is walked
+                for table in tables:
+                    if not covered[table[m]]:
+                        covered[table[m]] = 1
+                        orbit.append(table[m])
     return minimal
 
 

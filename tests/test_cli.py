@@ -235,6 +235,36 @@ def test_verify_paper_timeout_skips(capsys):
     assert "SKIP" in out and "FAIL" not in out
 
 
+def test_verify_paper_only_matching_nothing_is_usage_error(capsys):
+    for fmt in ("text", "json"):
+        assert main(["verify-paper", "--only", "zzz", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: no claim id contains 'zzz'\n"
+
+
+def test_timeout_zero_is_an_expired_budget(capsys, h2_file):
+    assert main(["chi", h2_file, "--timeout", "0"]) == 2
+    assert main(["colour", h2_file, "-k", "4", "--timeout", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: timeout\n" * 2
+    assert main(["verify-paper", "--only", "chi", "--timeout", "0", "--format", "json"]) == 0
+    assert {e["status"] for e in json.loads(capsys.readouterr().out)} == {"SKIP"}
+
+
+def test_negative_or_nan_timeout_is_usage_error(capsys, h2_file):
+    for argv in (["chi", h2_file], ["colour", h2_file, "-k", "4"], ["verify-paper"]):
+        for value in ("-1", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--timeout", value])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --timeout: not a non-negative number of seconds: '{value}'" in err
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--timeout", "soon"])
+        assert exc.value.code == 2
+        assert "argument --timeout: invalid seconds value: 'soon'" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "/nonexistent/file.txt"])

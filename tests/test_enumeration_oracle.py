@@ -7,11 +7,17 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from localchrom import search
+from localchrom import families, search
 from localchrom.colouring import SolverTimeout, chromatic_number, k_colourable
-from localchrom.graphs import Graph, relabel
-from localchrom.homomorphism import _encode, canonical_form, is_isomorphic
-from localchrom.search import _next_level
+from localchrom.graphs import Graph, bits, blow_up, relabel
+from localchrom.homomorphism import (
+    _automorphism_generators,
+    _encode,
+    canonical_form,
+    is_isomorphic,
+    subgraph_embeddings,
+)
+from localchrom.search import _next_level, _orbit_minimal_masks
 from localchrom.structure import is_locally_bipartite
 
 # SHA-256 over repr([g.adj for g in level]) for levels 2..7, then over
@@ -114,6 +120,79 @@ def test_level_stats_count_the_pruned_work():
     for s in stats:
         assert s.canonical_forms == s.children
         assert s.seconds >= 0
+
+
+def _orbit_minimal_masks_by_embeddings(parent: Graph) -> list[int]:
+    """Reference orbit minima: every automorphism listed as an induced
+    self-embedding, each orbit-minimal mask mapped by all of them."""
+    autos = list(subgraph_embeddings(parent, parent, induced=True))
+    covered = bytearray(1 << parent.n)
+    minimal = []
+    for mask in range(1 << parent.n):
+        if covered[mask]:
+            continue
+        minimal.append(mask)
+        for p in autos:
+            image = 0
+            for v in bits(mask):
+                image |= 1 << p[v]
+            covered[image] = 1
+    return minimal
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def _symmetric_graphs() -> list[Graph]:
+    """Seeded relabelled blow-ups (twin classes) and twin-free symmetric graphs."""
+    rng = random.Random(1212)
+    k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    graphs = []
+    for base, top in ((families.c7bar(), 2), (families.h2plus(), 2), (k3, 3)):
+        for _ in range(4):
+            g = blow_up(base, [rng.randint(1, top) for _ in range(base.n)])
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs.append(relabel(g, perm))
+    c9 = Graph(9, [(i, (i + 1) % 9) for i in range(9)])
+    return graphs + [c9, families.c7bar(), _petersen()]
+
+
+def _assert_generators_are_automorphisms(g: Graph) -> None:
+    for p in _automorphism_generators(g):
+        assert sorted(p) == list(range(g.n))
+        for u in range(g.n):
+            assert sum(1 << p[v] for v in bits(g.adj[u])) == g.adj[p[u]]
+
+
+def test_orbit_minimal_masks_match_self_embeddings_on_levels_1_to_7():
+    parents = [g for level in _levels(7).values() for g in level]
+    assert len(parents) == 839
+    for g in parents:
+        _assert_generators_are_automorphisms(g)
+        assert _orbit_minimal_masks(g) == _orbit_minimal_masks_by_embeddings(g)
+
+
+def test_orbit_minimal_masks_match_self_embeddings_on_symmetric_graphs():
+    graphs = _symmetric_graphs()
+    for g in graphs:
+        _assert_generators_are_automorphisms(g)
+        assert _orbit_minimal_masks(g) == _orbit_minimal_masks_by_embeddings(g)
+    # C9 has no twins, so its dihedral group comes from the canonical-form
+    # leaves alone: 46 orbits, the binary bracelets of length 9
+    assert len(_orbit_minimal_masks(graphs[-3])) == 46
+    assert max(g.n for g in graphs) > 10
+
+
+def test_twin_only_groups_on_nine_vertices():
+    # the twin transpositions alone: the whole symmetric group, so one orbit per size
+    k9 = Graph(9, list(combinations(range(9), 2)))
+    for g in (Graph(9), k9):
+        assert _orbit_minimal_masks(g) == [(1 << k) - 1 for k in range(10)]
 
 
 def test_is_isomorphic_vs_networkx():
