@@ -146,7 +146,11 @@ def cmd_weight(args) -> int:
     except (ValueError, ZeroDivisionError):
         print(f"error: malformed threshold {args.beats!r}", file=sys.stderr)
         return 2
-    result = optimal_weighting(g)
+    try:
+        result = optimal_weighting(g)
+    except ValueError as exc:  # the empty graph
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"t*={result.optimum} omega: " + ",".join(str(w) for w in result.weights))
     if result.has_isolated_vertex:
         print("warning: isolated vertex forces t* = 0", file=sys.stderr)

@@ -69,6 +69,7 @@ def k_colourable(g: Graph, k: int, deadline: float | None = None) -> tuple[int, 
     n = g.n
     if n == 0:
         return ()
+    k = min(k, n)  # a branch offers at most colour used + 1 <= n
     clique = greedy_clique(g)
     if clique.bit_count() > k:
         return None

@@ -19,20 +19,20 @@ list homomorphism with S = 0.
 Both cases run one class builder, driven by the seven-vertex anchor pattern
 (C7BAR, or the H2 part of H2+): D_i is the common neighbourhood of the anchor
 images of the pattern neighbours of i, and T_i may meet only the D_j of those
-neighbours.  The H2+ case adds R502 and the tolerated pairs on top.
+neighbours.  The H2+ case adds R502 and the tolerated pairs on top.  The
+first anchor found decides: one certificate is built around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Iterator
 
 from . import families
 from .colouring import chromatic_number, k_colourable, validate_colouring
 from .graphs import CertificateError, Graph, bits, common_neighbourhood, mask_of
-from .homomorphism import _backtrack, find_subgraph, subgraph_embeddings
+from .homomorphism import _backtrack, _broken_edge, find_subgraph
 from .structure import is_locally_bipartite, sparse_missing_spoke
 
 DEGREE_THRESHOLD = Fraction(6, 11)
@@ -40,7 +40,6 @@ DEGREE_THRESHOLD = Fraction(6, 11)
 # Class labels: 0..6 for T_i, 7 for R502 (mirrors the centre's index in H2PLUS).
 R502 = 7
 
-_MAX_ANCHORS = 100
 _C7BAR = families.c7bar()
 _H2PLUS = families.h2plus()
 _H2PLUS_AUG = families.h2plus_augmented()
@@ -80,16 +79,6 @@ def _degree_ok(g: Graph) -> bool:
     return g.n > 0 and Fraction(g.min_degree()) > DEGREE_THRESHOLD * g.n
 
 
-def _c7bar_copies(g: Graph) -> Iterator[tuple[int, ...]] | None:
-    """The C7BAR embeddings of g, in search order, or None when there is none.
-
-    The first embedding decides, and it stays the first anchor.
-    """
-    copies = subgraph_embeddings(_C7BAR, g, induced=False)
-    first = next(copies, None)
-    return None if first is None else chain((first,), copies)
-
-
 def _spot_check_sparse_spokes(g: Graph) -> str | None:
     """Forbidden-configuration audit on H0-free inputs (vacuous otherwise)."""
     if find_subgraph(families.h0(), g) is not None:
@@ -106,21 +95,6 @@ def _edge_between(g: Graph, a: int, b: int) -> tuple[int, int] | None:
         row = g.adj[v] & b
         if row:
             return (v, (row & -row).bit_length() - 1)
-    return None
-
-
-def _broken_edge(g: Graph, target: Graph, hom: tuple[int, ...]) -> tuple[int, int] | None:
-    """The first edge of g, in the order of ``g.edges()``, that ``hom`` does
-    not map onto an edge of target: uv is kept iff v lies in the preimage
-    ``allowed[hom[u]]`` of hom[u]'s neighbourhood."""
-    preimage = [0] * target.n
-    for v, t in enumerate(hom):
-        preimage[t] |= 1 << v
-    allowed = [_union(preimage, bits(row)) for row in target.adj]
-    for u in range(g.n):
-        bad = g.adj[u] >> (u + 1) << (u + 1) & ~allowed[hom[u]]
-        if bad:
-            return (u, (bad & -bad).bit_length() - 1)
     return None
 
 
@@ -355,29 +329,28 @@ _H2PLUS_CASE = _Case(
 
 
 # ---------------------------------------------------------------------------
-# Public entry points: input checks, then one anchor loop.
+# Public entry points: input checks, then one anchor.
 
 
-def _decompose(g: Graph, copies: Iterator[tuple[int, ...]] | None) -> DecompositionCertificate:
-    """Spot check and anchor loop for a locally bipartite g of degree above 6/11.
+def _decompose(g: Graph, c7bar_copy: tuple[int, ...] | None) -> DecompositionCertificate:
+    """The certificate of a locally bipartite g of degree above 6/11.
 
-    ``copies`` are the C7BAR embeddings from ``_c7bar_copies``; None means g
-    has no C7BAR copy, and the H2+ case runs on the H2+ embeddings.
+    ``c7bar_copy`` is the first C7BAR embedding of g, from ``find_subgraph``;
+    None means g has no C7BAR copy, and the anchor is the H2 part of the
+    first H2+ embedding.  The first anchor decides: one certificate is built,
+    and a rejection names that anchor.  Without an anchor, the audit of
+    sparse missing spokes chooses the reason.  It is vacuous on a graph with
+    an anchor: H0 is a subgraph of H2, H2 of C7BAR, and H2 is H2+ on 0..6.
     """
-    case = _H2PLUS_CASE if copies is None else _C7BAR_CASE
+    if c7bar_copy is not None:
+        return _build(g, c7bar_copy, _C7BAR_CASE)
+    copy = find_subgraph(_H2PLUS, g)
+    if copy is not None:
+        return _build(g, copy[:7], _H2PLUS_CASE)
     spot = _spot_check_sparse_spokes(g)
     if spot is not None:
-        return _failed(case.kind, f"forbidden configuration: {spot}")
-    if copies is None:
-        copies = subgraph_embeddings(_H2PLUS, g, induced=False)
-    cert = None
-    for tried, embedding in enumerate(copies, start=1):
-        cert = _build(g, embedding[:7], case)
-        if cert.ok or tried >= _MAX_ANCHORS:
-            break
-    if cert is None:
-        return _failed(case.kind, "no H2PLUS copy")
-    return cert
+        return _failed("H2PLUS", f"forbidden configuration: {spot}")
+    return _failed("H2PLUS", "no H2PLUS copy")
 
 
 def decompose_c7bar(g: Graph) -> DecompositionCertificate:
@@ -386,12 +359,12 @@ def decompose_c7bar(g: Graph) -> DecompositionCertificate:
     kind = "C7BAR"
     if not is_locally_bipartite(g):
         return _failed(kind, "not locally bipartite")
-    copies = _c7bar_copies(g)
-    if copies is None:
+    copy = find_subgraph(_C7BAR, g)
+    if copy is None:
         return _failed(kind, "no C7BAR copy")
     if not _degree_ok(g):
         return _failed(kind, "degree too low")
-    return _decompose(g, copies)
+    return _decompose(g, copy)
 
 
 def decompose_h2plus(g: Graph) -> DecompositionCertificate:
@@ -402,7 +375,7 @@ def decompose_h2plus(g: Graph) -> DecompositionCertificate:
         return _failed(kind, "not locally bipartite")
     if not _degree_ok(g):
         return _failed(kind, "degree too low")
-    if _c7bar_copies(g) is not None:
+    if find_subgraph(_C7BAR, g) is not None:
         return _failed(kind, "contains C7BAR copy; use decompose_c7bar")
     return _decompose(g, None)
 
@@ -411,10 +384,10 @@ def decompose_auto(g: Graph) -> DecompositionCertificate:
     """Route to the C7BAR case when a copy is present, else to the H2+ case."""
     if not is_locally_bipartite(g):
         return _failed("H2PLUS", "not locally bipartite")
-    copies = _c7bar_copies(g)
+    copy = find_subgraph(_C7BAR, g)
     if not _degree_ok(g):
-        return _failed("H2PLUS" if copies is None else "C7BAR", "degree too low")
-    return _decompose(g, copies)
+        return _failed("H2PLUS" if copy is None else "C7BAR", "degree too low")
+    return _decompose(g, copy)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +447,12 @@ def verify_profile(g: Graph) -> ProfileReport:
         return report("3-colouring", detail, colouring)
     if regime == "above-4/7":
         return report("PROMISE-VIOLATED", "delta > 4/7 |G| but no 3-colouring exists", hard=True)
-    copies = _c7bar_copies(g)
-    cert = _decompose(g, copies)
+    copy = find_subgraph(_C7BAR, g)
+    cert = _decompose(g, copy)
     if cert.ok:
         detail = f"homomorphism to {cert.target}"
         return report(cert.outcome, detail, cert.colouring, cert.target, cert.hom)
-    if copies is not None:
+    if copy is not None:
         detail = f"contains C7BAR but decomposition failed: {cert.reason}"
     else:
         detail = f"not 3-colourable, no C7BAR, and H2+ decomposition failed: {cert.reason}"

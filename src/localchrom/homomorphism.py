@@ -25,10 +25,26 @@ from .structure import is_edge_maximal_locally_bipartite, is_locally_bipartite, 
 
 
 def is_homomorphism(g: Graph, h: Graph, mapping: tuple[int, ...]) -> bool:
-    """Single edge scan: every edge of g must map to an edge of h."""
+    """Every edge of g must map to an edge of h (one scan, ``_broken_edge``)."""
     if len(mapping) != g.n or any(not 0 <= x < h.n for x in mapping):
         return False
-    return all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges())
+    return _broken_edge(g, h, mapping) is None
+
+
+def _broken_edge(g: Graph, target: Graph, hom: tuple[int, ...]) -> tuple[int, int] | None:
+    """The first edge of g, in the order of ``g.edges()``, that ``hom`` does
+    not map onto an edge of target: uv is kept iff v lies in the preimage
+    ``allowed[hom[u]]`` of hom[u]'s neighbourhood (the preimages of distinct
+    vertices are disjoint, so their sum is their union)."""
+    preimage = [0] * target.n
+    for v, t in enumerate(hom):
+        preimage[t] |= 1 << v
+    allowed = [sum(preimage[t] for t in bits(row)) for row in target.adj]
+    for u in range(g.n):
+        bad = g.adj[u] >> (u + 1) << (u + 1) & ~allowed[hom[u]]
+        if bad:
+            return (u, (bad & -bad).bit_length() - 1)
+    return None
 
 
 def compose(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:

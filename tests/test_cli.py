@@ -277,6 +277,15 @@ def test_weight_malformed_threshold_prints_nothing_on_stdout(capsys, h2_file):
     assert captured.out == "" and captured.err == "error: malformed threshold 'abc'\n"
 
 
+@pytest.mark.parametrize("beats", [[], ["--beats", "1/2"]], ids=["plain", "beats"])
+def test_weight_empty_graph_is_usage_error(capsys, tmp_path, beats):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    assert main(["weight", str(path), *beats]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: empty graph has no weighting\n"
+
+
 def test_malformed_threshold_is_usage_error(capsys, h2_file):
     assert main(["weight", h2_file, "--beats", "nonsense"]) == 2
     assert main(["search", "--n", "99", "--beats", "1/2"]) == 2

@@ -44,6 +44,11 @@ class TestKColourable:
         with pytest.raises(ValueError):
             k_colourable(families.h2(), 0)
 
+    def test_k_above_n_allocates_nothing_per_colour(self):
+        # a branch never offers a colour above n, so k is clamped to n and
+        # the search's memory does not grow with k
+        assert k_colourable(families.h2(), 10**12) == k_colourable(families.h2(), 7)
+
     def test_normalised_first_occurrence(self):
         col = k_colourable(families.c7bar(), 4)
         assert col[0] == 1

@@ -15,7 +15,7 @@ from localchrom.decompose import (
     verify_profile,
 )
 from localchrom.graphs import Graph, bits, blow_up, blow_up_classes, mask_of
-from localchrom.homomorphism import _backtrack, _pattern_order, is_homomorphism
+from localchrom.homomorphism import _backtrack, _pattern_order, find_subgraph, is_homomorphism
 from localchrom.report import h2plus_decomposition_instance
 
 F = Fraction
@@ -360,6 +360,61 @@ class TestOneAnchorSearch:
         result = getattr(decompose, entry)(g)
         assert result.outcome == "HOM_C7BAR"
         assert searches == [g.n]
+
+
+class TestFirstAnchorDecides:
+    def test_a_rejected_anchor_is_not_retried(self, monkeypatch):
+        # an edge inside a class of a C7BAR blow-up: every C7BAR embedding
+        # fails, and the certificate names the one anchor that was built
+        from localchrom import decompose
+
+        builds = []
+        build = decompose._build
+
+        def counted(g, anchor, case):
+            builds.append(anchor)
+            return build(g, anchor, case)
+
+        monkeypatch.setattr(decompose, "_build", counted)
+        c = blow_up(families.c7bar(), [3] * 7)
+        g = Graph(c.n, list(c.edges()) + [(0, 1)])
+        copy = find_subgraph(families.c7bar(), g)
+        cert = decompose._decompose(g, copy)
+        assert builds == [copy]
+        assert (cert.outcome, cert.anchor) == ("FAILED", copy)
+
+    def test_every_anchor_contains_h0(self):
+        # why the sparse-spoke audit, vacuous on graphs with H0, runs only
+        # when there is no anchor
+        h0, h2, c7bar = (set(f().edges()) for f in (families.h0, families.h2, families.c7bar))
+        assert h0 <= h2 <= c7bar
+        assert Graph(7, [(u, v) for u, v in families.h2plus().edges() if v < 7]) == families.h2()
+
+    def test_audit_runs_only_without_an_anchor(self, monkeypatch):
+        from localchrom import decompose
+
+        audits = []
+        audit = decompose._spot_check_sparse_spokes
+
+        def counted(g):
+            audits.append(g.n)
+            return audit(g)
+
+        monkeypatch.setattr(decompose, "_spot_check_sparse_spokes", counted)
+        assert decompose_c7bar(blow_up(families.c7bar(), [2] * 7)).ok
+        assert decompose_h2plus(h2plus_decomposition_instance()[0]).ok
+        assert audits == []
+        k3_blow_up = blow_up(Graph(3, [(0, 1), (0, 2), (1, 2)]), [4] * 3)
+        assert decompose_h2plus(k3_blow_up).reason == "no H2PLUS copy"
+        assert audits == [12]
+
+    def test_missing_spoke_of_an_odd_wheel(self):
+        from localchrom.decompose import _decompose
+
+        w5 = families.wheel(5)
+        cert = _decompose(Graph(w5.n, [e for e in w5.edges() if e != (0, 5)]), None)
+        reason = "forbidden configuration: sparse pair (5, 0) is the missing spoke of an odd wheel"
+        assert (cert.kind, cert.outcome, cert.reason) == ("H2PLUS", "FAILED", reason)
 
 
 class TestVerifyProfile:
