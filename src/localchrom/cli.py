@@ -146,17 +146,17 @@ def cmd_weight(args) -> int:
     except (ValueError, ZeroDivisionError):
         print(f"error: malformed threshold {args.beats!r}", file=sys.stderr)
         return 2
-    try:
+    try:  # validate the given weighting before any output
         result = optimal_weighting(g)
-    except ValueError as exc:  # the empty graph
+        given = None if wg is None or c is None else verify_weighting(g, wg.weights, c)
+    except ValueError as exc:  # the empty graph, or given weights all zero
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"t*={result.optimum} omega: " + ",".join(str(w) for w in result.weights))
     if result.has_isolated_vertex:
         print("warning: isolated vertex forces t* = 0", file=sys.stderr)
     if c is not None:
-        if wg is not None:
-            given = verify_weighting(g, wg.weights, c)
+        if given is not None:
             print(f"GIVEN-WEIGHTING {'BEATS' if given else 'DOES-NOT-BEAT'} {c}")
         print(f"{'BEATS' if result.beats(c) else 'DOES-NOT-BEAT'} {c}")
         return 0 if result.beats(c) else 1

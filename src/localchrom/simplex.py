@@ -3,22 +3,20 @@
 Small dense LPs only (the weighting LPs have ~n variables and ~n rows).
 Rows are "<=" or "=" with a nonnegative right-hand side; ">=" rows and
 negative right-hand sides are rejected, since no caller needs them.
-Bland's anti-cycling rule guarantees termination; everything is a Fraction so
-strict-inequality semantics downstream are meaningful.  An optimal solution
-comes with one dual multiplier per input row, read off the final tableau, so
-the dual LP never has to be solved separately.
+Bland's anti-cycling rule guarantees termination.  Inputs and outputs are
+exact Fractions; inside, the tableau is integer over one common denominator
+and pivots fraction-free (Bareiss, Math. Comp. 22, 1968; Edmonds, J. Res.
+NBS 71B, 1967).  An optimal solution comes with one dual multiplier per
+input row, read off the final tableau, so the dual LP is never solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .graphs import CertificateError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 @dataclass
 class LPSolution:
@@ -40,62 +38,67 @@ def solve_lp(
     unit column (its slack or its artificial); anything else raises
     ValueError.
     """
-    nvar = len(objective)
-    m = len(rows)
+    nvar, m = len(objective), len(rows)
     for coeffs, rel, b in rows:
         if len(coeffs) != nvar:
             raise ValueError("row length mismatch")
         if rel not in ("<=", "="):
             raise ValueError(f"bad relation {rel!r}")
-        if Fraction(b) < 0:
+        if b < 0:
             raise ValueError("negative right-hand side")
 
     # Columns: structural | one slack per "<=" row | one artificial per "="
     # row | rhs.  Each row starts with its unit column basic; that column's
-    # final reduced cost is minus the row's dual multiplier.
-    slack = nvar
+    # final reduced cost is minus the row's dual multiplier.  The integer
+    # tableau starts at d = 1 with rows and costs times scale, and each slack
+    # and artificial rescaled by scale to keep its unit column; every later
+    # entry is then a signed minor of that integer matrix, so each division is
+    # exact.  The factors are positive, so Bland's rule reads the same signs
+    # and ratios as in the rational tableau.
+    data = [*objective, *(a for coeffs, _, b in rows for a in [*coeffs, b])]
+    scale = lcm(*{a.denominator for a in data})
     art = nvar + sum(rel == "<=" for _, rel, _ in rows)
     total_cols = art + sum(rel == "=" for _, rel, _ in rows)
     art_cols = range(art, total_cols)
-    table: list[list[Fraction]] = []
-    basis: list[int] = []
-    for coeffs, rel, b in rows:
-        row = [Fraction(c) for c in coeffs] + [ZERO] * (total_cols - nvar)
-        row.append(Fraction(b))
-        if rel == "<=":
-            column, slack = slack, slack + 1
-        else:
-            column, art = art, art + 1
-        row[column] = ONE
-        basis.append(column)
-        table.append(row)
+    pad = [0] * (total_cols - nvar)
+
+    def integer(values: list[Fraction]) -> list[int]:
+        return [a.numerator * (scale // a.denominator) for a in values]
+
+    table = [integer([*coeffs, *pad, b]) for coeffs, _, b in rows]
+    slacks, artificials = iter(range(nvar, art)), iter(art_cols)
+    basis = [next(slacks if rel == "<=" else artificials) for _, rel, _ in rows]
+    for row, column in zip(table, basis):
+        row[column] = 1
     unit = list(basis)
+    d = 1  # entry (i, j) stands for table[i][j] / d; basic columns are d e_i
 
-    def eliminate(target: list[Fraction], r: int, c: int) -> list[Fraction]:
-        """target minus the multiple of row r that zeroes its column c."""
-        f = target[c]
-        return [a - f * b for a, b in zip(target, table[r])]
-
-    def pivot(r: int, c: int, obj: list[Fraction]) -> None:
-        inv = ONE / table[r][c]
-        table[r] = [a * inv for a in table[r]]
-        for i in range(m):
-            if i != r and table[i][c]:
-                table[i] = eliminate(table[i], r, c)
-        if obj[c]:
-            obj[:] = eliminate(obj, r, c)
+    def pivot(r: int, c: int, obj: list[int]) -> None:
+        """Fraction-free pivot: row r stays and every other row becomes
+        (a p - f b) / d, exact by Sylvester's identity; then d = p."""
+        nonlocal d
+        if table[r][c] < 0:  # only in the artificial drive-out; keeps d > 0
+            table[r] = [-a for a in table[r]]
+        p, pivot_row = table[r][c], table[r]
+        for row in [*(table[i] for i in range(m) if i != r), obj]:
+            f = row[c]
+            if f:
+                row[:] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
+            elif p != d:
+                row[:] = [a * p // d for a in row]
+        d = p
         basis[r] = c
 
-    def price_out(costs: list[Fraction]) -> list[Fraction]:
-        """Objective row for these column costs at the current basis: reduced
-        costs, then minus the objective value."""
-        obj = costs + [ZERO]
-        for i, b in enumerate(basis):
-            if obj[b]:
-                obj = eliminate(obj, i, b)
+    def price_out(costs: list[int]) -> list[int]:
+        """Objective row, times d, for these integer column costs at the
+        current basis: reduced costs, then minus the objective value."""
+        obj = [cost * d for cost in costs] + [0]
+        for row, b in zip(table, basis):
+            if costs[b]:
+                obj = [o - costs[b] * a for o, a in zip(obj, row)]
         return obj
 
-    def run_simplex(obj: list[Fraction], blocked: range) -> str:
+    def run_simplex(obj: list[int], blocked: range) -> str:
         while True:
             enter = -1
             for j in range(total_cols):
@@ -104,22 +107,20 @@ def solve_lp(
                     break
             if enter < 0:
                 return "optimal"
-            leave, best_ratio, best_var = -1, None, None
-            for i in range(m):
-                a = table[i][enter]
-                if a > 0:
-                    ratio = table[i][-1] / a
-                    if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and basis[i] < best_var
-                    ):
-                        leave, best_ratio, best_var = i, ratio, basis[i]
+            # Least ratio rhs / a over a > 0 (cross-multiplied); ties to the least basis index.
+            leave = -1
+            for i, row in enumerate(table):
+                a = row[enter]
+                if a > 0 and (leave < 0 or (row[-1] * table[leave][enter], basis[i])
+                              < (table[leave][-1] * a, basis[leave])):
+                    leave = i
             if leave < 0:
                 return "unbounded"
             pivot(leave, enter, obj)
 
     # Phase 1: maximize -(sum of artificials).
     if art_cols:
-        obj = price_out([ZERO] * art_cols.start + [-ONE] * len(art_cols))
+        obj = price_out([0] * art_cols.start + [-1] * len(art_cols))
         # Phase 1 is bounded (objective <= 0).
         if run_simplex(obj, blocked=range(0)) != "optimal":
             raise CertificateError("phase 1 of the simplex is unbounded")
@@ -135,11 +136,10 @@ def solve_lp(
                 # else: redundant all-zero row; harmless to leave in place
 
     # Phase 2: original objective, artificials blocked.
-    obj = price_out([Fraction(c) for c in objective] + [ZERO] * (total_cols - nvar))
+    obj = price_out(integer([*objective, *pad]))
     if run_simplex(obj, blocked=art_cols) == "unbounded":
         return LPSolution("unbounded", [], None, [])
-    x = [ZERO] * nvar
-    for i, b in enumerate(basis):
-        if b < nvar:
-            x[b] = table[i][-1]
-    return LPSolution("optimal", x, -obj[-1], [-obj[c] for c in unit])
+    level = {b: row[-1] for row, b in zip(table, basis)}
+    x = [Fraction(level.get(j, 0), d) for j in range(nvar)]
+    dual = [Fraction(-obj[c], d) for c in unit]  # the scales cancel
+    return LPSolution("optimal", x, Fraction(-obj[-1], d * scale), dual)

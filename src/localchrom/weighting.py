@@ -52,10 +52,10 @@ class WeightingResult:
         return self.optimum > Fraction(c)
 
 
-def _degree_row(g: Graph, v: int) -> list[Fraction]:
-    row = [ZERO] * g.n
+def _degree_row(g: Graph, v: int) -> list[int]:
+    row = [0] * g.n
     for u in bits(g.adj[v]):
-        row[u] = ONE
+        row[u] = 1
     return row
 
 

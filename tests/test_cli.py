@@ -286,6 +286,15 @@ def test_weight_empty_graph_is_usage_error(capsys, tmp_path, beats):
     assert captured.out == "" and captured.err == "error: empty graph has no weighting\n"
 
 
+def test_weight_all_zero_given_weights_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "zero.txt"
+    path.write_text(emit_weighted_graph(WeightedGraph(Graph(2, [(0, 1)]), [0, 0])))
+    assert main(["weight", str(path), "--beats", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weighting must not be identically zero\n"
+
+
 def test_malformed_threshold_is_usage_error(capsys, h2_file):
     assert main(["weight", h2_file, "--beats", "nonsense"]) == 2
     assert main(["search", "--n", "99", "--beats", "1/2"]) == 2

@@ -86,6 +86,73 @@ class TestSimplex:
                 assert sum(y * coeffs[j] for y, (coeffs, _, _) in zip(sol.dual, rows)) >= c
             assert sum(y * rhs for y, (_, _, rhs) in zip(sol.dual, rows)) == sol.value
 
+    def test_drive_out_on_a_negative_entry(self):
+        # Phase 1 pivots x2 into row 0, then x1 into row 2, whose ratio ties
+        # with row 1's and whose slack has the lesser index; row 1's
+        # artificial stays basic at level zero, so the drive-out pivots on
+        # row 1's entry -2/5 in that slack's column, and phase 2 still has
+        # x3 to bring in, reading signs on the tableau the drive-out left
+        objective = [F(1), F(1, 2), F(1)]
+        rows = [([F(-1, 2), F(1, 3), F(0)], "=", F(0)), ([F(0), F(2, 3), F(0)], "=", F(2))]
+        rows += [([F(1), F(1), F(0)], "<=", F(5)), ([F(0), F(0), F(1)], "<=", F(1))]
+        sol = solve_lp(objective, rows)
+        assert (sol.status, sol.x, sol.value) == ("optimal", [F(2), F(3), F(1)], F(9, 2))
+        assert sol.dual == [F(-2), F(7, 4), F(0), F(1)]
+        assert all(v >= 0 for v in sol.x)
+        for (coeffs, rel, rhs), y in zip(rows, sol.dual):
+            lhs = sum(a * v for a, v in zip(coeffs, sol.x))
+            assert lhs == rhs if rel == "=" else (lhs <= rhs and y >= 0)
+        for j, c in enumerate(objective):
+            assert sum(y * coeffs[j] for y, (coeffs, _, _) in zip(sol.dual, rows)) >= c
+        assert sum(c * v for c, v in zip(objective, sol.x)) == sol.value
+        assert sum(y * rhs for y, (_, _, rhs) in zip(sol.dual, rows)) == sol.value
+
+    def test_random_lps_are_frozen(self):
+        # SHA-256 over (status, x, value, dual) of 200 seeded LPs with
+        # fractional data, sparse rows and zero right-hand sides (degenerate
+        # ties), "=" rows with redundant multiples that leave an artificial
+        # basic at level zero, and infeasible and unbounded cases; frozen from
+        # the Fraction tableau, before the tableau became integer
+        rng = random.Random(47)
+
+        def coeff():
+            return F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else F(0)
+
+        digest, statuses = hashlib.sha256(), []
+        for _ in range(200):
+            nvar, m = rng.randint(1, 5), rng.randint(1, 5)
+            x0 = [F(rng.randint(0, 3), rng.randint(1, 2)) * rng.randint(0, 1) for _ in range(nvar)]
+            consistent = rng.random() < 0.8
+            rows = []
+            for _ in range(m):
+                coeffs, rel = [coeff() for _ in range(nvar)], rng.choice(["<=", "="])
+                lhs = sum(a * x for a, x in zip(coeffs, x0))
+                if not consistent:
+                    rhs = F(rng.randint(0, 4), rng.randint(1, 3))
+                elif rel == "<=":
+                    rhs = max(lhs, 0) + rng.choice([0, 0, F(1, 2), 2])
+                elif lhs < 0:
+                    coeffs, rhs = [-a for a in coeffs], -lhs
+                else:
+                    rhs = lhs
+                rows.append((coeffs, rel, rhs))
+            equalities = [row for row in rows if row[1] == "="]
+            if equalities and rng.random() < 0.4:
+                (a, _, p), (b, _, q) = rng.choice(equalities), rng.choice(equalities)
+                k = F(rng.randint(1, 3), rng.randint(1, 2))
+                redundant = ([k * (s + t) for s, t in zip(a, b)], "=", k * (p + q))
+                rows.insert(rng.randint(0, len(rows)), redundant)
+            if rng.random() < 0.6:
+                rows += [([F(int(j == i)) for j in range(nvar)], "<=", F(3)) for i in range(nvar)]
+            sol = solve_lp([coeff() for _ in range(nvar)], rows)
+            statuses.append(sol.status)
+            digest.update(repr((sol.status, sol.x, sol.value, sol.dual)).encode())
+        assert {s: statuses.count(s) for s in set(statuses)} == {
+            "optimal": 163, "unbounded": 20, "infeasible": 17
+        }
+        expected = "a0825462a5151d5e0aa14a9934f7563882fbc096bb8ffe08f4e9f79a11011301"
+        assert digest.hexdigest() == expected
+
 
 def _relabelled_catalogue():
     """The 21 graphs of the benchmark's t* catalogue, relabelled as it relabels them."""
@@ -152,11 +219,13 @@ class TestOptimalWeighting:
         )
 
     def test_vertex_transitive_uniform_attains(self):
+        # the uniform weighting is optimal and positive, so support_full holds;
+        # ANDRASFAI(14) has 41 vertices, an LP of 42 rows and 42 variables
         cases = [families.c7bar(), families.delta(3), families.delta(4)]
-        cases += [families.andrasfai(i) for i in (2, 3, 4)]
+        cases += [families.andrasfai(i) for i in (2, 3, 4, 14)]
         for g in cases:
             r = optimal_weighting(g)
-            assert r.optimum == F(g.min_degree(), g.n)
+            assert r.optimum == F(g.min_degree(), g.n) and r.support_full is True
 
     def test_dual_distribution(self):
         r = optimal_weighting(families.h2plus())
