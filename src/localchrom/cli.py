@@ -1,7 +1,11 @@
 """Command-line front door.
 
 Machine-readable output goes to stdout, diagnostics to stderr.  Exit codes:
-0 on success / YES, 1 on NO / FAIL, 2 on usage or input errors.
+0 on success / YES, 1 on NO / FAIL, 2 on usage or input errors.  The
+commands let the library's exceptions through, and ``main`` alone maps them
+to exit 2 with one ``error:`` line on stderr: ``SolverTimeout``, ``OSError``
+and ``ValueError`` (``GraphFormatError`` is one).  ``CertificateError`` is
+never mapped: it is a bug, not a verdict, and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -29,12 +33,21 @@ from .weighting import optimal_weighting, verify_weighting
 
 
 def _read_graph(path: str) -> Graph:
+    with open(path) as fh:
+        return parse_graph(fh.read())
+
+
+def _threshold(text: str) -> Fraction:
+    """A --beats value p/q."""
     try:
-        with open(path) as fh:
-            return parse_graph(fh.read())
-    except (OSError, GraphFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"malformed threshold {text!r}") from None
+
+
+def _deadline(args) -> float | None:
+    """The monotonic deadline of a --timeout, or None without one."""
+    return None if args.timeout is None else time.monotonic() + args.timeout
 
 
 def _open_output(path: str | None):
@@ -47,18 +60,10 @@ def cmd_families(args) -> int:
         for name in families.list_families():
             print(name)
         return 0
-    try:
-        g = families.generate(args.family_id)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = families.generate(args.family_id)
     text = to_dot(g, name=args.family_id.replace("(", "_").replace(")", "")) if args.dot else emit_graph(g)
-    try:
-        with _open_output(args.output) as out:
-            out.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with _open_output(args.output) as out:
+        out.write(text)
     return 0
 
 
@@ -95,28 +100,13 @@ def cmd_hom(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    g = _read_graph(args.file)
-    deadline = None if args.timeout is None else time.monotonic() + args.timeout
-    try:
-        k, colouring = chromatic_number(g, deadline)
-    except SolverTimeout:
-        print("error: timeout", file=sys.stderr)
-        return 2
+    k, colouring = chromatic_number(_read_graph(args.file), _deadline(args))
     print(f"chi={k} colouring: " + ",".join(map(str, colouring)))
     return 0
 
 
 def cmd_colour(args) -> int:
-    g = _read_graph(args.file)
-    deadline = None if args.timeout is None else time.monotonic() + args.timeout
-    try:
-        colouring = k_colourable(g, args.k, deadline)
-    except SolverTimeout:
-        print("error: timeout", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    colouring = k_colourable(_read_graph(args.file), args.k, _deadline(args))
     if colouring is None:
         print(f"NONE: not {args.k}-colourable")
         return 1
@@ -125,33 +115,18 @@ def cmd_colour(args) -> int:
 
 
 def cmd_weight(args) -> int:
-    try:
-        with open(args.file) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.file) as fh:
+        text = fh.read()
     wg = None
     try:
         wg = parse_weighted_graph(text)
         g = wg.graph
     except GraphFormatError:
-        try:
-            g = parse_graph(text)
-        except GraphFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        c = None if args.beats is None else Fraction(args.beats)
-    except (ValueError, ZeroDivisionError):
-        print(f"error: malformed threshold {args.beats!r}", file=sys.stderr)
-        return 2
-    try:  # validate the given weighting before any output
-        result = optimal_weighting(g)
-        given = None if wg is None or c is None else verify_weighting(g, wg.weights, c)
-    except ValueError as exc:  # the empty graph, or given weights all zero
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        g = parse_graph(text)
+    c = None if args.beats is None else _threshold(args.beats)
+    # validate the given weighting before any output
+    result = optimal_weighting(g)
+    given = None if wg is None or c is None else verify_weighting(g, wg.weights, c)
     print(f"t*={result.optimum} omega: " + ",".join(str(w) for w in result.weights))
     if result.has_isolated_vertex:
         print("warning: isolated vertex forces t* = 0", file=sys.stderr)
@@ -164,17 +139,13 @@ def cmd_weight(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        c = Fraction(args.beats)
-        with _open_output(args.output) as out:
-            result = enumerate_extremal(
-                args.n, c, checkpoint_path=args.checkpoint, resume_path=args.resume
-            )
-            for f in result.found:
-                print(compact_line(f), file=out)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    c = _threshold(args.beats)
+    with _open_output(args.output) as out:
+        result = enumerate_extremal(
+            args.n, c, checkpoint_path=args.checkpoint, resume_path=args.resume
+        )
+        for f in result.found:
+            print(compact_line(f), file=out)
     for lv in result.levels:
         print(
             f"level {lv.n}: {lv.parents} parents, {lv.masks_tried} masks tried, "
@@ -219,12 +190,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_profile(args) -> int:
-    g = _read_graph(args.file)
-    try:
-        report = verify_profile(g)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = verify_profile(_read_graph(args.file))
     print(f"n {report.n}")
     print(f"delta {report.min_degree}")
     print(f"ratio {report.ratio}")
@@ -242,8 +208,7 @@ def cmd_verify_profile(args) -> int:
 def cmd_verify_paper(args) -> int:
     report = verify_paper(only=args.only, timeout=args.timeout)
     if not report.entries:
-        print(f"error: no claim id contains {args.only!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no claim id contains {args.only!r}")
     if args.format == "json":
         print(report.render_json())
     else:
@@ -329,7 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except SolverTimeout:
+        print("error: timeout", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

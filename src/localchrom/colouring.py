@@ -152,12 +152,11 @@ def chromatic_number(g: Graph, deadline: float | None = None) -> tuple[int, tupl
     raise CertificateError("n colours always suffice")
 
 
-def independence_number(g: Graph) -> tuple[int, int]:
-    """(alpha, witness bitset): maximum independent set via cliques of the complement."""
+def _max_clique(g: Graph) -> tuple[int, int]:
+    """(omega, witness bitset): a maximum clique, by branch and bound."""
     if g.n == 0:
         return 0, 0
-    comp = complement(g)
-    order = sorted(range(g.n), key=lambda v: -comp.degree(v))
+    order = sorted(range(g.n), key=lambda v: -g.degree(v))
     best, witness = 0, 0
 
     def bound(candidates: int) -> int:
@@ -170,7 +169,7 @@ def independence_number(g: Graph) -> tuple[int, int]:
             while free:
                 low = free & -free
                 candidates ^= low
-                free &= ~(comp.adj[low.bit_length() - 1] | low)
+                free &= ~(g.adj[low.bit_length() - 1] | low)
         return classes
 
     # Branch and bound on an explicit stack, one frame per open node:
@@ -188,7 +187,7 @@ def independence_number(g: Graph) -> tuple[int, int]:
         v = order[i]
         candidates &= ~(1 << v)
         frame[2:] = candidates, i + 1
-        current, size, candidates = current | (1 << v), size + 1, candidates & comp.adj[v]
+        current, size, candidates = current | (1 << v), size + 1, candidates & g.adj[v]
         if size > best:
             best, witness = size, current
         if candidates and size + bound(candidates) > best:
@@ -196,5 +195,10 @@ def independence_number(g: Graph) -> tuple[int, int]:
     return best, witness
 
 
+def independence_number(g: Graph) -> tuple[int, int]:
+    """(alpha, witness bitset): maximum independent set via cliques of the complement."""
+    return _max_clique(complement(g))
+
+
 def clique_number(g: Graph) -> int:
-    return independence_number(complement(g))[0]
+    return _max_clique(g)[0]

@@ -185,7 +185,7 @@ def enumerate_extremal(
         _write_checkpoint(checkpoint_path, c, n, level, found)
     else:
         state = _load_checkpoint(resume_path)
-        if Fraction(state["c"]) != c:
+        if state["c"] != c:
             raise ValueError("checkpoint was produced for a different threshold c")
         if state["level"] > n_max:
             raise ValueError("checkpoint is already past n_max")
@@ -193,12 +193,11 @@ def enumerate_extremal(
         level = [Graph.from_rows(rows) for rows in state["graphs"]]
         found = []
         for item in state["found"]:
-            g = Graph.from_rows(item["rows"])
-            t_star = Fraction(item["t_star"])
-            report = check_membership(g, c)
-            if not report.all_pass or report.t_star != t_star:
+            # re-derived by the search's own filter, never trusted
+            derived = _filter_level([Graph.from_rows(item["rows"])], c)
+            if [(f.t_star, f.chi) for f in derived] != [(item["t_star"], item["chi"])]:
                 raise ValueError("checkpoint lists a found graph that fails the membership check")
-            found.append(FoundGraph(g, t_star, item["chi"], canonical_form(g)))
+            found.extend(derived)
     while n < n_max:
         level = _next_level(level, levels)
         n += 1
@@ -246,7 +245,8 @@ def _int_list(xs, n=None) -> bool:
 
 
 def _load_checkpoint(path) -> dict:
-    """The state saved at ``path``; ValueError unless it is a whole version-2 checkpoint."""
+    """The state saved at ``path``, with c and each t_star read as Fractions;
+    ValueError unless it is a whole version-2 checkpoint."""
     with open(path) as fh:
         state = json.load(fh)
     if not isinstance(state, dict):
@@ -265,6 +265,12 @@ def _load_checkpoint(path) -> dict:
         and type(f.get("chi")) is int for f in found
     ):
         raise ValueError("checkpoint found entries need int rows, a str t_star and an int chi")
+    try:
+        state["c"] = Fraction(state["c"])
+        for f in found:
+            f["t_star"] = Fraction(f["t_star"])
+    except ZeroDivisionError:
+        raise ValueError("checkpoint holds a fraction with a zero denominator") from None
     return state
 
 

@@ -40,13 +40,27 @@ class WeightingResult:
         iff all of them are tight.  With an isolated vertex t* = 0, the
         duals sit on the isolated vertices, the minimum is 0 and the answer
         is True (the uniform weighting is optimal).  One LP of n + 1 rows,
-        solved on the first read.
+        solved on the first read; its primal, its row multipliers and its
+        value are re-checked exactly before the answer is read off.
         """
         g, t = self.graph, self.optimum
         objective = [-Fraction(g.degree(v)) for v in range(g.n)]
         rows = [(_degree_row(g, u), "<=", t) for u in range(g.n)]
         rows.append(([ONE] * g.n, "=", ONE))
-        return _optimal(solve_lp(objective, rows), "full-support").value == -g.n * t
+        lp = _optimal(solve_lp(objective, rows), "full-support")
+        y, z, w = lp.x, lp.dual[:-1], lp.dual[-1]
+        if not (len(y) == g.n and sum(y) == 1 and all(p >= 0 for p in y)):
+            raise CertificateError("full-support primal is not a distribution")
+        if not all(sum(y[v] for v in bits(g.adj[u])) <= t for u in range(g.n)):
+            raise CertificateError("full-support primal is not feasible")
+        if any(m < 0 for m in z) or any(
+            sum(z[u] for u in bits(g.adj[v])) + w < objective[v] for v in range(g.n)
+        ):
+            raise CertificateError("full-support dual is not feasible")
+        # feasible on both sides with equal values, so both optimal (weak duality)
+        if not sum(o * p for o, p in zip(objective, y)) == t * sum(z) + w == lp.value:
+            raise CertificateError("full-support primal and dual values differ")
+        return lp.value == -g.n * t
 
     def beats(self, c: Fraction | int) -> bool:
         return self.optimum > Fraction(c)

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from localchrom import families, search
+from localchrom import cli, families, search
 from localchrom.cli import main
 from localchrom.graphio import emit_graph, emit_weighted_graph, parse_graph
-from localchrom.graphs import Graph, WeightedGraph, blow_up
+from localchrom.graphs import CertificateError, Graph, WeightedGraph, blow_up
 
 
 @pytest.fixture
@@ -176,8 +176,25 @@ def _digested(state):
         _digested(
             {"version": 2, "c": "1/2", "level": 1, "graphs": [[0]], "found": [{"rows": [0]}]}
         ),
+        _digested({"version": 2, "c": "1/0", "level": 1, "graphs": [[0]], "found": []}),
+        _digested(
+            {
+                "version": 2,
+                "c": "1/2",
+                "level": 1,
+                "graphs": [[0]],
+                "found": [{"rows": [0], "t_star": "1/0", "chi": 1}],
+            }
+        ),
     ],
-    ids=["not-an-object", "no-level", "string-row", "found-without-scores"],
+    ids=[
+        "not-an-object",
+        "no-level",
+        "string-row",
+        "found-without-scores",
+        "zero-denominator-c",
+        "zero-denominator-t_star",
+    ],
 )
 def test_search_resume_rejects_malformed_checkpoint(capsys, tmp_path, state):
     path = tmp_path / "bad.ckpt"
@@ -266,9 +283,49 @@ def test_negative_or_nan_timeout_is_usage_error(capsys, h2_file):
 
 
 def test_missing_file_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "/nonexistent/file.txt"])
-    assert exc.value.code == 2
+    assert main(["check", "/nonexistent/file.txt"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check"],
+        ["hom"],
+        ["chi"],
+        ["colour", "-k", "3"],
+        ["weight"],
+        ["decompose"],
+        ["verify-profile"],
+    ],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("content", [None, "3 1\n0 3\n"], ids=["missing", "malformed"])
+def test_input_errors_exit_2_with_one_error_line(capsys, tmp_path, c7bar_file, command, content):
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_text(content)
+    files = [str(path), c7bar_file] if command == ["hom"] else [str(path)]
+    assert main([command[0], *files, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_malformed_threshold_message_is_shared(capsys, h2_file):
+    for argv in (["search", "--n", "3"], ["weight", h2_file]):
+        assert main([*argv, "--beats", "1/0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: malformed threshold '1/0'\n"
+
+
+def test_certificate_error_is_never_an_exit_code(monkeypatch, c7bar_file):
+    def broken(g):
+        raise CertificateError("planted")
+
+    monkeypatch.setattr(cli, "decompose_auto", broken)
+    with pytest.raises(CertificateError, match="planted"):
+        main(["decompose", c7bar_file])
 
 
 def test_weight_malformed_threshold_prints_nothing_on_stdout(capsys, h2_file):

@@ -238,3 +238,15 @@ class TestCliqueHelpers:
             g = random_graph(rng, rng.randint(2, 5), rng.uniform(0.3, 0.8))
             sizes = [rng.randint(1, 3) for _ in range(g.n)]
             assert clique_number(blow_up(g, sizes)) == clique_number(g)
+
+    def test_clique_number_vs_complement_and_brute_force(self):
+        rng = random.Random(15)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(0, 7), rng.random())
+            brute = max(
+                len(s)
+                for size in range(g.n + 1)
+                for s in combinations(range(g.n), size)
+                if all(g.has_edge(u, v) for u, v in combinations(s, 2))
+            )
+            assert clique_number(g) == independence_number(complement(g))[0] == brute

@@ -7,7 +7,7 @@ import pytest
 
 from localchrom import families, search
 from localchrom.graphs import Graph
-from localchrom.homomorphism import is_isomorphic
+from localchrom.homomorphism import canonical_form, is_isomorphic
 from localchrom.search import check_membership, compact_line, enumerate_extremal
 
 F = Fraction
@@ -138,6 +138,24 @@ def test_resume_rechecks_found_graphs(tmp_path):
     search._write_checkpoint(str(ckpt), F(1, 2), 5, level, [planted])
     with pytest.raises(ValueError, match="membership"):
         enumerate_extremal(6, F(1, 2), resume_path=str(ckpt))
+
+
+def test_resume_rederives_the_stored_chi(tmp_path):
+    # K3 beats 1/2 with its true t* = 2/3, but its chromatic number is 3, not 7
+    ckpt = tmp_path / "search.ckpt"
+    level = [Graph(1)]
+    for _ in range(4):
+        level = search._next_level(level)
+    planted = search.FoundGraph(K3, F(2, 3), 7, (3, 7))
+    search._write_checkpoint(str(ckpt), F(1, 2), 5, level, [planted])
+    with pytest.raises(ValueError, match="membership"):
+        enumerate_extremal(6, F(1, 2), resume_path=str(ckpt))
+    # with the true chi the same file is accepted, and the derived entry is kept
+    honest = search.FoundGraph(K3, F(2, 3), 3, (3, 7))
+    search._write_checkpoint(str(ckpt), F(1, 2), 5, level, [honest])
+    (found,) = enumerate_extremal(5, F(1, 2), resume_path=str(ckpt)).found
+    assert compact_line(found) == "n=3 m=3 edges=0-1,0-2,1-2 t*=2/3 chi=3"
+    assert found.canon == canonical_form(K3)
 
 
 def test_search_result_records_generated_levels(tmp_path):

@@ -2,13 +2,22 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from localchrom import families, weighting
-from localchrom.graphs import Graph, WeightedGraph, bits, blow_up, merge_twins, relabel
+from localchrom.graphs import (
+    CertificateError,
+    Graph,
+    WeightedGraph,
+    bits,
+    blow_up,
+    merge_twins,
+    relabel,
+)
 from localchrom.simplex import solve_lp
 from localchrom.weighting import optimal_weighting, verify_weighting
 
@@ -245,6 +254,30 @@ class TestOptimalWeighting:
         assert len(calls) == 2
         assert not r.support_full
         assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "field, corrupt, message",
+        [
+            ("x", lambda x: [x[0] + F(1, 100), *x[1:]], "primal is not a distribution"),
+            ("x", lambda x: [F(1)] + [F(0)] * (len(x) - 1), "primal is not feasible"),
+            ("dual", lambda d: [F(-1, 100), *d[1:]], "dual is not feasible"),
+            ("dual", lambda d: [*d[:-1], d[-1] - 1], "dual is not feasible"),
+            ("dual", lambda d: [*d[:-1], d[-1] + F(1, 100)], "values differ"),
+        ],
+        ids=["x-off-sum", "x-point-mass", "z-negative", "w-too-low", "w-too-high"],
+    )
+    def test_support_full_rechecks_its_lp(self, monkeypatch, field, corrupt, message):
+        # a wrong primal or wrong row multipliers from the LP raise, never answer
+        def corrupted(objective, rows):
+            lp = solve_lp(objective, rows)
+            return replace(lp, **{field: corrupt(getattr(lp, field))})
+
+        for g in (families.h2(), families.h2plus(), families.c7bar()):
+            r = optimal_weighting(g)
+            monkeypatch.setattr(weighting, "solve_lp", corrupted)
+            with pytest.raises(CertificateError, match=message):
+                r.support_full
+            monkeypatch.undo()
 
     def test_support_full_matches_the_primal_formulation(self):
         graphs = _relabelled_catalogue()
