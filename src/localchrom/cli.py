@@ -140,10 +140,10 @@ def cmd_weight(args) -> int:
 
 def cmd_search(args) -> int:
     c = _threshold(args.beats)
+    if args.output is not None:  # fail on an unwritable file before the search, empty it only after
+        open(args.output, "a").close()
+    result = enumerate_extremal(args.n, c, checkpoint_path=args.checkpoint, resume_path=args.resume)
     with _open_output(args.output) as out:
-        result = enumerate_extremal(
-            args.n, c, checkpoint_path=args.checkpoint, resume_path=args.resume
-        )
         for f in result.found:
             print(compact_line(f), file=out)
     for lv in result.levels:

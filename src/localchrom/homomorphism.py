@@ -284,7 +284,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return (g.n, _canonical_search(g)[0])
 
 
-def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
+def _canonical_search(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``canonical_form``'s encoding, and the map first[i] -> order[i] from the
     first leaf ``first`` of minimal encoding to each later one ``order``."""
     n = g.n
@@ -317,13 +317,13 @@ def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
                 stack.append([colour[u] * 2 + (0 if u == v else 1) for u in range(n)])
     if best is None:
         raise CertificateError("canonical_form reached no leaf")
-    return best, autos
+    return best, tuple(autos)  # a search level keeps one per graph; () is shared
 
 
-def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Permutations v -> p[v] that generate Aut(g) (see ``canonical_form``): the
-    recorded automorphisms and, in each twin class, its least member's swaps."""
-    gens = _canonical_search(g)[1]
+def _automorphism_generators(g: Graph, autos: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """Permutations v -> p[v] that generate Aut(g) (see ``canonical_form``): ``autos``,
+    as ``_canonical_search(g)`` recorded them, and each twin class's least member's swaps."""
+    gens = list(autos)
     for cls in dict.fromkeys(_twin_masks(g.adj)):
         low, *rest = bits(cls)
         for v in rest:

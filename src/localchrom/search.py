@@ -15,9 +15,12 @@ neither locally bipartite.  Masks are tried in ascending order, so a skipped
 mask comes after the orbit minimum of the same parent and its child could
 never have been the first of its class to reach ``seen``: the classes, their
 representatives and the level order are the same as when every mask is tried.
-The orbit of a mask is its closure under generators of Aut(parent) that the
-canonical-form search finds: the maps between its leaves of minimal encoding
-and the twin transpositions (the argument is in ``canonical_form``).
+The orbit of a mask is its closure under generators of Aut(parent): the maps
+between leaves of minimal encoding that the one canonical-form search of the
+parent recorded when it was admitted as a child, and the twin transpositions
+(the argument is in ``canonical_form``).  A level keeps each graph's maps; a
+resumed level is searched once per graph, and refused unless its graphs are
+locally bipartite and in strictly ascending canonical form.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ except ImportError:
 
 from .colouring import chromatic_number
 from .graphs import Graph, bits
-from .homomorphism import _automorphism_generators, canonical_form
+from .homomorphism import _automorphism_generators, _canonical_search
 from .structure import (
     neighbourhood_is_bipartite,
     is_edge_maximal_locally_bipartite,
@@ -45,6 +48,7 @@ from .structure import (
 from .weighting import optimal_weighting
 
 MAX_N = 10  # documented desk-scale bound
+Level = list[tuple[Graph, tuple[tuple[int, ...], ...]]]  # (graph, its search's autos), in order
 
 
 @dataclass(frozen=True)
@@ -111,14 +115,14 @@ def _filter_level(graphs: list[Graph], c: Fraction) -> list[FoundGraph]:
         result = optimal_weighting(g)
         if result.optimum > c:
             chi = chromatic_number(g)[0]
-            out.append(FoundGraph(g, result.optimum, chi, canonical_form(g)))
+            out.append(FoundGraph(g, result.optimum, chi, (g.n, _canonical_search(g)[0])))
     return out
 
 
-def _orbit_minimal_masks(parent: Graph) -> list[int]:
+def _orbit_minimal_masks(parent: Graph, autos: tuple[tuple[int, ...], ...]) -> list[int]:
     """The masks over V(parent) that are smallest in their Aut(parent) orbit, ascending."""
     tables = []  # one per generator p: table[m] is the image of the mask m under p
-    for p in _automorphism_generators(parent):
+    for p in _automorphism_generators(parent, autos):
         table = [0]
         for v in range(parent.n):
             table += [image | 1 << p[v] for image in table]
@@ -138,16 +142,16 @@ def _orbit_minimal_masks(parent: Graph) -> list[int]:
     return minimal
 
 
-def _next_level(level: list[Graph], stats: list[LevelStats] | None = None) -> list[Graph]:
+def _next_level(level: Level, stats: list[LevelStats] | None = None) -> Level:
     """The next level, one representative per class, ordered by canonical form.
 
     Appends a ``LevelStats`` record to ``stats`` when one is given.
     """
     start = perf_counter()
-    seen: dict[tuple[int, int], Graph] = {}
+    seen: dict[int, tuple[Graph, tuple]] = {}  # encoding -> the first child of its class
     tried = children = 0
-    for parent in level:
-        masks = _orbit_minimal_masks(parent)
+    for parent, autos in level:
+        masks = _orbit_minimal_masks(parent, autos)
         tried += len(masks)
         for mask in masks:
             # only the new vertex's neighbourhood and those of its neighbours change
@@ -155,15 +159,25 @@ def _next_level(level: list[Graph], stats: list[LevelStats] | None = None) -> li
             if not all(neighbourhood_is_bipartite(child, w) for w in (parent.n, *bits(mask))):
                 continue
             children += 1
-            key = canonical_form(child)
+            key, child_autos = _canonical_search(child)
             if key not in seen:
-                seen[key] = child
+                seen[key] = (child, child_autos)
     if stats is not None:
         seconds = perf_counter() - start
         stats.append(
-            LevelStats(level[0].n + 1, len(level), tried, children, children, len(seen), seconds)
+            LevelStats(level[0][0].n + 1, len(level), tried, children, children, len(seen), seconds)
         )
     return [seen[k] for k in sorted(seen)]
+
+
+def _searched_level(graphs: list[Graph]) -> Level:
+    """Each graph with the automorphisms its canonical-form search records; ValueError
+    unless the graphs are locally bipartite and in strictly ascending canonical form."""
+    searched = [(g, *_canonical_search(g)) for g in graphs]
+    keys = [key for _, key, _ in searched]
+    if keys != sorted(set(keys)) or not all(is_locally_bipartite(g) for g in graphs):
+        raise ValueError("checkpoint level is out of canonical order or not locally bipartite")
+    return [(g, autos) for g, _, autos in searched]
 
 
 def enumerate_extremal(
@@ -180,8 +194,8 @@ def enumerate_extremal(
 
     levels: list[LevelStats] = []
     if resume_path is None:
-        n, level = 1, [Graph(1)]
-        found = _filter_level(level, c)
+        n, level = 1, _searched_level([Graph(1)])
+        found = _filter_level([Graph(1)], c)
         _write_checkpoint(checkpoint_path, c, n, level, found)
     else:
         state = _load_checkpoint(resume_path)
@@ -190,7 +204,7 @@ def enumerate_extremal(
         if state["level"] > n_max:
             raise ValueError("checkpoint is already past n_max")
         n = state["level"]
-        level = [Graph.from_rows(rows) for rows in state["graphs"]]
+        level = _searched_level([Graph.from_rows(rows) for rows in state["graphs"]])
         found = []
         for item in state["found"]:
             # re-derived by the search's own filter, never trusted
@@ -201,7 +215,7 @@ def enumerate_extremal(
     while n < n_max:
         level = _next_level(level, levels)
         n += 1
-        found.extend(_filter_level(level, c))
+        found.extend(_filter_level([g for g, _ in level], c))
         _write_checkpoint(checkpoint_path, c, n, level, found)
     found.sort(key=lambda f: (f.graph.n, f.canon))
     return SearchResult(n_max, c, found, exhausted=True, levels=levels)
@@ -224,7 +238,7 @@ def _write_checkpoint(path, c, level_n, level, found) -> None:
         "version": 2,
         "c": str(c),
         "level": level_n,
-        "graphs": [list(g.adj) for g in level],
+        "graphs": [list(g.adj) for g, _ in level],
         "found": [
             {"rows": list(f.graph.adj), "t_star": str(f.t_star), "chi": f.chi} for f in found
         ],
@@ -248,7 +262,10 @@ def _load_checkpoint(path) -> dict:
     """The state saved at ``path``, with c and each t_star read as Fractions;
     ValueError unless it is a whole version-2 checkpoint."""
     with open(path) as fh:
-        state = json.load(fh)
+        try:
+            state = json.load(fh)
+        except RecursionError:
+            raise ValueError("checkpoint is nested too deeply to read") from None
     if not isinstance(state, dict):
         raise ValueError("checkpoint is not a JSON object")
     if state.get("version") != 2:

@@ -205,6 +205,28 @@ def test_search_resume_rejects_malformed_checkpoint(capsys, tmp_path, state):
     assert captured.err.startswith("error: checkpoint")
 
 
+def test_search_refused_resume_keeps_the_earlier_output(capsys, tmp_path):
+    path, out_file = tmp_path / "bad.ckpt", tmp_path / "prev.txt"
+    path.write_text("{}")
+    out_file.write_text("n=3 m=3 edges=0-1,0-2,1-2 t*=2/3 chi=3\n")
+    argv = ["search", "--n", "4", "--beats", "1/2", "--resume", str(path), "-o", str(out_file)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: unrecognised checkpoint version\n"
+    assert out_file.read_text() == "n=3 m=3 edges=0-1,0-2,1-2 t*=2/3 chi=3\n"
+    # a search that succeeds replaces the content
+    assert main(["search", "--n", "2", "--beats", "1/2", "-o", str(out_file)]) == 0
+    assert out_file.read_text() == ""
+
+
+def test_search_deeply_nested_checkpoint_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["search", "--n", "3", "--beats", "1/2", "--resume", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: checkpoint")
+
+
 def test_decompose_cli(capsys, tmp_path):
     g = blow_up(families.c7bar(), [2] * 7)
     path = tmp_path / "blow.txt"

@@ -12,12 +12,13 @@ from localchrom.colouring import SolverTimeout, chromatic_number, k_colourable
 from localchrom.graphs import Graph, bits, blow_up, relabel
 from localchrom.homomorphism import (
     _automorphism_generators,
+    _canonical_search,
     _encode,
     canonical_form,
     is_isomorphic,
     subgraph_embeddings,
 )
-from localchrom.search import _next_level, _orbit_minimal_masks
+from localchrom.search import _next_level, _orbit_minimal_masks, _searched_level
 from localchrom.structure import is_locally_bipartite
 
 # SHA-256 over repr([g.adj for g in level]) for levels 2..7, then over
@@ -26,8 +27,8 @@ from localchrom.structure import is_locally_bipartite
 FROZEN_LEVELS_AND_FORMS = "4f5f8f0df2d3cecefff338dd89a3f3b3ba970c0f9184474c570d2f10edc6191e"
 
 
-def _levels(top: int) -> dict[int, list[Graph]]:
-    levels = {1: [Graph(1)]}
+def _levels(top: int) -> dict[int, search.Level]:
+    levels = {1: _searched_level([Graph(1)])}
     for n in range(2, top + 1):
         levels[n] = _next_level(levels[n - 1])
     return levels
@@ -55,7 +56,7 @@ def test_level_counts_match_exhaustive_labelled_enumeration():
     # isomorphism classes of locally bipartite graphs, counted two ways:
     # augment-by-vertex generation vs all labelled graphs keyed by the
     # permutation-minimum encoding (a different complete invariant)
-    level = [Graph(1)]
+    level = _searched_level([Graph(1)])
     counts = {1: len(level)}
     for n in range(2, 6):
         level = _next_level(level)
@@ -80,9 +81,9 @@ def test_levels_and_canonical_forms_are_frozen():
     levels = _levels(7)
     digest = hashlib.sha256()
     for n in range(2, 8):
-        digest.update(repr([g.adj for g in levels[n]]).encode())
+        digest.update(repr([g.adj for g, _ in levels[n]]).encode())
     assert len(levels[7]) == 674
-    digest.update(repr([canonical_form(g) for g in levels[7]]).encode())
+    digest.update(repr([canonical_form(g) for g, _ in levels[7]]).encode())
     assert digest.hexdigest() == FROZEN_LEVELS_AND_FORMS
 
 
@@ -91,24 +92,33 @@ def test_orbit_pruning_matches_every_mask(monkeypatch):
 
     def counted(g):
         calls[0] += 1
-        return canonical_form(g)
+        return _canonical_search(g)
 
-    monkeypatch.setattr(search, "canonical_form", counted)
-    level = [Graph(1)]
+    monkeypatch.setattr(search, "_canonical_search", counted)
+    level = _searched_level([Graph(1)])
+    stats: list[search.LevelStats] = []
     for n in range(2, 8):
-        reference, children = _next_level_every_mask(level)
+        reference, children = _next_level_every_mask([g for g, _ in level])
         calls[0] = 0
-        pruned = _next_level(level)
-        assert [g.adj for g in pruned] == [g.adj for g in reference]
-        assert calls[0] <= children
+        pruned = _next_level(level, stats)
+        assert [g.adj for g, _ in pruned] == [g.adj for g in reference]
+        # one canonical-form search per locally bipartite child, none for a parent
+        assert calls[0] == stats[-1].children <= children
         level = pruned
-    # from 6 to 7: fewer canonical forms than locally bipartite children
+    # from 6 to 7: fewer locally bipartite children than when every mask is tried
     assert children == 6487 and calls[0] < children
+
+
+def test_levels_carry_the_automorphisms_of_their_own_search():
+    graphs = [(g, autos) for level in _levels(7).values() for g, autos in level]
+    assert len(graphs) == 839
+    for g, autos in graphs:
+        assert autos == _canonical_search(g)[1]
 
 
 def test_level_stats_count_the_pruned_work():
     stats: list[search.LevelStats] = []
-    level = [Graph(1)]
+    level = _searched_level([Graph(1)])
     for n in range(2, 7):
         level = _next_level(level, stats)
     assert [s.n for s in stats] == [2, 3, 4, 5, 6]
@@ -162,29 +172,31 @@ def _symmetric_graphs() -> list[Graph]:
     return graphs + [c9, families.c7bar(), _petersen()]
 
 
-def _assert_generators_are_automorphisms(g: Graph) -> None:
-    for p in _automorphism_generators(g):
+def _assert_generators_are_automorphisms(g: Graph, autos: tuple[tuple[int, ...], ...]) -> None:
+    for p in _automorphism_generators(g, autos):
         assert sorted(p) == list(range(g.n))
         for u in range(g.n):
             assert sum(1 << p[v] for v in bits(g.adj[u])) == g.adj[p[u]]
 
 
 def test_orbit_minimal_masks_match_self_embeddings_on_levels_1_to_7():
-    parents = [g for level in _levels(7).values() for g in level]
+    parents = [(g, autos) for level in _levels(7).values() for g, autos in level]
     assert len(parents) == 839
-    for g in parents:
-        _assert_generators_are_automorphisms(g)
-        assert _orbit_minimal_masks(g) == _orbit_minimal_masks_by_embeddings(g)
+    for g, autos in parents:
+        _assert_generators_are_automorphisms(g, autos)
+        assert _orbit_minimal_masks(g, autos) == _orbit_minimal_masks_by_embeddings(g)
 
 
 def test_orbit_minimal_masks_match_self_embeddings_on_symmetric_graphs():
     graphs = _symmetric_graphs()
     for g in graphs:
-        _assert_generators_are_automorphisms(g)
-        assert _orbit_minimal_masks(g) == _orbit_minimal_masks_by_embeddings(g)
+        autos = _canonical_search(g)[1]
+        _assert_generators_are_automorphisms(g, autos)
+        assert _orbit_minimal_masks(g, autos) == _orbit_minimal_masks_by_embeddings(g)
     # C9 has no twins, so its dihedral group comes from the canonical-form
     # leaves alone: 46 orbits, the binary bracelets of length 9
-    assert len(_orbit_minimal_masks(graphs[-3])) == 46
+    c9 = graphs[-3]
+    assert len(_orbit_minimal_masks(c9, _canonical_search(c9)[1])) == 46
     assert max(g.n for g in graphs) > 10
 
 
@@ -192,7 +204,7 @@ def test_twin_only_groups_on_nine_vertices():
     # the twin transpositions alone: the whole symmetric group, so one orbit per size
     k9 = Graph(9, list(combinations(range(9), 2)))
     for g in (Graph(9), k9):
-        assert _orbit_minimal_masks(g) == [(1 << k) - 1 for k in range(10)]
+        assert _orbit_minimal_masks(g, _canonical_search(g)[1]) == [(1 << k) - 1 for k in range(10)]
 
 
 def test_is_isomorphic_vs_networkx():
@@ -226,7 +238,7 @@ def _nx(nx, g: Graph):
 
 def test_level6_has_no_isomorphic_pair_by_networkx():
     nx = pytest.importorskip("networkx")
-    level = _levels(6)[6]
+    level = [g for g, _ in _levels(6)[6]]
     by_degrees: dict[tuple[int, ...], list[Graph]] = {}
     for g in level:
         by_degrees.setdefault(tuple(sorted(g.degrees())), []).append(g)
@@ -241,7 +253,7 @@ def test_level6_has_no_isomorphic_pair_by_networkx():
 def test_level7_has_no_isomorphic_pair_by_networkx():
     # as at level 6: only graphs with equal degree sequences can be isomorphic
     nx = pytest.importorskip("networkx")
-    level = _levels(7)[7]
+    level = [g for g, _ in _levels(7)[7]]
     by_degrees: dict[tuple[int, ...], list[Graph]] = {}
     for g in level:
         by_degrees.setdefault(tuple(sorted(g.degrees())), []).append(g)

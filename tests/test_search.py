@@ -126,14 +126,40 @@ def test_checkpoint_refuses_tampered_or_old_files(tmp_path):
         enumerate_extremal(6, F(1, 2), resume_path=str(ckpt))
 
 
+def _level5() -> search.Level:
+    level = search._searched_level([Graph(1)])
+    for _ in range(4):
+        level = search._next_level(level)
+    return level
+
+
+K5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda level: level + [(K5, ())],  # K5 is not locally bipartite
+        lambda level: level[:4] + level[3:],  # a duplicate
+        lambda level: [level[1], level[0]] + level[2:],  # a misordering
+    ],
+    ids=["k5-added", "duplicate", "misordered"],
+)
+def test_resume_rechecks_the_level(tmp_path, edit):
+    # each file has a valid digest; at level 6 the first would give 120
+    # classes and the second 30 parents and 498 masks if it were accepted
+    ckpt = tmp_path / "search.ckpt"
+    search._write_checkpoint(str(ckpt), F(1, 2), 5, edit(_level5()), [])
+    with pytest.raises(ValueError, match="^checkpoint level is out of canonical order or not"):
+        enumerate_extremal(6, F(1, 2), resume_path=str(ckpt))
+
+
 def test_resume_rechecks_found_graphs(tmp_path):
     # a checkpoint with a valid digest whose found list holds K2: t* = 1/2
     # does not beat c = 1/2
     ckpt = tmp_path / "search.ckpt"
     k2 = Graph(2, [(0, 1)])
-    level = [Graph(1)]
-    for _ in range(4):
-        level = search._next_level(level)
+    level = _level5()
     planted = search.FoundGraph(k2, F(1, 2), 2, (2, 1))
     search._write_checkpoint(str(ckpt), F(1, 2), 5, level, [planted])
     with pytest.raises(ValueError, match="membership"):
@@ -143,9 +169,7 @@ def test_resume_rechecks_found_graphs(tmp_path):
 def test_resume_rederives_the_stored_chi(tmp_path):
     # K3 beats 1/2 with its true t* = 2/3, but its chromatic number is 3, not 7
     ckpt = tmp_path / "search.ckpt"
-    level = [Graph(1)]
-    for _ in range(4):
-        level = search._next_level(level)
+    level = _level5()
     planted = search.FoundGraph(K3, F(2, 3), 7, (3, 7))
     search._write_checkpoint(str(ckpt), F(1, 2), 5, level, [planted])
     with pytest.raises(ValueError, match="membership"):
