@@ -20,7 +20,8 @@ between leaves of minimal encoding that the one canonical-form search of the
 parent recorded when it was admitted as a child, and the twin transpositions
 (the argument is in ``canonical_form``).  A level keeps each graph's maps; a
 resumed level is searched once per graph, and refused unless its graphs are
-locally bipartite and in strictly ascending canonical form.
+locally bipartite and in strictly ascending canonical form, and its found
+graphs in strictly ascending (n, canonical form) with n at most the level.
 """
 
 from __future__ import annotations
@@ -212,12 +213,14 @@ def enumerate_extremal(
             if [(f.t_star, f.chi) for f in derived] != [(item["t_star"], item["chi"])]:
                 raise ValueError("checkpoint lists a found graph that fails the membership check")
             found.extend(derived)
+        keys = [f.canon for f in found]  # a fresh run emits them ascending, each by its level
+        if keys != sorted(set(keys)) or any(f.graph.n > n for f in found):
+            raise ValueError("checkpoint found graphs are out of canonical order or past its level")
     while n < n_max:
         level = _next_level(level, levels)
         n += 1
         found.extend(_filter_level([g for g, _ in level], c))
         _write_checkpoint(checkpoint_path, c, n, level, found)
-    found.sort(key=lambda f: (f.graph.n, f.canon))
     return SearchResult(n_max, c, found, exhausted=True, levels=levels)
 
 

@@ -203,67 +203,22 @@ def is_twin_free(g: Graph) -> bool:
     return len(set(g.adj)) == g.n
 
 
-def _blocks_through(adj, region: int, target: int) -> list[int]:
-    """Vertex bitsets of the biconnected blocks containing ``target`` in the
-    subgraph of ``adj`` induced by the bitset ``region``.
-
-    Tarjan's depth-first search, on an explicit stack of (vertex, parent,
-    untried neighbours) so that its depth is not bounded by the recursion limit.
-    """
-    disc = {target: 0}
-    low = {target: 0}
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[int] = []
-    stack = [(target, -1, bits(adj[target] & region))]
-    while stack:
-        v, parent, untried = stack[-1]
-        for u in untried:
-            if u not in disc:
-                disc[u] = low[u] = len(disc)
-                edge_stack.append((v, u))
-                stack.append((u, v, bits(adj[u] & region)))
-                break
-            if u != parent and disc[u] < disc[v]:
-                edge_stack.append((v, u))
-                low[v] = min(low[v], disc[u])
-        else:
-            stack.pop()
-            if parent < 0:
-                continue
-            low[parent] = min(low[parent], low[v])
-            if low[v] >= disc[parent]:
-                members = 0
-                while True:
-                    a, b = edge_stack.pop()
-                    members |= (1 << a) | (1 << b)
-                    if (a, b) == (parent, v):
-                        break
-                blocks.append(members)
-    return [b for b in blocks if b >> target & 1]
-
-
-def _odd_cycle_through(adj, region: int, target: int) -> bool:
-    """Whether some simple odd cycle of the subgraph of ``adj`` induced by the
-    bitset ``region`` passes through ``target``.
-
-    A 2-connected non-bipartite graph has an odd cycle through every vertex
-    (route two disjoint paths from the vertex to an odd cycle; the two arcs
-    between their endpoints have different parities), so it suffices to test
-    the target's biconnected blocks for bipartiteness.
-    """
-    return not all(_two_colourable(adj, block) for block in _blocks_through(adj, region, target))
-
-
 def sparse_missing_spoke(g: Graph) -> tuple[int, int] | None:
-    """A sparse pair (u, v) such that uv is the missing spoke of an odd wheel.
+    """A sparse pair (u, v) such that uv is the missing spoke of an odd wheel,
+    for locally bipartite g; ValueError otherwise.
 
     The configuration is an odd cycle through v whose other vertices all lie
-    in the neighbourhood of u.  Returns None when no such configuration exists.
+    in the neighbourhood of u.  G[N(u)] is bipartite and v is not in N(u),
+    since a sparse pair is non-adjacent, so every odd cycle of G[N(u) + v]
+    passes through v: the pair is a missing spoke exactly when N(u) + v is
+    not 2-colourable.  Returns None when no such configuration exists.
     """
+    if not is_locally_bipartite(g):
+        raise ValueError("sparse_missing_spoke requires a locally bipartite input")
     for u in range(g.n):
         for v in range(g.n):
             if u == v or classify_pair(g, min(u, v), max(u, v)) is not PairClass.SPARSE:
                 continue
-            if _odd_cycle_through(g.adj, g.adj[u] | (1 << v), v):
+            if not _two_colourable(g.adj, g.adj[u] | 1 << v):
                 return (u, v)
     return None

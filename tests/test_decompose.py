@@ -179,6 +179,49 @@ class TestBuildRejects:
         assert (cert.outcome, cert.reason) == ("FAILED", reason)
         assert cert.audit == {}
 
+    def test_edge_inside_an_opposite_pair_of_classes(self):
+        # a balanced C7BAR blow-up anchored at the first vertex of each class,
+        # plus an edge between the two class-0 vertices off the anchor
+        from localchrom.decompose import _C7BAR_CASE, _build
+
+        classes = blow_up_classes([3] * 7)
+        g = blow_up(families.c7bar(), [3] * 7).with_edge(classes[0][1], classes[0][2])
+        anchor = tuple(c[0] for c in classes)
+        cert = _build(g, anchor, _C7BAR_CASE)
+        assert (cert.outcome, cert.reason) == ("FAILED", "edge (1, 2) inside D_0 u D_3")
+        assert cert.anchor == anchor and cert.audit == {"R-size": "|R|=0 <= 4|G|-7delta=0"}
+
+    def test_edge_between_d1_and_d6(self):
+        # the scaled figure instance, whose classes 1 and 6 are single anchor
+        # vertices, with a second vertex in each, joined by an edge: 1-6 is a
+        # non-edge of H2 that is not an opposite pair
+        from localchrom.decompose import _H2PLUS_CASE, _build
+
+        sizes = h2plus_decomposition_instance()[1]
+        sizes[1] = sizes[6] = 2
+        classes = blow_up_classes(sizes)
+        g = blow_up(families.h2plus(), sizes).with_edge(classes[1][1], classes[6][1])
+        anchor = tuple(c[0] for c in classes[:7])
+        cert = _build(g, anchor, _H2PLUS_CASE)
+        assert (cert.outcome, cert.reason) == ("FAILED", "edge (27, 107) between D_1 and D_6")
+        assert cert.anchor == anchor
+        assert cert.audit == {"R-size": "|R u D1 u D6|=17 <= 4|G|-7delta=29"}
+
+    def test_centre_vertex_with_a_fourth_class(self):
+        # the scaled figure instance with a vertex of the centre class, which
+        # meets D_5, D_0 and D_2, joined to a class-3 vertex off the anchor
+        from localchrom.decompose import _H2PLUS_CASE, _build
+
+        g, sizes = h2plus_decomposition_instance()
+        classes = blow_up_classes(sizes)
+        g = g.with_edge(classes[7][0], classes[3][1])
+        anchor = tuple(c[0] for c in classes[:7])
+        cert = _build(g, anchor, _H2PLUS_CASE)
+        reason = f"vertex {classes[7][0]} meets D_5, D_0, D_2 and more"
+        assert (cert.outcome, cert.reason) == ("FAILED", reason)
+        assert cert.anchor == anchor
+        assert cert.audit == {"R-size": "|R u D1 u D6|=15 <= 4|G|-7delta=21"}
+
     @pytest.mark.parametrize("pattern", [families.c7bar(), families.h2()], ids=["C7BAR", "H2"])
     def test_two_pattern_neighbourhoods_cover_five_vertices(self, pattern):
         # why _classes needs no disjointness check and no check of the
@@ -292,6 +335,22 @@ class TestDecomposeAuto:
         assert decompose_auto(blow_up(families.c7bar(), [2] * 7)).outcome == "HOM_C7BAR"
         g, _ = h2plus_decomposition_instance()
         assert decompose_auto(g).outcome == "HOM_H2PLUS"
+
+    @pytest.mark.parametrize(
+        "g, kind, reason",
+        [
+            (families.wheel(5), "H2PLUS", "not locally bipartite"),
+            # C7BAR plus an isolated vertex, and H2, whose minimum degree is 3 of 7
+            (Graph(8, list(families.c7bar().edges())), "C7BAR", "degree too low"),
+            (families.h2(), "H2PLUS", "degree too low"),
+        ],
+        ids=["W5", "C7BAR-plus-a-vertex", "H2"],
+    )
+    def test_input_rejects(self, g, kind, reason):
+        from localchrom.decompose import decompose_auto
+
+        cert = decompose_auto(g)
+        assert (cert.kind, cert.outcome, cert.reason, cert.anchor) == (kind, "FAILED", reason, None)
 
 
 class TestInHypothesisFuzz:

@@ -188,3 +188,28 @@ def test_search_result_records_generated_levels(tmp_path):
     assert [(s.n, s.parents, s.classes) for s in first.levels] == [(2, 1, 2), (3, 2, 4), (4, 4, 10)]
     resumed = enumerate_extremal(6, F(1, 2), resume_path=str(ckpt))
     assert [(s.n, s.classes) for s in resumed.levels] == [(5, 29), (6, 119)]
+
+
+K3_FOUND = search.FoundGraph(K3, F(2, 3), 3, (3, 0))  # the canon is not written
+
+
+@pytest.mark.parametrize(
+    "found",
+    [
+        [K3_FOUND, K3_FOUND],  # a fresh search emits K3 once
+        [K3_FOUND, search.FoundGraph(families.c7bar(), F(4, 7), 4, (7, 0))],
+    ],
+    ids=["duplicate", "past-its-level"],
+)
+def test_resume_refuses_found_graphs_a_search_would_not_emit(tmp_path, capsys, found):
+    # every entry passes the membership check and the digest is valid, but a
+    # search to n = 5 emits K3 once and no 7-vertex graph
+    from localchrom.cli import main
+
+    ckpt = tmp_path / "search.ckpt"
+    search._write_checkpoint(str(ckpt), F(1, 2), 5, _level5(), found)
+    with pytest.raises(ValueError, match="^checkpoint found graphs are out of canonical order"):
+        enumerate_extremal(6, F(1, 2), resume_path=str(ckpt))
+    assert main(["search", "--n", "6", "--beats", "1/2", "--resume", str(ckpt)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: checkpoint") and err.count("\n") == 1

@@ -242,8 +242,9 @@ def triangle_free_hub(rng, n):
 
 
 def test_witnesses_are_frozen():
-    # SHA-256 over odd_wheel's (centre, rim) and sparse_missing_spoke on 500
-    # seeded graphs, frozen while both searched a relabelled induced copy
+    # SHA-256 over odd_wheel's (centre, rim) and, where it finds none,
+    # sparse_missing_spoke on 500 seeded graphs; the rim counts were frozen
+    # while odd_wheel searched a relabelled induced copy
     rng = random.Random(3000)
     digest = hashlib.sha256()
     rims = Counter()
@@ -255,47 +256,13 @@ def test_witnesses_are_frozen():
         else:
             g = random_graph(rng, n, rng.uniform(0.1, 0.8))
         witness = odd_wheel(g)
-        spoke = sparse_missing_spoke(g)
+        spoke = sparse_missing_spoke(g) if witness is None else None
         found = None if witness is None else (witness.centre, witness.rim)
         digest.update(repr((found, spoke)).encode())
         rims[None if witness is None else len(witness.rim)] += 1
         spokes += spoke is not None
-    assert rims == {None: 323, 3: 105, 5: 71, 7: 1} and spokes == 56
-    assert digest.hexdigest() == "d7b08198714fd1d84a2448858c9498908d965957e1070d31c36eadc2ff248491"
-
-
-class TestOddCycleThrough:
-    def test_block_logic_matches_path_enumeration(self):
-        # oracle: exhaustive simple-path DFS (exponential, small n only)
-        from localchrom.structure import _odd_cycle_through
-
-        def oracle(h, target):
-            def extend(path, on_path):
-                v = path[-1]
-                for u in bits(h.adj[v]):
-                    if u == target and len(path) >= 3 and len(path) % 2 == 1:
-                        return True
-                    if not on_path >> u & 1 and u != target:
-                        path.append(u)
-                        if extend(path, on_path | (1 << u)):
-                            return True
-                        path.pop()
-                return False
-
-            return extend([target], 1 << target)
-
-        rng = random.Random(515)
-        for _ in range(120):
-            g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.15, 0.7))
-            for v in range(g.n):
-                assert _odd_cycle_through(g.adj, (1 << g.n) - 1, v) == oracle(g, v)
-
-    def test_polynomial_on_dense_bipartite_region(self):
-        # K_{9,9} has no odd cycles at all; path enumeration would explode here
-        from localchrom.structure import _odd_cycle_through
-
-        g = blow_up(Graph(2, [(0, 1)]), [9, 9])
-        assert not _odd_cycle_through(g.adj, (1 << g.n) - 1, 0)
+    assert rims == {None: 323, 3: 105, 5: 71, 7: 1} and spokes == 8
+    assert digest.hexdigest() == "6cbac2f755891751bdddc745bdf7712c2ad8c40dcc549e60fbdc2c12d5c1e93f"
 
 
 class TestSparseMissingSpoke:
@@ -310,7 +277,7 @@ class TestSparseMissingSpoke:
 
     def test_long_rim_needs_no_recursion(self):
         # a hub over a 1100-vertex path whose ends meet vertex 1101: the
-        # block search goes 1100 levels deep, and (hub, 1101) is the missing
+        # odd cycle through 1101 is 1101 long, and (hub, 1101) is the missing
         # spoke of the odd wheel whose rim closes through 1101
         edges = [(0, i) for i in range(1, 1101)] + [(i, i + 1) for i in range(1, 1100)]
         g = Graph(1102, edges + [(1, 1101), (1100, 1101)])
@@ -323,3 +290,58 @@ class TestSparseMissingSpoke:
         assert find_subgraph(families.h0(), g) is None
         assert 2 * g.min_degree() > g.n
         assert sparse_missing_spoke(g) is None
+
+    @pytest.mark.parametrize("g", [families.wheel(5), k4()], ids=["W5", "K4"])
+    def test_rejects_non_locally_bipartite(self, g):
+        with pytest.raises(ValueError, match="requires a locally bipartite input"):
+            sparse_missing_spoke(g)
+
+    def test_matches_path_enumeration(self):
+        # oracle: for the sparse pairs uv in the same order, an exhaustive
+        # simple-path DFS for an odd cycle through v inside N(u) + v
+        # (exponential, small n only); it does not use local bipartiteness
+        def odd_cycle_through(g, region, target):
+            def extend(path, on_path):
+                for w in bits(g.adj[path[-1]] & region):
+                    if w == target and len(path) >= 3 and len(path) % 2 == 1:
+                        return True
+                    if not on_path >> w & 1:
+                        path.append(w)
+                        if extend(path, on_path | 1 << w):
+                            return True
+                        path.pop()
+                return False
+
+            return extend([target], 1 << target)
+
+        def oracle(g):
+            for u in range(g.n):
+                for v in range(g.n):
+                    common = g.adj[u] & g.adj[v]
+                    if u == v or g.has_edge(u, v) or any(g.adj[x] & common for x in bits(common)):
+                        continue
+                    if odd_cycle_through(g, g.adj[u] | 1 << v, v):
+                        return (u, v)
+            return None
+
+        rng = random.Random(515)
+        outcomes = Counter()
+        while sum(outcomes.values()) < 300:
+            if rng.random() < 0.5:
+                # an odd wheel (hub k) less one spoke and about a tenth of
+                # its other edges, perhaps with one more vertex, relabelled
+                k = rng.choice((5, 7))
+                spoke = (rng.randrange(k), k)
+                g = families.wheel(k)
+                g = Graph(k + 1, [e for e in g.edges() if e != spoke and rng.random() < 0.9])
+                if k == 5 and rng.random() < 0.5:
+                    g = g.with_vertex(rng.getrandbits(g.n))
+                g = relabel(g, rng.sample(range(g.n), g.n))
+            else:
+                g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.15, 0.7))
+            if not is_locally_bipartite(g):
+                continue
+            spoke = sparse_missing_spoke(g)
+            assert spoke == oracle(g), g.edges()
+            outcomes[spoke is not None] += 1
+        assert outcomes == {True: 52, False: 248}
