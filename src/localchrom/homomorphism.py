@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import CertificateError, Graph, _twin_masks, bits, mask_of
+from .graphs import CertificateError, Graph, _classes_by_row, _twin_masks, bits, mask_of
 from .structure import is_edge_maximal_locally_bipartite, is_locally_bipartite, is_twin_free
 
 
@@ -200,50 +200,43 @@ def find_subgraph(pattern: Graph, host: Graph, induced: bool = False) -> tuple[i
 # Canonical labelling by iterated refinement plus individualization.
 
 
-def _refine(g: Graph, colour: list[int]) -> list[int]:
-    """1-dimensional colour refinement to a fixpoint.
+def _refine(g: Graph, cells: list[int]) -> list[int]:
+    """1-dimensional colour refinement of an ordered partition to a fixpoint.
 
-    New colours are ranks of (old colour, sorted neighbour-colour multiset),
-    which is isomorphism-invariant.  Each round builds every colour cell once
-    as a bitset.  The multiset of a vertex with row ``row`` is the flat tuple
-    that repeats each cell's colour ``(row & cell).bit_count()`` times, over
-    the non-empty cells in ascending colour order; colours may be sparse
-    (individualisation doubles them), so only the cells that occur are
-    visited.  Keys of different colours rank by colour, so the ranks are
-    handed out cell by cell in ascending colour, and a singleton cell needs
-    no multiset.  Once a round adds no cell, the ranks are a strictly
-    increasing function of the old colours, which the next round would
-    reproduce, so they are returned.
+    A partition is a list of cells (vertex bitsets); positions are colours.
+    Each round splits every non-singleton cell against the whole previous
+    partition, by a signature packing the vertex's counts
+    ``(row & other).bit_count()`` over the previous cells, in order and
+    ``len(adj).bit_length()`` bits each, into groups of descending
+    signature, until a round splits no cell.  With one degree per cell (as
+    in any partition as fine as the degree partition) this ranks (colour,
+    sorted neighbour-colour multiset): of two sorted multisets of one length
+    whose count vectors first differ at colour c, the one with more copies
+    of c has a c where the other has a larger colour, so descending count
+    vectors are ascending multisets.
     """
     adj = g.adj
+    width = len(adj).bit_length()
     while True:
-        cells: dict[int, int] = {}
-        for v, c in enumerate(colour):
-            cells[c] = cells.get(c, 0) | 1 << v
-        by_colour = sorted(cells.items())
-        new = [0] * g.n
-        rank = 0
-        for _, cell in by_colour:
+        new: list[int] = []
+        for cell in cells:
             if not cell & (cell - 1):
-                new[cell.bit_length() - 1] = rank
-                rank += 1
+                new.append(cell)
                 continue
-            split: dict[tuple[int, ...], list[int]] = {}
-            for v in bits(cell):
-                row = adj[v]
-                multiset: list[int] = []
-                for d, other in by_colour:
-                    k = (row & other).bit_count()
-                    if k:
-                        multiset += (d,) * k
-                split.setdefault(tuple(multiset), []).append(v)
-            for key in sorted(split):
-                for v in split[key]:
-                    new[v] = rank
-                rank += 1
-        if rank == len(cells):
+            split: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = adj[low.bit_length() - 1]
+                signature = 0
+                for other in cells:
+                    signature = signature << width | (row & other).bit_count()
+                split[signature] = split.get(signature, 0) | low
+            new += [split[s] for s in sorted(split, reverse=True)]
+        if len(new) == len(cells):
             return new
-        colour = new
+        cells = new
 
 
 def _encode(g: Graph, order: list[int]) -> int:
@@ -275,6 +268,12 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     encodings: a node individualises one vertex per twin class of its target
     cell.  The search runs on an explicit stack, not bounded by recursion.
 
+    The cells are those of ranking (colour, sorted neighbour-colour multiset)
+    from the unit colouring (see ``_refine``): the root's degree partition is
+    its first round, as the multisets (0,) * degree sort by length, and
+    individualising v puts {v} in front of its cellmates, as colouring v 2c
+    and the others of each colour c 2c + 1 does.
+
     Two leaves of minimal encoding differ by an automorphism (B. D. McKay,
     "Practical graph isomorphism", 1981).  Those found and the twin
     transpositions generate Aut(g): Aut(g) acts regularly on the minimal
@@ -293,12 +292,13 @@ def _canonical_search(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     best: int | None = None
     first: list[int] = []
     autos: list[tuple[int, ...]] = []
-    stack = [[0] * n]
+    by_degree = _classes_by_row(g.degrees())
+    stack = [[by_degree[d] for d in sorted(by_degree)]]
     while stack:
-        colour = _refine(g, stack.pop())
-        order = sorted(range(n), key=colour.__getitem__)
-        # order[:k]: the singleton cells in front of the first larger cell
-        k = next((i for i in range(n - 1) if colour[order[i]] == colour[order[i + 1]]), n)
+        cells = _refine(g, stack.pop())
+        # order: the singleton cells in front of the first larger cell, cells[k]
+        k = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), n)
+        order = [cell.bit_length() - 1 for cell in cells[:k]]
         if k == n:
             code = _encode(g, order)
             if best is None or code < best:
@@ -307,14 +307,13 @@ def _canonical_search(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
                 autos.append(tuple([v for _, v in sorted(zip(first, order))]))
             continue
         if best is not None and k > 1:
-            if _encode(g, order[:k]) > best >> (total_bits - k * (k - 1) // 2):
+            if _encode(g, order) > best >> (total_bits - k * (k - 1) // 2):
                 continue
-        chosen = 0
-        for v in reversed(order[k:]):
-            if colour[v] == colour[order[k]] and not chosen >> v & 1:
-                chosen |= twins[v]
-                # individualize v: strictly smaller colour than its former cellmates
-                stack.append([colour[u] * 2 + (0 if u == v else 1) for u in range(n)])
+        rest = cells[k]
+        while rest:  # individualise one vertex per twin class, in descending index
+            v = rest.bit_length() - 1
+            rest &= ~twins[v]
+            stack.append(cells[:k] + [1 << v, cells[k] ^ 1 << v] + cells[k + 1 :])
     if best is None:
         raise CertificateError("canonical_form reached no leaf")
     return best, tuple(autos)  # a search level keeps one per graph; () is shared

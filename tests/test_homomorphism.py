@@ -13,7 +13,9 @@ from localchrom import families
 from localchrom.colouring import chromatic_number
 from localchrom.graphs import (
     Graph,
+    _classes_by_row,
     _twin_masks,
+    bits,
     blow_up,
     blow_up_classes,
     complement,
@@ -23,7 +25,9 @@ from localchrom.graphs import (
 )
 from localchrom.homomorphism import (
     _backtrack,
+    _canonical_search,
     _pattern_order,
+    _refine,
     brute_force_homomorphism,
     canonical_form,
     compose,
@@ -319,6 +323,53 @@ class TestBacktracker:
             assert set(subgraph_embeddings(p, h, induced=True)) == iso
 
 
+def refine_by_multisets(g, colour):
+    """Reference colour refinement on a colour list: new colours are ranks of
+    (old colour, sorted neighbour-colour multiset), until no class splits."""
+    adj = g.adj
+    while True:
+        cells: dict[int, int] = {}
+        for v, c in enumerate(colour):
+            cells[c] = cells.get(c, 0) | 1 << v
+        by_colour = sorted(cells.items())
+        new = [0] * g.n
+        rank = 0
+        for _, cell in by_colour:
+            if not cell & (cell - 1):
+                new[cell.bit_length() - 1] = rank
+                rank += 1
+                continue
+            split: dict[tuple[int, ...], list[int]] = {}
+            for v in bits(cell):
+                row = adj[v]
+                multiset: list[int] = []
+                for d, other in by_colour:
+                    k = (row & other).bit_count()
+                    if k:
+                        multiset += (d,) * k
+                split.setdefault(tuple(multiset), []).append(v)
+            for key in sorted(split):
+                for v in split[key]:
+                    new[v] = rank
+                rank += 1
+        if rank == len(cells):
+            return new
+        colour = new
+
+
+def colour_classes(colour):
+    """The classes of a colour list as vertex bitsets, in ascending colour."""
+    classes = _classes_by_row(colour)
+    return [classes[c] for c in sorted(classes)]
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
 class TestIsomorphism:
     def test_complement_c7_is_square(self):
         assert is_isomorphic(complement(cycle_power(7, 1)), cycle_power(7, 2))
@@ -363,6 +414,41 @@ class TestIsomorphism:
             kept += 1
             digest.update(repr(canonical_form(g)).encode())
         expected = "de0a98cdb2e587f64bbed9e6bf14ce03b63f86dfdf1f0b292aed85cff3636efc"
+        assert digest.hexdigest() == expected
+
+    def test_refine_matches_multiset_ranking(self):
+        # cells in order against the reference's classes in rank order: from
+        # the degree partition against the unit colouring, and from every
+        # individualisation of one vertex of the refined partition
+        rng = random.Random(2014)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 13), rng.uniform(0.1, 0.9))
+            colour = refine_by_multisets(g, [0] * g.n)
+            by_degree = _classes_by_row(g.degrees())
+            cells = _refine(g, [by_degree[d] for d in sorted(by_degree)])
+            assert cells == colour_classes(colour)
+            for k, cell in enumerate(cells):
+                for v in bits(cell):
+                    rest = [cell ^ 1 << v] if cell & (cell - 1) else []
+                    split = cells[:k] + [1 << v, *rest] + cells[k + 1 :]
+                    individualised = [2 * c + (u != v) for u, c in enumerate(colour)]
+                    expected = colour_classes(refine_by_multisets(g, individualised))
+                    assert _refine(g, split) == expected
+
+    def test_canonical_search_is_frozen(self):
+        # SHA-256 over _canonical_search (encoding and the automorphisms that
+        # the orbit pruning reads) of 500 random graphs on 0-12 vertices,
+        # C3-C20, the Petersen graph and 2-fold blow-ups of C7BAR, H2PLUS and
+        # COUNTEREXAMPLE8, frozen while refinement ranked colour lists
+        rng = random.Random(2014)
+        panel = [random_graph(rng, rng.randint(0, 12), rng.uniform(0.1, 0.9)) for _ in range(500)]
+        panel += [cycle_power(k, 1) for k in range(3, 21)] + [petersen()]
+        named = (families.c7bar(), families.h2plus(), families.counterexample8())
+        panel += [blow_up(f, [2] * f.n) for f in named]
+        digest = hashlib.sha256()
+        for g in panel:
+            digest.update(repr(_canonical_search(g)).encode())
+        expected = "2fa3298125cecc7479e457a00dd50ff2023e61220fe33250269bddf6265d6edd"
         assert digest.hexdigest() == expected
 
     def test_edgeless_and_complete_need_no_recursion(self):
