@@ -208,11 +208,11 @@ def _classes(g: Graph, anchor: tuple[int, ...], case: _Case, audit: dict[str, st
     if mask_of(x for x in range(n) if counts[x] == 4) != star:
         raise _Reject(f"four-neighbour vertices do not match the {case.star_name} pattern")
 
+    # No check needed: the anchor degrees sum to the counts (4 on the star, at
+    # most 3 off it), so 7 delta <= 4|G| - |outside| always holds.
     outside = ((1 << n) - 1) & ~star
     bound = 4 * n - 7 * g.min_degree()
     audit["R-size"] = f"|{case.outside_name}|={outside.bit_count()} <= 4|G|-7delta={bound}"
-    if outside.bit_count() > bound:
-        raise _Reject(f"size audit failed: |{case.outside_name}| > 4|G| - 7delta")
 
     # G[D] must collapse onto the pattern: no edge inside any D_i or between
     # the D_i and D_j of a pattern non-edge ij (H2's D_1-D_6 edge is a C7BAR).

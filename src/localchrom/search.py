@@ -35,7 +35,10 @@ from time import perf_counter
 try:  # hashlib would also load OpenSSL, about 4 MB of resident memory
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:  # CPython 3.12 merged _sha256 into _sha2
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .colouring import chromatic_number
 from .graphs import Graph, bits

@@ -8,6 +8,7 @@ from localchrom import cli, families, search
 from localchrom.cli import main
 from localchrom.graphio import emit_graph, emit_weighted_graph, parse_graph
 from localchrom.graphs import CertificateError, Graph, WeightedGraph, blow_up
+from localchrom.homomorphism import is_homomorphism
 
 
 @pytest.fixture
@@ -137,6 +138,15 @@ def test_weight_with_given_weighting(capsys, tmp_path):
     assert "GIVEN-WEIGHTING BEATS 1/2" in out
 
 
+def test_weight_without_beats_warns_of_an_isolated_vertex(capsys, tmp_path):
+    path = tmp_path / "isolated.txt"
+    path.write_text("3 1\n0 1\n")
+    assert main(["weight", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "t*=0 omega: 1/3,1/3,1/3\n"
+    assert captured.err == "warning: isolated vertex forces t* = 0\n"
+
+
 def test_search_cli(capsys, tmp_path):
     out_file = tmp_path / "found.txt"
     assert main(["search", "--n", "4", "--beats", "1/2", "-o", str(out_file)]) == 0
@@ -252,6 +262,20 @@ def test_verify_profile_cli(capsys, tmp_path):
     assert main(["verify-profile", str(path)]) == 0
     out = capsys.readouterr().out
     assert "ratio 6/11" in out and "regime outside" in out
+
+
+def test_verify_profile_cli_prints_target_and_map(capsys, tmp_path):
+    g = blow_up(families.c7bar(), [3] * 7)
+    path = tmp_path / "c7bar-m3.txt"
+    path.write_text(emit_graph(g))
+    assert main(["verify-profile", str(path)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[:5] == ["n 21", "delta 12", "ratio 4/7", "regime above-6/11", "outcome HOM_C7BAR"]
+    assert lines[5].startswith("colouring ") and lines[6] == "target C7BAR"
+    assert lines[7].startswith("map ") and len(lines) == 8
+    assert is_homomorphism(g, families.c7bar(), tuple(map(int, lines[7][4:].split(","))))
+    assert captured.err == "homomorphism to C7BAR\n"
 
 
 def test_verify_paper_filtered_json(capsys):

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from localchrom import families
-from localchrom.colouring import chromatic_number, validate_colouring
+from localchrom.colouring import chromatic_number, k_colourable, validate_colouring
 from localchrom.decompose import (
     _list_hom,
     decompose_c7bar,
@@ -17,6 +17,7 @@ from localchrom.decompose import (
 from localchrom.graphs import Graph, bits, blow_up, blow_up_classes, mask_of
 from localchrom.homomorphism import _backtrack, _pattern_order, find_subgraph, is_homomorphism
 from localchrom.report import h2plus_decomposition_instance
+from localchrom.structure import is_locally_bipartite
 
 F = Fraction
 
@@ -105,28 +106,29 @@ class TestDecomposeH2plus:
         assert cert.outcome == "FAILED" and cert.reason == "no H2PLUS copy"
 
 
+def _augmented_certificate():
+    # Under the full degree hypothesis every reachable instance collapses
+    # straight onto H2PLUS, so the tolerated-pair branch is exercised by
+    # driving the builder directly on a thinner instance: a [2]*8 blow-up
+    # plus a forced R1 vertex and a forced R5 vertex joined by an edge.
+    from localchrom.decompose import _H2PLUS_CASE, _build
+
+    base = blow_up(families.h2plus(), [2] * 8)
+    classes = blow_up_classes([2] * 8)
+    x_nbrs = mask_of(list(classes[0]) + list(classes[2]))
+    g = base.with_vertex(x_nbrs)  # x: D-neighbours in D0, D2 -> R1 forced
+    x = g.n - 1
+    y_nbrs = mask_of(list(classes[0]) + list(classes[4]) + list(classes[6]) + [x])
+    g = g.with_vertex(y_nbrs)  # y: D-neighbours in D0, D4, D6 -> R5 forced
+    y = g.n - 1
+    anchor7 = tuple(c[0] for c in classes[:7])
+    return g, x, y, _build(g, anchor7, _H2PLUS_CASE)
+
+
 class TestAugmentedBranch:
     def test_tolerated_pair_upgrades_to_augmented_target(self):
-        # Under the full degree hypothesis every reachable instance collapses
-        # straight onto H2PLUS, so the tolerated-pair branch is exercised by
-        # driving the builder directly on a thinner instance: a [2]*8 blow-up
-        # plus a forced R1 vertex and a forced R5 vertex joined by an edge.
-        from localchrom.decompose import _H2PLUS_CASE, _build
-        from localchrom.graphs import bits, mask_of
-
-        base = blow_up(families.h2plus(), [2] * 8)
-        classes = blow_up_classes([2] * 8)
-        x_nbrs = mask_of(list(classes[0]) + list(classes[2]))
-        g = base.with_vertex(x_nbrs)  # x: D-neighbours in D0, D2 -> R1 forced
-        x = g.n - 1
-        y_nbrs = mask_of(list(classes[0]) + list(classes[4]) + list(classes[6]) + [x])
-        g = g.with_vertex(y_nbrs)  # y: D-neighbours in D0, D4, D6 -> R5 forced
-        y = g.n - 1
-        from localchrom.structure import is_locally_bipartite
-
+        g, x, y, cert = _augmented_certificate()
         assert is_locally_bipartite(g)
-        anchor7 = tuple(c[0] for c in classes[:7])
-        cert = _build(g, anchor7, _H2PLUS_CASE)
         assert cert.outcome == "HOM_AUGMENTED"
         assert cert.failed_upgrades == ("e(R1,R5)=0",)
         assert cert.s_value == 1  # exactly the tolerated x-y edge
@@ -134,6 +136,16 @@ class TestAugmentedBranch:
         assert is_homomorphism(g, families.h2plus_augmented(), cert.hom)
         assert not is_homomorphism(g, families.h2plus(), cert.hom)
         assert validate_colouring(g, cert.colouring, 4)
+
+    def test_printed_certificate_names_the_failed_upgrade(self, capsys):
+        from localchrom.cli import _print_certificate
+
+        cert = _augmented_certificate()[3]
+        _print_certificate(cert)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "outcome HOM_AUGMENTED"
+        assert "s 1" in lines and "target H2PLUS_AUG" in lines
+        assert lines[-1] == "failed-upgrades e(R1,R5)=0"
 
 
 class TestBuildRejects:
@@ -228,6 +240,25 @@ class TestBuildRejects:
         # anchor degree of H2's D_1 and D_6
         for i, j in combinations(range(7), 2):
             assert (pattern.adj[i] | pattern.adj[j]).bit_count() >= 5
+
+    def test_size_audit_holds_whenever_it_is_recorded(self):
+        # why _classes needs no size check: once the anchor counts pass, the
+        # recorded |R| <= 4|G| - 7 delta is a double count of the anchor degrees
+        from localchrom.decompose import _C7BAR_CASE, _H2PLUS_CASE, _build
+
+        rng = random.Random(20260810)
+        recorded = 0
+        for _ in range(2000):
+            case = rng.choice([_C7BAR_CASE, _H2PLUS_CASE])
+            n, p = rng.randint(8, 15), rng.uniform(0.2, 0.9)
+            extra = [(u, v) for v in range(7, n) for u in range(v) if rng.random() < p]
+            g = Graph(n, list(case.pattern.edges()) + extra)
+            audit = _build(g, tuple(range(7)), case).audit
+            if audit:
+                size, bound = (int(part.split("=")[-1]) for part in audit["R-size"].split(" <= "))
+                assert size <= bound
+                recorded += 1
+        assert recorded > 300
 
     def test_edge_off_the_anchor_maps_onto_an_edge(self):
         # two adjacent vertices off the anchor may go to any class: the first
@@ -467,6 +498,18 @@ class TestFirstAnchorDecides:
         assert decompose_h2plus(k3_blow_up).reason == "no H2PLUS copy"
         assert audits == [12]
 
+    def test_audit_is_vacuous_on_a_host_with_h0(self, monkeypatch):
+        # H0 has seven vertices, so it holds no H2PLUS copy: there is no
+        # anchor, and the H0 copy alone settles the audit
+        from localchrom import decompose
+
+        def unexpected(g):
+            raise AssertionError("the missing-spoke search ran on a host with H0")
+
+        monkeypatch.setattr(decompose, "sparse_missing_spoke", unexpected)
+        cert = decompose._decompose(families.h0(), None)
+        assert (cert.kind, cert.outcome, cert.reason) == ("H2PLUS", "FAILED", "no H2PLUS copy")
+
     def test_missing_spoke_of_an_odd_wheel(self):
         from localchrom.decompose import _decompose
 
@@ -511,3 +554,70 @@ class TestVerifyProfile:
     def test_rejects_non_locally_bipartite(self):
         with pytest.raises(ValueError):
             verify_profile(families.wheel(7))
+
+    def test_five_chromatic_graph_outside_the_range(self):
+        # the Mycielskian of the Groetzsch graph: triangle-free, so locally
+        # bipartite, on 23 vertices with chi = 5
+        g = mycielskian(mycielskian(Graph(5, [(i, (i + 1) % 5) for i in range(5)])))
+        assert g.n == 23 and is_locally_bipartite(g)
+        report = verify_profile(g)
+        assert (report.regime, report.outcome) == ("outside", "outside-range")
+        assert report.detail == "outside theorem range; not 4-colourable"
+        assert report.colouring is None and not report.hard_failure
+        assert validate_colouring(g, k_colourable(g, 5), 5)
+
+
+def mycielskian(g: Graph) -> Graph:
+    """Vertices 0..n-1 are g, n + i is the shadow of i (joined to the
+    neighbours of i) and 2n is joined to every shadow."""
+    n = g.n
+    edges = list(g.edges())
+    edges += [(u, n + v) for u, v in g.edges()] + [(v, n + u) for u, v in g.edges()]
+    edges += [(n + i, 2 * n) for i in range(n)]
+    return Graph(2 * n + 1, edges)
+
+
+@pytest.mark.parametrize(
+    "build, patched, detail",
+    [
+        pytest.param(
+            lambda: blow_up(Graph(3, [(0, 1), (0, 2), (1, 2)]), [4] * 3),
+            "k_colourable",
+            "delta > 4/7 |G| but no 3-colouring exists",
+            id="k3-m4",
+        ),
+        pytest.param(
+            lambda: blow_up(families.c7bar(), [3] * 7),
+            "_decompose",
+            "contains C7BAR but decomposition failed: planted",
+            id="c7bar-m3",
+        ),
+        pytest.param(
+            lambda: h2plus_decomposition_instance()[0],
+            "_decompose",
+            "not 3-colourable, no C7BAR, and H2+ decomposition failed: planted",
+            id="h2plus-figure",
+        ),
+    ],
+)
+def test_broken_promise_is_a_hard_failure(monkeypatch, capsys, tmp_path, build, patched, detail):
+    # only a counterexample to the theorem reaches these branches, so a
+    # planted solver failure stands in for one
+    from localchrom import decompose
+    from localchrom.cli import main
+    from localchrom.graphio import emit_graph
+
+    g = build()
+    if patched == "k_colourable":
+        monkeypatch.setattr(decompose, "k_colourable", lambda g, k, deadline=None: None)
+    else:
+        monkeypatch.setattr(decompose, "_decompose", lambda g, copy: decompose._failed("C7BAR", "planted"))
+    report = verify_profile(g)
+    assert (report.outcome, report.detail, report.hard_failure) == ("PROMISE-VIOLATED", detail, True)
+    assert report.colouring is None and report.hom is None
+    path = tmp_path / "host.txt"
+    path.write_text(emit_graph(g))
+    assert main(["verify-profile", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "outcome PROMISE-VIOLATED" in captured.out.splitlines()
+    assert captured.err == detail + "\n"

@@ -13,6 +13,7 @@ from localchrom.homomorphism import find_subgraph, subgraph_embeddings
 from localchrom.structure import (
     OddWheelWitness,
     PairClass,
+    _two_colourable,
     classify_pair,
     dense_set,
     is_edge_maximal_locally_bipartite,
@@ -224,6 +225,23 @@ class TestFiveVertexCorollary:
                 if count >= 50:
                     break
             assert count > 0  # these families all contain H0
+
+    def test_five_vertex_sets_are_bipartite_iff_they_have_no_odd_cycle(self):
+        # the H0 claim of verify-paper reads "a triangle or a 5-cycle" on five
+        # vertices as "not 2-colourable"; networkx decides both sides here
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(20260810)
+        outcomes = Counter()
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(5, 9), rng.uniform(0.2, 0.8))
+            for subset in combinations(range(g.n), 5):
+                h = nx.Graph([(u, v) for u, v in combinations(subset, 2) if g.has_edge(u, v)])
+                h.add_nodes_from(subset)
+                bipartite = _two_colourable(g.adj, mask_of(subset))
+                assert bipartite == nx.is_bipartite(h)
+                assert bipartite == all(len(c) % 2 == 0 for c in nx.simple_cycles(h))
+                outcomes[bipartite] += 1
+        assert outcomes[True] > 1000 and outcomes[False] > 1000
 
 
 def triangle_free_hub(rng, n):
