@@ -12,19 +12,34 @@ class SolverTimeout(Exception):
 
 
 def greedy_clique(g: Graph) -> int:
-    """A (not necessarily maximum) clique bitset, grown greedily by degree."""
+    """A (not necessarily maximum) clique bitset, grown greedily by degree.
+
+    Each step adds the candidate with the most candidate neighbours, the
+    lowest index on ties.  Open twins have equal counts, so one candidate per
+    open-twin class is scored, its lowest.
+    """
+    adj = g.adj
     best = 0
     grown = set()  # a twin of a grown start grows a clique of the same size
+    classes = _classes_by_row(adj)
+    twins = [classes[row] for row in adj]
     for start in sorted(range(g.n), key=lambda v: -g.degree(v)):
-        if g.adj[start] in grown:
+        if adj[start] in grown:
             continue
-        grown.add(g.adj[start])
+        grown.add(adj[start])
         clique = 1 << start
-        candidates = g.adj[start]
+        candidates = adj[start]
         while candidates:
-            v = max(bits(candidates), key=lambda u: (g.adj[u] & candidates).bit_count())
+            top = -1
+            rest = candidates
+            while rest:
+                u = (rest & -rest).bit_length() - 1
+                rest &= ~twins[u]
+                score = (adj[u] & candidates).bit_count()
+                if score > top:
+                    top, v = score, u
             clique |= 1 << v
-            candidates &= g.adj[v]
+            candidates &= adj[v]
         if clique.bit_count() > best.bit_count():
             best = clique
     return best

@@ -200,25 +200,40 @@ def find_subgraph(pattern: Graph, host: Graph, induced: bool = False) -> tuple[i
 # Canonical labelling by iterated refinement plus individualization.
 
 
-def _refine(g: Graph, cells: list[int]) -> list[int]:
+def _refine(g: Graph, cells: list[int], fresh: list[int] | None = None) -> list[int]:
     """1-dimensional colour refinement of an ordered partition to a fixpoint.
 
     A partition is a list of cells (vertex bitsets); positions are colours.
-    Each round splits every non-singleton cell against the whole previous
-    partition, by a signature packing the vertex's counts
-    ``(row & other).bit_count()`` over the previous cells, in order and
-    ``len(adj).bit_length()`` bits each, into groups of descending
-    signature, until a round splits no cell.  With one degree per cell (as
-    in any partition as fine as the degree partition) this ranks (colour,
-    sorted neighbour-colour multiset): of two sorted multisets of one length
-    whose count vectors first differ at colour c, the one with more copies
-    of c has a c where the other has a larger colour, so descending count
-    vectors are ascending multisets.
+    Each round splits every non-singleton cell by a signature packing the
+    vertex's counts ``(row & other).bit_count()`` over the previous
+    partition's cells, in order and ``len(adj).bit_length()`` bits each, into
+    groups of descending signature, until a round splits no cell.  With one
+    degree per cell (as in any partition as fine as the degree partition)
+    this ranks (colour, sorted neighbour-colour multiset): of two sorted
+    multisets of one length whose count vectors first differ at colour c, the
+    one with more copies of c has a c where the other has a larger colour, so
+    descending count vectors are ascending multisets.
+
+    Only the counts against ``fresh`` cells are packed: in the first round
+    those given (every input cell by default), then the cells that the
+    previous round created by a split, in partition order (B. D. McKay and
+    A. Piperno, "Practical graph isomorphism, II", 2014).  The vertices of a
+    cell X have equal counts against every cell that was already in the
+    previous partition, since that is how X was split from it, so the
+    signature over every cell and the one over the fresh cells rank X's
+    vertices alike: the cells and their order are those of the full count.
+    After individualising v in an equitable partition, ``fresh = [1 << v]``
+    suffices: a vertex's count against its old cell C minus v is its count
+    against C, equal across its own cell, less its adjacency to v, and {v}
+    comes first.
     """
     adj = g.adj
     width = len(adj).bit_length()
-    while True:
+    if fresh is None:
+        fresh = cells
+    while fresh:
         new: list[int] = []
+        created: list[int] = []
         for cell in cells:
             if not cell & (cell - 1):
                 new.append(cell)
@@ -230,13 +245,17 @@ def _refine(g: Graph, cells: list[int]) -> list[int]:
                 rest ^= low
                 row = adj[low.bit_length() - 1]
                 signature = 0
-                for other in cells:
+                for other in fresh:
                     signature = signature << width | (row & other).bit_count()
                 split[signature] = split.get(signature, 0) | low
-            new += [split[s] for s in sorted(split, reverse=True)]
-        if len(new) == len(cells):
-            return new
-        cells = new
+            if len(split) == 1:
+                new.append(cell)
+                continue
+            pieces = [split[s] for s in sorted(split, reverse=True)]
+            new += pieces
+            created += pieces
+        cells, fresh = new, created
+    return cells
 
 
 def _encode(g: Graph, order: list[int]) -> int:
@@ -288,14 +307,15 @@ def _canonical_search(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     first leaf ``first`` of minimal encoding to each later one ``order``."""
     n = g.n
     total_bits = n * (n - 1) // 2
-    twins = _twin_masks(g.adj)
+    twins: list[int] | None = None  # computed at the first node that branches
     best: int | None = None
     first: list[int] = []
     autos: list[tuple[int, ...]] = []
     by_degree = _classes_by_row(g.degrees())
-    stack = [[by_degree[d] for d in sorted(by_degree)]]
+    root = [by_degree[d] for d in sorted(by_degree)]
+    stack: list[tuple[list[int], list[int] | None]] = [(root, None)]  # (cells, fresh)
     while stack:
-        cells = _refine(g, stack.pop())
+        cells = _refine(g, *stack.pop())
         # order: the singleton cells in front of the first larger cell, cells[k]
         k = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), n)
         order = [cell.bit_length() - 1 for cell in cells[:k]]
@@ -309,11 +329,13 @@ def _canonical_search(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
         if best is not None and k > 1:
             if _encode(g, order) > best >> (total_bits - k * (k - 1) // 2):
                 continue
+        if twins is None:
+            twins = _twin_masks(g.adj)
         rest = cells[k]
         while rest:  # individualise one vertex per twin class, in descending index
             v = rest.bit_length() - 1
             rest &= ~twins[v]
-            stack.append(cells[:k] + [1 << v, cells[k] ^ 1 << v] + cells[k + 1 :])
+            stack.append((cells[:k] + [1 << v, cells[k] ^ 1 << v] + cells[k + 1 :], [1 << v]))
     if best is None:
         raise CertificateError("canonical_form reached no leaf")
     return best, tuple(autos)  # a search level keeps one per graph; () is shared

@@ -22,6 +22,14 @@ parent recorded when it was admitted as a child, and the twin transpositions
 resumed level is searched once per graph, and refused unless its graphs are
 locally bipartite and in strictly ascending canonical form, and its found
 graphs in strictly ascending (n, canonical form) with n at most the level.
+
+A mask is tested on the parent before its child is built: the child is
+locally bipartite iff parent[mask] is 2-colourable and, for each w in the
+mask, the mask meets no component of G[N(w)] on both of its sides, since
+G[N(w)] is bipartite and so every odd cycle of N(w) + x passes through the
+new vertex x.  A child's canonical search refines against the cells that the
+last round split; a cell's vertices agree on every older cell, so the cells
+and their order are those of refining against every cell (``_refine``).
 """
 
 from __future__ import annotations
@@ -41,13 +49,14 @@ except ImportError:
         from hashlib import sha256
 
 from .colouring import chromatic_number
-from .graphs import Graph, bits
+from .graphs import Graph
 from .homomorphism import _automorphism_generators, _canonical_search
 from .structure import (
-    neighbourhood_is_bipartite,
     is_edge_maximal_locally_bipartite,
     is_locally_bipartite,
     is_twin_free,
+    locally_bipartite_with_vertex,
+    neighbourhood_sides,
 )
 from .weighting import optimal_weighting
 
@@ -83,7 +92,7 @@ class LevelStats:
 
     n: int
     parents: int
-    masks_tried: int  # orbit-minimal masks, one child built for each
+    masks_tried: int  # orbit-minimal masks, each tested from the parent's neighbourhoods
     children: int  # locally bipartite children
     canonical_forms: int  # one per locally bipartite child
     classes: int
@@ -157,12 +166,12 @@ def _next_level(level: Level, stats: list[LevelStats] | None = None) -> Level:
     for parent, autos in level:
         masks = _orbit_minimal_masks(parent, autos)
         tried += len(masks)
+        sides = neighbourhood_sides(parent)
         for mask in masks:
-            # only the new vertex's neighbourhood and those of its neighbours change
-            child = parent.with_vertex(mask)
-            if not all(neighbourhood_is_bipartite(child, w) for w in (parent.n, *bits(mask))):
+            if not locally_bipartite_with_vertex(parent, sides, mask):
                 continue
             children += 1
+            child = parent.with_vertex(mask)
             key, child_autos = _canonical_search(child)
             if key not in seen:
                 seen[key] = (child, child_autos)

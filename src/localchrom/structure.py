@@ -103,15 +103,17 @@ def neighbourhood_is_bipartite(g: Graph, centre: int) -> bool:
     return _two_colourable(g.adj, g.adj[centre])
 
 
-def _two_colourable(adj, members: int) -> bool:
-    """Whether the subgraph of ``adj`` induced by the bitset ``members`` is
-    bipartite: a BFS by layers, each layer coloured opposite to the last.
+def _two_colouring(adj, region: int) -> list[tuple[int, int]] | None:
+    """The two sides of each component of the subgraph of ``adj`` induced by
+    the bitset ``region``, or None if it is not bipartite: a BFS by layers,
+    each layer coloured opposite to the last.
 
     An edge inside a colour class joins two vertices of one layer (BFS layers
     two apart are never adjacent), so checking each layer against its own
     colour class finds every conflict.
     """
-    unseen = members
+    components = []
+    unseen = region
     while unseen:
         layer = unseen & -unseen
         unseen ^= layer
@@ -120,15 +122,51 @@ def _two_colourable(adj, members: int) -> bool:
         while layer:
             reached = 0
             for v in bits(layer):
-                row = adj[v] & members
+                row = adj[v] & region
                 if row & side[parity]:
-                    return False
+                    return None
                 reached |= row
             layer = reached & unseen
             unseen ^= layer
             parity ^= 1
             side[parity] |= layer
-    return True
+        components.append((side[0], side[1]))
+    return components
+
+
+def _two_colourable(adj, region: int) -> bool:
+    """Whether the subgraph of ``adj`` induced by the bitset ``region`` is bipartite."""
+    return _two_colouring(adj, region) is not None
+
+
+def neighbourhood_sides(g: Graph) -> list[list[tuple[int, int]]]:
+    """For each vertex w of a locally bipartite g, the two sides of each
+    component of G[N(w)] that has an edge; ValueError otherwise."""
+    sides = []
+    for row in g.adj:
+        components = _two_colouring(g.adj, row)
+        if components is None:
+            raise ValueError("neighbourhood_sides requires a locally bipartite input")
+        sides.append([(a, b) for a, b in components if b])
+    return sides
+
+
+def locally_bipartite_with_vertex(g: Graph, sides: list[list[tuple[int, int]]], mask: int) -> bool:
+    """Whether ``g.with_vertex(mask)`` is locally bipartite, for locally
+    bipartite g and ``sides = neighbourhood_sides(g)``, without building it.
+
+    Only the new vertex x and its neighbours w get a new neighbourhood.  That
+    of x is g[mask].  That of w is N(w) + x, where G[N(w)] is bipartite, so
+    every odd cycle of it passes through x: N(w) + x is 2-colourable unless x
+    has neighbours on both sides of one component of G[N(w)].  Neighbours on
+    opposite sides of two components are no conflict, as a component's sides
+    can be swapped on their own.
+    """
+    for w in bits(mask):
+        for a, b in sides[w]:
+            if mask & a and mask & b:
+                return False
+    return _two_colourable(g.adj, mask)
 
 
 def locally_bipartite_after_adding(g: Graph, u: int, v: int) -> bool:

@@ -224,7 +224,42 @@ class TestIndependenceNumber:
             assert independence_number(g)[0] == brute
 
 
+def greedy_clique_every_candidate(g):
+    """Reference: ``greedy_clique`` as it was before it scored one candidate
+    per open-twin class, scoring every candidate at each growth step."""
+    best = 0
+    grown = set()
+    for start in sorted(range(g.n), key=lambda v: -g.degree(v)):
+        if g.adj[start] in grown:
+            continue
+        grown.add(g.adj[start])
+        clique = 1 << start
+        candidates = g.adj[start]
+        while candidates:
+            v = max(bits(candidates), key=lambda u: (g.adj[u] & candidates).bit_count())
+            clique |= 1 << v
+            candidates &= g.adj[v]
+        if clique.bit_count() > best.bit_count():
+            best = clique
+    return best
+
+
 class TestCliqueHelpers:
+    def test_greedy_clique_matches_scoring_every_candidate(self):
+        rng = random.Random(2011)
+        hosts = [random_graph(rng, rng.randint(0, 40), rng.random()) for _ in range(500)]
+        for _ in range(40):  # relabelled blow-ups: open twin classes of up to four
+            base = random_graph(rng, rng.randint(1, 8), rng.uniform(0.3, 0.9))
+            g = blow_up(base, [rng.randint(1, 4) for _ in range(base.n)])
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            hosts.append(relabel(g, perm))
+        named = (families.c7bar(), families.h2plus(), families.delta(3))
+        hosts += [blow_up(f, [20] * f.n) for f in named]
+        hosts.append(blow_up(Graph(3, [(0, 1), (0, 2), (1, 2)]), [100] * 3))
+        for g in hosts:
+            assert greedy_clique(g) == greedy_clique_every_candidate(g)
+
     def test_greedy_clique_is_clique(self):
         rng = random.Random(12)
         for _ in range(30):

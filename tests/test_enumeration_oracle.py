@@ -19,7 +19,12 @@ from localchrom.homomorphism import (
     subgraph_embeddings,
 )
 from localchrom.search import _next_level, _orbit_minimal_masks, _searched_level
-from localchrom.structure import is_locally_bipartite
+from localchrom.structure import (
+    _two_colourable,
+    is_locally_bipartite,
+    locally_bipartite_with_vertex,
+    neighbourhood_sides,
+)
 
 # SHA-256 over repr([g.adj for g in level]) for levels 2..7, then over
 # repr([canonical_form(g) for g in level 7]); frozen from the plain
@@ -130,6 +135,73 @@ def test_level_stats_count_the_pruned_work():
     for s in stats:
         assert s.canonical_forms == s.children
         assert s.seconds >= 0
+
+
+def _edged_components(g: Graph, region: int) -> list[int]:
+    """The components of g[region] that have an edge, as bitsets, by a plain search."""
+    out = []
+    left = region
+    while left:
+        component = frontier = left & -left
+        while frontier:
+            reached = 0
+            for v in bits(frontier):
+                reached |= g.adj[v] & region
+            frontier = reached & ~component
+            component |= frontier
+        left &= ~component
+        if component & (component - 1):
+            out.append(component)
+    return out
+
+
+def _child_test_cases(parent: Graph) -> tuple[int, int]:
+    """Checks the parent-side child test on every mask of ``parent`` against
+    the whole child; returns how many masks give a child that is not locally
+    bipartite although parent[mask] is bipartite, and how many give a locally
+    bipartite child whose new vertex joins two components of some N(w)."""
+    sides = neighbourhood_sides(parent)
+    odd_through_new = across_components = 0
+    for mask in range(1 << parent.n):
+        child = parent.with_vertex(mask)
+        expected = is_locally_bipartite(child)
+        assert locally_bipartite_with_vertex(parent, sides, mask) == expected
+        if not expected and _two_colourable(parent.adj, mask):
+            odd_through_new += 1
+        if expected and any(
+            sum(1 for c in _edged_components(parent, parent.adj[w]) if c & mask) > 1
+            for w in bits(mask)
+        ):
+            across_components += 1
+    return odd_through_new, across_components
+
+
+def test_child_test_matches_the_whole_child_on_levels_1_to_6():
+    parents = [g for level in _levels(6).values() for g, _ in level]
+    assert len(parents) == 165
+    for g in parents:
+        _child_test_cases(g)
+
+
+def test_child_test_matches_the_whole_child_with_split_neighbourhoods():
+    # locally bipartite graphs in which some N(w) has two components with an
+    # edge: a mask can meet one component on both sides (an odd cycle through
+    # the new vertex) or two components, one on each side (no conflict)
+    rng = random.Random(1998)
+    kept = odd_through_new = across_components = 0
+    while kept < 30:
+        n = rng.randint(5, 10)
+        p = rng.uniform(0.2, 0.5)
+        g = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        if not is_locally_bipartite(g):
+            continue
+        if all(len(_edged_components(g, row)) < 2 for row in g.adj):
+            continue
+        kept += 1
+        cases = _child_test_cases(g)
+        odd_through_new += cases[0]
+        across_components += cases[1]
+    assert odd_through_new > 0 and across_components > 0
 
 
 def _orbit_minimal_masks_by_embeddings(parent: Graph) -> list[int]:

@@ -419,7 +419,8 @@ class TestIsomorphism:
     def test_refine_matches_multiset_ranking(self):
         # cells in order against the reference's classes in rank order: from
         # the degree partition against the unit colouring, and from every
-        # individualisation of one vertex of the refined partition
+        # individualisation of one vertex of the refined partition, refined
+        # against every cell and against the new singleton alone
         rng = random.Random(2014)
         for _ in range(300):
             g = random_graph(rng, rng.randint(0, 13), rng.uniform(0.1, 0.9))
@@ -434,6 +435,7 @@ class TestIsomorphism:
                     individualised = [2 * c + (u != v) for u, c in enumerate(colour)]
                     expected = colour_classes(refine_by_multisets(g, individualised))
                     assert _refine(g, split) == expected
+                    assert _refine(g, split, [1 << v]) == expected
 
     def test_canonical_search_is_frozen(self):
         # SHA-256 over _canonical_search (encoding and the automorphisms that

@@ -1,5 +1,6 @@
 """Extremal enumeration: membership filters, determinism, checkpoints."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -97,10 +98,18 @@ def test_membership_reports():
     assert k2.all_pass and k2.t_star == F(1, 2)
 
 
-def test_n8_at_just_below_5_9():
+def test_n8_at_just_below_5_9(tmp_path):
     # H2+ (t* = 5/9) enters; COUNTEREXAMPLE8 (t* = 6/11 < 5/9 - 1/100) stays out
     c = F(5, 9) - F(1, 100)
-    result = enumerate_extremal(8, c)
+    ckpt = tmp_path / "search.ckpt"
+    result = enumerate_extremal(8, c, checkpoint_path=str(ckpt))
+    state = json.loads(ckpt.read_text())
+    assert state["level"] == 8 and len(state["graphs"]) == 6195
+    # SHA-256 over repr of the level-8 rows: the representatives and their
+    # order, frozen at commit 292de34, before the per-child search work was
+    # cut down by fresh-cell refinement and the parent-side child test
+    digest = hashlib.sha256(repr(state["graphs"]).encode()).hexdigest()
+    assert digest == "a8f6fc7df945653685c226d1dc5cacfe3f7d4e74cfd875d0b8d1b41cf6fa7ed3"
     assert all(f.t_star > c for f in result.found)
     assert any(is_isomorphic(f.graph, families.h2plus()) for f in result.found)
     assert not any(is_isomorphic(f.graph, families.counterexample8()) for f in result.found)
