@@ -1,8 +1,9 @@
 """Strict adjacency-list text format plus DOT export (write-only).
 
 Format: first line ``n m``, then m lines ``u v`` with 0 <= u < v < n.  The
-weighted variant appends n lines ``v p/q`` in vertex order.  One format, no
-auto-detection: parse errors are loud so test fixtures stay bit-exact.
+weighted variant appends n lines ``v p/q`` in vertex order.  The parsers never
+guess and their errors are loud, so test fixtures stay bit-exact; only
+``localchrom weight`` accepts either format, falling back to the plain one.
 """
 
 from __future__ import annotations

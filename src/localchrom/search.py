@@ -23,13 +23,11 @@ resumed level is searched once per graph, and refused unless its graphs are
 locally bipartite and in strictly ascending canonical form, and its found
 graphs in strictly ascending (n, canonical form) with n at most the level.
 
-A mask is tested on the parent before its child is built: the child is
-locally bipartite iff parent[mask] is 2-colourable and, for each w in the
-mask, the mask meets no component of G[N(w)] on both of its sides, since
-G[N(w)] is bipartite and so every odd cycle of N(w) + x passes through the
-new vertex x.  A child's canonical search refines against the cells that the
-last round split; a cell's vertices agree on every older cell, so the cells
-and their order are those of refining against every cell (``_refine``).
+A mask is tested on the parent, against the sides of its neighbourhoods,
+before its child is built (``structure.locally_bipartite_with_vertex``).  A
+child's canonical search refines against the cells that the last round split;
+a cell's vertices agree on every older cell, so the cells and their order are
+those of refining against every cell (``_refine``).
 """
 
 from __future__ import annotations
@@ -225,9 +223,9 @@ def enumerate_extremal(
             if [(f.t_star, f.chi) for f in derived] != [(item["t_star"], item["chi"])]:
                 raise ValueError("checkpoint lists a found graph that fails the membership check")
             found.extend(derived)
-        keys = [f.canon for f in found]  # a fresh run emits them ascending, each by its level
-        if keys != sorted(set(keys)) or any(f.graph.n > n for f in found):
-            raise ValueError("checkpoint found graphs are out of canonical order or past its level")
+        keys = [f.canon for f in found]  # a fresh run emits them ascending
+        if keys != sorted(set(keys)):
+            raise ValueError("checkpoint found graphs are out of canonical order")
     while n < n_max:
         level = _next_level(level, levels)
         n += 1
@@ -293,10 +291,10 @@ def _load_checkpoint(path) -> dict:
     if not (isinstance(graphs, list) and graphs and all(_int_list(g, level) for g in graphs)):
         raise ValueError(f"checkpoint graphs are not a non-empty list of {level} int rows each")
     if not isinstance(found, list) or not all(
-        isinstance(f, dict) and _int_list(f.get("rows")) and isinstance(f.get("t_star"), str)
-        and type(f.get("chi")) is int for f in found
+        isinstance(f, dict) and _int_list(f.get("rows")) and 1 <= len(f["rows"]) <= level
+        and isinstance(f.get("t_star"), str) and type(f.get("chi")) is int for f in found
     ):
-        raise ValueError("checkpoint found entries need int rows, a str t_star and an int chi")
+        raise ValueError(f"checkpoint found entries need 1..{level} int rows, str t_star, int chi")
     try:
         state["c"] = Fraction(state["c"])
         for f in found:

@@ -2,7 +2,8 @@
 
 A graph is locally bipartite exactly when every vertex neighbourhood induces a
 bipartite graph, equivalently when it contains no odd wheel (an odd rim cycle
-plus a centre adjacent to the whole rim; W3 = K4).
+plus a centre adjacent to the whole rim; W3 = K4).  One new vertex or edge is
+checked against the sides of the neighbourhoods (``neighbourhood_sides``).
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .graphs import CertificateError, Graph, _twin_masks, bits
+
+Sides = list[list[tuple[int, int]]]  # per vertex w: (side, side) per component of G[N(w)]
 
 
 class PairClass(Enum):
@@ -80,8 +83,7 @@ def _shortest_odd_cycle(adj, region: int) -> tuple[int, ...] | None:
 def odd_wheel(g: Graph) -> OddWheelWitness | None:
     """First odd wheel by centre index, with the shortest rim in that neighbourhood."""
     for centre in range(g.n):
-        # one 2-colouring settles a bipartite neighbourhood; only an odd one
-        # needs the BFS from every root
+        # one 2-colouring settles a bipartite neighbourhood; an odd one gets a BFS per root
         if not _two_colourable(g.adj, g.adj[centre]):
             witness = OddWheelWitness(centre, _shortest_odd_cycle(g.adj, g.adj[centre]))
             if not witness.validate(g):
@@ -91,22 +93,21 @@ def odd_wheel(g: Graph) -> OddWheelWitness | None:
 
 
 def is_locally_bipartite(g: Graph) -> bool:
-    """Cheap decision (one BFS 2-colouring per distinct neighbourhood, no witness).
-
-    The verdict depends on the neighbourhood row alone, so twins share one.
-    """
+    """Cheap decision (one BFS 2-colouring per distinct neighbourhood, no
+    witness): the verdict depends on the neighbourhood row alone."""
     return all(_two_colourable(g.adj, row) for row in set(g.adj))
 
 
 def neighbourhood_is_bipartite(g: Graph, centre: int) -> bool:
-    """2-colour G[adj(centre)] by BFS."""
+    """2-colour G[adj(centre)] by BFS.  Nothing in the package calls it: it is
+    kept for ``perfbench/tracing.py``, which times this layer by its name."""
     return _two_colourable(g.adj, g.adj[centre])
 
 
 def _two_colouring(adj, region: int) -> list[tuple[int, int]] | None:
-    """The two sides of each component of the subgraph of ``adj`` induced by
-    the bitset ``region``, or None if it is not bipartite: a BFS by layers,
-    each layer coloured opposite to the last.
+    """The two sides of each component with an edge of the subgraph of ``adj``
+    induced by the bitset ``region``, or None if it is not bipartite: a BFS by
+    layers, each layer coloured opposite to the last.
 
     An edge inside a colour class joins two vertices of one layer (BFS layers
     two apart are never adjacent), so checking each layer against its own
@@ -130,7 +131,8 @@ def _two_colouring(adj, region: int) -> list[tuple[int, int]] | None:
             unseen ^= layer
             parity ^= 1
             side[parity] |= layer
-        components.append((side[0], side[1]))
+        if side[1]:
+            components.append((side[0], side[1]))
     return components
 
 
@@ -139,46 +141,49 @@ def _two_colourable(adj, region: int) -> bool:
     return _two_colouring(adj, region) is not None
 
 
-def neighbourhood_sides(g: Graph) -> list[list[tuple[int, int]]]:
-    """For each vertex w of a locally bipartite g, the two sides of each
-    component of G[N(w)] that has an edge; ValueError otherwise."""
-    sides = []
-    for row in g.adj:
-        components = _two_colouring(g.adj, row)
-        if components is None:
-            raise ValueError("neighbourhood_sides requires a locally bipartite input")
-        sides.append([(a, b) for a, b in components if b])
-    return sides
+def neighbourhood_sides(g: Graph) -> Sides | None:
+    """For each vertex w, the two sides of each component of G[N(w)] that has
+    an edge; None unless g is locally bipartite.  Twins share one list."""
+    by_row = {row: _two_colouring(g.adj, row) for row in set(g.adj)}
+    return None if None in by_row.values() else [by_row[row] for row in g.adj]
 
 
-def locally_bipartite_with_vertex(g: Graph, sides: list[list[tuple[int, int]]], mask: int) -> bool:
-    """Whether ``g.with_vertex(mask)`` is locally bipartite, for locally
-    bipartite g and ``sides = neighbourhood_sides(g)``, without building it.
+def _closes_odd_cycle(components: list[tuple[int, int]], mask: int) -> bool:
+    """Whether a new neighbour x of w, adjacent to ``mask``, makes G[N(w) + x]
+    not bipartite, for ``components = neighbourhood_sides(g)[w]``.
 
-    Only the new vertex x and its neighbours w get a new neighbourhood.  That
-    of x is g[mask].  That of w is N(w) + x, where G[N(w)] is bipartite, so
-    every odd cycle of it passes through x: N(w) + x is 2-colourable unless x
-    has neighbours on both sides of one component of G[N(w)].  Neighbours on
-    opposite sides of two components are no conflict, as a component's sides
-    can be swapped on their own.
-    """
+    G[N(w)] is bipartite, so every odd cycle of G[N(w) + x] passes through x.
+    If x has neighbours y and z on the two sides of one component, a y-z path
+    in it is odd and closes an odd cycle with x.  Otherwise each component's
+    sides can be swapped until x's neighbours share a colour; x takes the other."""
+    for a, b in components:
+        if mask & a and mask & b:
+            return True
+    return False
+
+
+def locally_bipartite_with_vertex(g: Graph, sides: Sides, mask: int) -> bool:
+    """Whether ``g.with_vertex(mask)``, whose new vertex x has neighbourhood g[mask] and
+    joins each N(w) for w in mask, is locally bipartite; ``sides = neighbourhood_sides(g)``."""
     for w in bits(mask):
-        for a, b in sides[w]:
-            if mask & a and mask & b:
-                return False
+        if _closes_odd_cycle(sides[w], mask):
+            return False
     return _two_colourable(g.adj, mask)
 
 
-def locally_bipartite_after_adding(g: Graph, u: int, v: int) -> bool:
-    """Whether g + uv is still locally bipartite, for locally bipartite g.
+def locally_bipartite_after_adding(g: Graph, sides: Sides, u: int, v: int) -> bool:
+    """Whether g + uv is still locally bipartite, for a non-edge uv of a
+    locally bipartite g and ``sides = neighbourhood_sides(g)``.
 
-    Only the neighbourhoods of u, v and their common neighbours change.
+    N(u) gains v, whose neighbours in it are the common neighbourhood C, and
+    N(v) gains u likewise.  Each w in C gains the edge uv, which closes an odd
+    cycle of G[N(w)] iff u and v lie on one side of one component.
     """
-    rows = list(g.adj)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    affected = (1 << u) | (1 << v) | (g.adj[u] & g.adj[v])
-    return all(_two_colourable(rows, rows[w]) for w in bits(affected))
+    common = g.adj[u] & g.adj[v]
+    if _closes_odd_cycle(sides[u], common) or _closes_odd_cycle(sides[v], common):
+        return False
+    pair = 1 << u | 1 << v
+    return not any(a & pair == pair or b & pair == pair for w in bits(common) for a, b in sides[w])
 
 
 def classify_pair(g: Graph, u: int, v: int) -> PairClass:
@@ -188,35 +193,32 @@ def classify_pair(g: Graph, u: int, v: int) -> PairClass:
     if g.has_edge(u, v):
         return PairClass.ADJACENT
     common = g.adj[u] & g.adj[v]
-    for x in bits(common):
-        if g.adj[x] & common:
-            return PairClass.DENSE
+    if any(g.adj[x] & common for x in bits(common)):
+        return PairClass.DENSE
     return PairClass.SPARSE
 
 
 def dense_set(g: Graph, v: int) -> int:
     """Bitset of the vertices forming a dense pair with v."""
-    out = 0
-    for u in range(g.n):
-        if u != v and classify_pair(g, u, v) is PairClass.DENSE:
-            out |= 1 << u
-    return out
+    return sum(1 << u for u in range(g.n) if u != v and classify_pair(g, u, v) is PairClass.DENSE)
 
 
 def saturate(g: Graph) -> Graph:
     """Edge-maximal locally bipartite supergraph of g, on the same vertices.
 
-    Non-edges are tried in lexicographic (u, v) order and kept whenever the
-    graph stays locally bipartite.  Different orders may give different
-    maximal supergraphs; this order is the documented one.
+    Non-edges are tried in lexicographic (u, v) order, the documented one, and
+    kept whenever the graph stays locally bipartite; other orders may give
+    other maximal supergraphs.
     """
-    if not is_locally_bipartite(g):
+    sides = neighbourhood_sides(g)
+    if sides is None:
         raise ValueError("saturate requires a locally bipartite input")
     current = g
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not current.has_edge(u, v) and locally_bipartite_after_adding(current, u, v):
+            if not current.has_edge(u, v) and locally_bipartite_after_adding(current, sides, u, v):
                 current = current.with_edge(u, v)
+                sides = neighbourhood_sides(current)
     return current
 
 
@@ -224,17 +226,16 @@ def is_edge_maximal_locally_bipartite(g: Graph) -> bool:
     """Whether g is locally bipartite and adding any non-edge breaks that.
 
     One non-edge is tried per unordered pair of twin classes
-    (``graphs._twin_masks``).  Any permutation inside a twin class is an
-    automorphism, so for two non-edges uv and u'v' with u, u' in one class
-    and v, v' in the other (or all four in one class), some automorphism
-    carries uv to u'v' and g + uv to g + u'v': every non-edge of one class
-    pair gives the same verdict.
+    (``graphs._twin_masks``): any permutation inside a twin class is an
+    automorphism, and some such automorphism carries one non-edge of a class
+    pair to any other, so they all give the same verdict.
     """
-    if not is_locally_bipartite(g):
+    sides = neighbourhood_sides(g)
+    if sides is None:
         return False
     twins = _twin_masks(g.adj)
-    representative = {frozenset((twins[u], twins[v])): (u, v) for u, v in g.non_edges()}
-    return not any(locally_bipartite_after_adding(g, u, v) for u, v in representative.values())
+    pairs = {frozenset((twins[u], twins[v])): (u, v) for u, v in g.non_edges()}
+    return not any(locally_bipartite_after_adding(g, sides, u, v) for u, v in pairs.values())
 
 
 def is_twin_free(g: Graph) -> bool:
@@ -243,20 +244,18 @@ def is_twin_free(g: Graph) -> bool:
 
 def sparse_missing_spoke(g: Graph) -> tuple[int, int] | None:
     """A sparse pair (u, v) such that uv is the missing spoke of an odd wheel,
-    for locally bipartite g; ValueError otherwise.
+    or None, for locally bipartite g; ValueError otherwise.
 
     The configuration is an odd cycle through v whose other vertices all lie
-    in the neighbourhood of u.  G[N(u)] is bipartite and v is not in N(u),
-    since a sparse pair is non-adjacent, so every odd cycle of G[N(u) + v]
-    passes through v: the pair is a missing spoke exactly when N(u) + v is
-    not 2-colourable.  Returns None when no such configuration exists.
+    in N(u).  A sparse pair is non-adjacent, so it is an odd cycle of
+    G[N(u) + v] through v, whose neighbours there are N(u) & N(v).
     """
-    if not is_locally_bipartite(g):
+    sides = neighbourhood_sides(g)
+    if sides is None:
         raise ValueError("sparse_missing_spoke requires a locally bipartite input")
     for u in range(g.n):
         for v in range(g.n):
-            if u == v or classify_pair(g, min(u, v), max(u, v)) is not PairClass.SPARSE:
-                continue
-            if not _two_colourable(g.adj, g.adj[u] | 1 << v):
-                return (u, v)
+            if u != v and classify_pair(g, u, v) is PairClass.SPARSE:
+                if _closes_odd_cycle(sides[u], g.adj[u] & g.adj[v]):
+                    return (u, v)
     return None

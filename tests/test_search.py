@@ -200,25 +200,45 @@ def test_search_result_records_generated_levels(tmp_path):
 
 
 K3_FOUND = search.FoundGraph(K3, F(2, 3), 3, (3, 0))  # the canon is not written
+C7BAR_FOUND = search.FoundGraph(families.c7bar(), F(4, 7), 4, (7, 0))
 
 
 @pytest.mark.parametrize(
-    "found",
+    "found, message",
     [
-        [K3_FOUND, K3_FOUND],  # a fresh search emits K3 once
-        [K3_FOUND, search.FoundGraph(families.c7bar(), F(4, 7), 4, (7, 0))],
+        # a fresh search emits K3 once
+        ([K3_FOUND, K3_FOUND], "^checkpoint found graphs are out of canonical order$"),
+        # and no 7-vertex graph by level 5; refused as it is read
+        ([K3_FOUND, C7BAR_FOUND], r"^checkpoint found entries need 1\.\.5 int rows"),
     ],
     ids=["duplicate", "past-its-level"],
 )
-def test_resume_refuses_found_graphs_a_search_would_not_emit(tmp_path, capsys, found):
+def test_resume_refuses_found_graphs_a_search_would_not_emit(tmp_path, capsys, found, message):
     # every entry passes the membership check and the digest is valid, but a
     # search to n = 5 emits K3 once and no 7-vertex graph
     from localchrom.cli import main
 
     ckpt = tmp_path / "search.ckpt"
     search._write_checkpoint(str(ckpt), F(1, 2), 5, _level5(), found)
-    with pytest.raises(ValueError, match="^checkpoint found graphs are out of canonical order"):
+    with pytest.raises(ValueError, match=message):
         enumerate_extremal(6, F(1, 2), resume_path=str(ckpt))
     assert main(["search", "--n", "6", "--beats", "1/2", "--resume", str(ckpt)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: checkpoint") and err.count("\n") == 1
+
+
+def test_resume_refuses_a_past_level_found_graph_before_solving_it(tmp_path, monkeypatch):
+    # a level-3 checkpoint with a valid digest lists C7BAR as found: it is
+    # refused as the file is read, before any LP or colouring runs on it
+    level = search._searched_level([Graph(1)])
+    for _ in range(2):
+        level = search._next_level(level)
+    ckpt = tmp_path / "search.ckpt"
+    search._write_checkpoint(str(ckpt), F(1, 2), 3, level, [C7BAR_FOUND])
+
+    def unexpected(g):
+        pytest.fail(f"optimal_weighting ran on a {g.n}-vertex found graph")
+
+    monkeypatch.setattr(search, "optimal_weighting", unexpected)
+    with pytest.raises(ValueError, match=r"^checkpoint found entries need 1\.\.3 int rows"):
+        enumerate_extremal(4, F(1, 2), resume_path=str(ckpt))

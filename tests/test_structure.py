@@ -20,6 +20,7 @@ from localchrom.structure import (
     is_locally_bipartite,
     is_twin_free,
     locally_bipartite_after_adding,
+    neighbourhood_sides,
     odd_wheel,
     saturate,
     sparse_missing_spoke,
@@ -32,6 +33,18 @@ def k4():
 
 def random_graph(rng, n, p):
     return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def relabelled_blow_ups(rng, count):
+    """Blow-ups of named graphs with 1-3 copies per vertex, randomly relabelled,
+    so that twins are scattered over the vertex order."""
+    bases = [families.generate(fid) for fid in ("H0", "H2", "H2PLUS", "C7BAR", "DELTA(2)")]
+    out = []
+    for case in range(count):
+        base = bases[case % len(bases)]
+        sizes = [rng.randint(1, 3) for _ in range(base.n)]
+        out.append(relabel(blow_up(base, sizes), rng.sample(range(sum(sizes)), sum(sizes))))
+    return out
 
 
 def odd_wheel_exists_oracle(g: Graph) -> bool:
@@ -88,15 +101,44 @@ class TestLocallyBipartite:
         assert agree == 120
 
     def test_incremental_matches_full(self):
+        # random graphs, then relabelled blow-ups, where twins share one sides list
         rng = random.Random(5)
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.6))
-            if not is_locally_bipartite(g):
+        graphs = [random_graph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.6)) for _ in range(60)]
+        graphs += relabelled_blow_ups(rng, 40)
+        outcomes = Counter()
+        for g in graphs:
+            sides = neighbourhood_sides(g)
+            if sides is None:
                 continue
             for u, v in g.non_edges():
-                assert locally_bipartite_after_adding(g, u, v) == is_locally_bipartite(
-                    g.with_edge(u, v)
-                )
+                expected = is_locally_bipartite(g.with_edge(u, v))
+                assert locally_bipartite_after_adding(g, sides, u, v) == expected
+                outcomes[expected] += 1
+        assert outcomes[True] > 0 and outcomes[False] > 0
+
+    def test_neighbourhood_sides_exist_iff_locally_bipartite(self):
+        rng = random.Random(21)
+        graphs = [random_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8)) for _ in range(200)]
+        graphs += relabelled_blow_ups(rng, 20)
+        for g in graphs:
+            sides = neighbourhood_sides(g)
+            assert (sides is None) == (not is_locally_bipartite(g))
+            if sides is None:
+                continue
+            for w, components in enumerate(sides):
+                # the components split N(w); each side is independent, every
+                # edge of G[N(w)] joins the two sides of one component
+                covered = 0
+                for a, b in components:
+                    assert a and b and not a & b and not covered & (a | b)
+                    assert (a | b) & ~g.adj[w] == 0
+                    assert all(g.adj[x] & (a | b) == g.adj[x] & g.adj[w] for x in bits(a | b))
+                    assert all(g.adj[x] & a == 0 for x in bits(a))
+                    assert all(g.adj[x] & b == 0 for x in bits(b))
+                    covered |= a | b
+                assert all(g.adj[x] & g.adj[w] == 0 for x in bits(g.adj[w] & ~covered))
+                twins = [x for x in range(g.n) if g.adj[x] == g.adj[w]]
+                assert all(sides[x] is components for x in twins)
 
     def test_large_c7bar_blow_up_has_no_odd_wheel(self):
         # 280 bipartite neighbourhoods of 120 vertices each, one 2-colouring apiece
@@ -168,6 +210,27 @@ class TestSaturation:
         with pytest.raises(ValueError):
             saturate(k4())
 
+    def test_matches_lexicographic_oracle(self):
+        # the definition: try each non-edge in lexicographic order on the graph
+        # built so far, and keep it when the whole graph stays locally bipartite
+        def oracle(g):
+            for u, v in combinations(range(g.n), 2):
+                if not g.has_edge(u, v) and is_locally_bipartite(g.with_edge(u, v)):
+                    g = g.with_edge(u, v)
+            return g
+
+        rng = random.Random(17)
+        graphs = [random_graph(rng, rng.randint(3, 9), rng.uniform(0.1, 0.5)) for _ in range(80)]
+        graphs += relabelled_blow_ups(rng, 30)
+        grown = 0
+        for g in graphs:
+            if not is_locally_bipartite(g):
+                continue
+            expected = oracle(g)
+            assert saturate(g) == expected
+            grown += expected != g
+        assert grown > 20
+
     def test_output_edge_maximal_and_contains_input(self):
         rng = random.Random(13)
         for _ in range(25):
@@ -197,13 +260,8 @@ class TestEdgeMaximalAndTwins:
     def test_edge_maximal_matches_every_non_edge(self):
         # the definition, one non-edge at a time, on relabelled blow-ups whose
         # twin classes make many non-edges share a verdict
-        rng = random.Random(1010)
-        bases = [families.generate(fid) for fid in ("H0", "H2", "H2PLUS", "C7BAR", "DELTA(2)")]
         outcomes = Counter()
-        for case in range(300):
-            base = bases[case % len(bases)]
-            sizes = [rng.randint(1, 3) for _ in range(base.n)]
-            g = relabel(blow_up(base, sizes), rng.sample(range(sum(sizes)), sum(sizes)))
+        for case, g in enumerate(relabelled_blow_ups(random.Random(1010), 300)):
             expected = is_locally_bipartite(g) and not any(
                 is_locally_bipartite(g.with_edge(u, v)) for u, v in g.non_edges()
             )
