@@ -121,8 +121,11 @@ def cmd_weight(args) -> int:
     try:
         wg = parse_weighted_graph(text)
         g = wg.graph
-    except GraphFormatError:
-        g = parse_graph(text)
+    except GraphFormatError as weighted_error:
+        try:  # a plain graph has no weight lines; any other file keeps the weighted error
+            g = parse_graph(text)
+        except GraphFormatError:
+            raise weighted_error from None
     c = None if args.beats is None else _threshold(args.beats)
     # validate the given weighting before any output
     result = optimal_weighting(g)

@@ -18,7 +18,7 @@ unchanged.  ``brute_force_homomorphism`` is a separate oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphs import CertificateError, Graph, _classes_by_row, _twin_masks, bits, mask_of
 from .structure import is_edge_maximal_locally_bipartite, is_locally_bipartite, is_twin_free
@@ -204,56 +204,91 @@ def _refine(g: Graph, cells: list[int], fresh: list[int] | None = None) -> list[
     """1-dimensional colour refinement of an ordered partition to a fixpoint.
 
     A partition is a list of cells (vertex bitsets); positions are colours.
-    Each round splits every non-singleton cell by a signature packing the
-    vertex's counts ``(row & other).bit_count()`` over the previous
-    partition's cells, in order and ``len(adj).bit_length()`` bits each, into
-    groups of descending signature, until a round splits no cell.  With one
-    degree per cell (as in any partition as fine as the degree partition)
-    this ranks (colour, sorted neighbour-colour multiset): of two sorted
-    multisets of one length whose count vectors first differ at colour c, the
-    one with more copies of c has a c where the other has a larger colour, so
-    descending count vectors are ascending multisets.
+    Each round splits every non-singleton cell by its vertices' count vectors
+    ``(row & other).bit_count()`` over the previous partition's cells, in
+    order, into groups of descending count vector, until a round splits no
+    cell.  With one degree per cell (as in any partition as fine as the
+    degree partition) this ranks (colour, sorted neighbour-colour multiset):
+    of two sorted multisets of one length whose count vectors first differ at
+    colour c, the one with more copies of c has a c where the other has a
+    larger colour, so descending count vectors are ascending multisets.
 
-    Only the counts against ``fresh`` cells are packed: in the first round
+    Only the counts against ``fresh`` cells are taken: in the first round
     those given (every input cell by default), then the cells that the
     previous round created by a split, in partition order (B. D. McKay and
     A. Piperno, "Practical graph isomorphism, II", 2014).  The vertices of a
     cell X have equal counts against every cell that was already in the
-    previous partition, since that is how X was split from it, so the
-    signature over every cell and the one over the fresh cells rank X's
-    vertices alike: the cells and their order are those of the full count.
-    After individualising v in an equitable partition, ``fresh = [1 << v]``
+    previous partition, since that is how X was split from it, so the count
+    vectors over every cell and over the fresh cells rank X's vertices alike:
+    the cells and their order are those of the full count.  After
+    individualising v in an equitable partition, ``fresh = [1 << v]``
     suffices: a vertex's count against its old cell C minus v is its count
     against C, equal across its own cell, less its adjacency to v, and {v}
     comes first.
+
+    The counts are bit-sliced: bit j of the counts against a fresh cell F is
+    one vertex bitset, F's slice j, built by adding each member's row of F to
+    every counter at once with a ripple carry (bits 0 and 1 unrolled), exact
+    for any size of F.  A cell is then split by the slices in the order of
+    the count vector, each fresh cell's most significant slice first, every
+    piece into its members in the slice before the others.  Two vertices go
+    apart at the first slice where their bits differ, and the one with that
+    bit set, whose count vector is the larger, goes first: the pieces come
+    out in descending count vector, as sorting them would give.
     """
     adj = g.adj
-    width = len(adj).bit_length()
     if fresh is None:
         fresh = cells
     while fresh:
+        slices: list[int] = []  # the count bits of every fresh cell, in splitting order
+        for other in fresh:
+            if not other & (other - 1):
+                slices.append(adj[other.bit_length() - 1])
+                continue
+            low = mid = 0  # count bits 0 and 1
+            high: list[int] = []  # count bits 2, 3, ...
+            while other:
+                bit = other & -other
+                other ^= bit
+                row = adj[bit.bit_length() - 1]
+                carry = low & row
+                low ^= row
+                if carry:
+                    carry, mid = mid & carry, mid ^ carry
+                    j = 0
+                    while carry:
+                        if j == len(high):
+                            high.append(carry)
+                            break
+                        carry, high[j] = high[j] & carry, high[j] ^ carry
+                        j += 1
+            slices += reversed(high)
+            slices += mid, low
         new: list[int] = []
         created: list[int] = []
         for cell in cells:
-            if not cell & (cell - 1):
-                new.append(cell)
-                continue
-            split: dict[int, int] = {}
-            rest = cell
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                row = adj[low.bit_length() - 1]
-                signature = 0
-                for other in fresh:
-                    signature = signature << width | (row & other).bit_count()
-                split[signature] = split.get(signature, 0) | low
-            if len(split) == 1:
-                new.append(cell)
-                continue
-            pieces = [split[s] for s in sorted(split, reverse=True)]
-            new += pieces
-            created += pieces
+            if cell & (cell - 1):
+                pieces = None
+                for s in slices:
+                    inside = cell & s
+                    if not inside or inside == cell:
+                        continue  # s splits no piece of the cell
+                    if pieces is None:
+                        pieces = [inside, cell ^ inside]
+                        continue
+                    split = []
+                    for piece in pieces:
+                        inside = piece & s
+                        if inside and inside != piece:
+                            split += inside, piece ^ inside
+                        else:
+                            split.append(piece)
+                    pieces = split
+                if pieces:
+                    new += pieces
+                    created += pieces
+                    continue
+            new.append(cell)
         cells, fresh = new, created
     return cells
 
@@ -266,10 +301,12 @@ def _encode(g: Graph, order: list[int]) -> int:
     integer comparison is lexicographic on orderings.
     """
     code = 0
-    for j, vj in enumerate(order):
-        row = g.adj[vj]
-        for i in range(j):
-            code = (code << 1) | (row >> order[i] & 1)
+    placed: list[int] = []
+    for v in order:
+        row = g.adj[v]
+        for u in placed:
+            code = code << 1 | (row >> u & 1)
+        placed.append(v)
     return code
 
 
@@ -302,22 +339,39 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return (g.n, _canonical_search(g)[0])
 
 
-def _canonical_search(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _canonical_search(
+    g: Graph, root: list[int] | None = None, twin_masks: Callable[[], list[int]] | None = None
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``canonical_form``'s encoding, and the map first[i] -> order[i] from the
-    first leaf ``first`` of minimal encoding to each later one ``order``."""
+    first leaf ``first`` of minimal encoding to each later one ``order``.
+
+    ``root`` is g's degree partition in ascending degree and ``twin_masks()``
+    is ``_twin_masks(g.adj)``; both are computed from g unless given, and the
+    twin masks only at the first node that branches.
+
+    A node whose target cell lies inside one twin class individualises one
+    vertex v of it and skips refining the child: the child is equitable.
+    Every vertex w outside the cell sees v as it sees every other member (they
+    share v's open or closed neighbourhood), so w is adjacent to v iff its
+    count against the cell is the cell's size, equal across w's own cell; the
+    members other than v are all adjacent to v (closed twins) or none is (open
+    twins); and each count against the cell minus v is the count against the
+    cell, less an adjacency to v that the cell's vertices share.
+    """
     n = g.n
     total_bits = n * (n - 1) // 2
-    twins: list[int] | None = None  # computed at the first node that branches
+    twins: list[int] | None = None
     best: int | None = None
     first: list[int] = []
     autos: list[tuple[int, ...]] = []
-    by_degree = _classes_by_row(g.degrees())
-    root = [by_degree[d] for d in sorted(by_degree)]
+    if root is None:
+        by_degree = _classes_by_row(g.degrees())
+        root = [by_degree[d] for d in sorted(by_degree)]
     stack: list[tuple[list[int], list[int] | None]] = [(root, None)]  # (cells, fresh)
     while stack:
         cells = _refine(g, *stack.pop())
         # order: the singleton cells in front of the first larger cell, cells[k]
-        k = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), n)
+        k = n if len(cells) == n else next(i for i, cell in enumerate(cells) if cell & (cell - 1))
         order = [cell.bit_length() - 1 for cell in cells[:k]]
         if k == n:
             code = _encode(g, order)
@@ -330,12 +384,13 @@ def _canonical_search(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
             if _encode(g, order) > best >> (total_bits - k * (k - 1) // 2):
                 continue
         if twins is None:
-            twins = _twin_masks(g.adj)
+            twins = _twin_masks(g.adj) if twin_masks is None else twin_masks()
         rest = cells[k]
         while rest:  # individualise one vertex per twin class, in descending index
             v = rest.bit_length() - 1
+            fresh = [1 << v] if cells[k] & ~twins[v] else []  # one twin class: already equitable
             rest &= ~twins[v]
-            stack.append((cells[:k] + [1 << v, cells[k] ^ 1 << v] + cells[k + 1 :], [1 << v]))
+            stack.append((cells[:k] + [1 << v, cells[k] ^ 1 << v] + cells[k + 1 :], fresh))
     if best is None:
         raise CertificateError("canonical_form reached no leaf")
     return best, tuple(autos)  # a search level keeps one per graph; () is shared

@@ -25,9 +25,12 @@ graphs in strictly ascending (n, canonical form) with n at most the level.
 
 A mask is tested on the parent, against the sides of its neighbourhoods,
 before its child is built (``structure.locally_bipartite_with_vertex``).  A
-child's canonical search refines against the cells that the last round split;
-a cell's vertices agree on every older cell, so the cells and their order are
-those of refining against every cell (``_refine``).
+child's canonical search starts from its degree partition and, once it
+branches, reads its twin masks; both come from the parent's degree and twin
+classes by a few bit operations on the mask (``_ChildSetUp``).  The search
+refines against the cells that the last round split; a cell's vertices agree
+on every older cell, so the cells and their order are those of refining
+against every cell (``_refine``).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from time import perf_counter
 
 try:  # hashlib would also load OpenSSL, about 4 MB of resident memory
@@ -47,7 +51,7 @@ except ImportError:
         from hashlib import sha256
 
 from .colouring import chromatic_number
-from .graphs import Graph
+from .graphs import Graph, _classes_by_row, _twin_masks, bits
 from .homomorphism import _automorphism_generators, _canonical_search
 from .structure import (
     is_edge_maximal_locally_bipartite,
@@ -153,6 +157,54 @@ def _orbit_minimal_masks(parent: Graph, autos: tuple[tuple[int, ...], ...]) -> l
     return minimal
 
 
+class _ChildSetUp:
+    """The root cells and twin masks of ``parent.with_vertex(mask)``, derived from
+    the parent's degree classes and open and closed twin classes.
+
+    The new vertex x raises the degree of exactly the vertices of ``mask``, so
+    the child's vertices of degree e are the parent's of degree e outside the
+    mask and of degree e - 1 inside it, and x has degree |mask|.  Two parent
+    vertices are twins in the child iff they are twins in the parent on the
+    same side of the mask; x is an open twin of the vertices whose row is
+    ``mask`` and a closed twin of those whose row plus themselves is ``mask``.
+    """
+
+    __slots__ = ("n", "by_degree", "open_classes", "closed_classes", "twins")
+
+    def __init__(self, parent: Graph):
+        self.n = parent.n
+        self.by_degree = [0] * (parent.n + 1)  # parent vertices of degree 0..n
+        for v, row in enumerate(parent.adj):
+            self.by_degree[row.bit_count()] |= 1 << v
+        self.open_classes = _classes_by_row(parent.adj)
+        self.closed_classes = _classes_by_row(row | 1 << v for v, row in enumerate(parent.adj))
+        self.twins = _twin_masks(parent.adj)
+
+    def root(self, mask: int) -> list[int]:
+        """The child's degree partition, in ascending degree."""
+        x, d = 1 << self.n, mask.bit_count()
+        cells = []
+        below = 0  # the parent's vertices of degree e - 1
+        for e, here in enumerate(self.by_degree):
+            cell = here & ~mask | below & mask
+            if e == d:
+                cell |= x
+            if cell:
+                cells.append(cell)
+            below = here
+        return cells
+
+    def twin_masks(self, mask: int) -> list[int]:
+        """``_twin_masks`` of the child."""
+        twins = [t & (mask if mask >> v & 1 else ~mask) for v, t in enumerate(self.twins)]
+        x = 1 << self.n
+        x_class = self.open_classes.get(mask, 0) | self.closed_classes.get(mask, 0) | x
+        for v in bits(x_class ^ x):
+            twins[v] |= x
+        twins.append(x_class)
+        return twins
+
+
 def _next_level(level: Level, stats: list[LevelStats] | None = None) -> Level:
     """The next level, one representative per class, ordered by canonical form.
 
@@ -165,12 +217,15 @@ def _next_level(level: Level, stats: list[LevelStats] | None = None) -> Level:
         masks = _orbit_minimal_masks(parent, autos)
         tried += len(masks)
         sides = neighbourhood_sides(parent)
+        set_up = _ChildSetUp(parent)
         for mask in masks:
             if not locally_bipartite_with_vertex(parent, sides, mask):
                 continue
             children += 1
             child = parent.with_vertex(mask)
-            key, child_autos = _canonical_search(child)
+            key, child_autos = _canonical_search(
+                child, set_up.root(mask), partial(set_up.twin_masks, mask)
+            )
             if key not in seen:
                 seen[key] = (child, child_autos)
     if stats is not None:

@@ -398,6 +398,23 @@ def test_weight_all_zero_given_weights_is_usage_error(capsys, tmp_path):
     assert captured.err == "error: weighting must not be identically zero\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 1\n0 1\n0 1/2\n1 -1/2\n", "negative weight at vertex 1"),
+        ("2 1\n0 1\n0 1/2\n", "expected 2 weight lines, found 1"),
+    ],
+    ids=["negative", "missing"],
+)
+def test_weight_reports_the_weighted_parse_error(capsys, tmp_path, text, message):
+    # not a plain graph either, so the weighted parser's error stands
+    path = tmp_path / "weighted.txt"
+    path.write_text(text)
+    assert main(["weight", str(path), "--beats", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_malformed_threshold_is_usage_error(capsys, h2_file):
     assert main(["weight", h2_file, "--beats", "nonsense"]) == 2
     assert main(["search", "--n", "99", "--beats", "1/2"]) == 2

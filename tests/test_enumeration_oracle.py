@@ -9,7 +9,7 @@ import pytest
 
 from localchrom import families, search
 from localchrom.colouring import SolverTimeout, chromatic_number, k_colourable
-from localchrom.graphs import Graph, bits, blow_up, relabel
+from localchrom.graphs import Graph, _classes_by_row, _twin_masks, bits, blow_up, relabel
 from localchrom.homomorphism import (
     _automorphism_generators,
     _canonical_search,
@@ -95,9 +95,9 @@ def test_levels_and_canonical_forms_are_frozen():
 def test_orbit_pruning_matches_every_mask(monkeypatch):
     calls = [0]
 
-    def counted(g):
+    def counted(g, *set_up):
         calls[0] += 1
-        return _canonical_search(g)
+        return _canonical_search(g, *set_up)
 
     monkeypatch.setattr(search, "_canonical_search", counted)
     level = _searched_level([Graph(1)])
@@ -112,6 +112,22 @@ def test_orbit_pruning_matches_every_mask(monkeypatch):
         level = pruned
     # from 6 to 7: fewer locally bipartite children than when every mask is tried
     assert children == 6487 and calls[0] < children
+
+
+def test_child_set_up_is_derived_from_the_parent():
+    # every locally bipartite child of levels 1..6: the root cells and twin
+    # masks derived from its parent against those computed from the child
+    for level in _levels(6).values():
+        for parent, _ in level:
+            set_up = search._ChildSetUp(parent)
+            sides = neighbourhood_sides(parent)
+            for mask in range(1 << parent.n):
+                if not locally_bipartite_with_vertex(parent, sides, mask):
+                    continue
+                child = parent.with_vertex(mask)
+                by_degree = _classes_by_row(child.degrees())
+                assert set_up.root(mask) == [by_degree[d] for d in sorted(by_degree)]
+                assert set_up.twin_masks(mask) == _twin_masks(child.adj)
 
 
 def test_levels_carry_the_automorphisms_of_their_own_search():

@@ -370,6 +370,30 @@ def petersen():
     return Graph(10, outer + spokes + inner)
 
 
+def refine_by_packed_signatures(g, cells, fresh=None):
+    """Reference refinement: each vertex's counts against the fresh cells packed
+    into one integer signature, each cell's groups emitted in descending
+    signature, every round, until no cell splits."""
+    width = len(g.adj).bit_length()
+    if fresh is None:
+        fresh = cells
+    while fresh:
+        new, created = [], []
+        for cell in cells:
+            split = {}
+            for v in bits(cell):
+                signature = 0
+                for other in fresh:
+                    signature = signature << width | (g.adj[v] & other).bit_count()
+                split[signature] = split.get(signature, 0) | 1 << v
+            pieces = [split[s] for s in sorted(split, reverse=True)]
+            new += pieces
+            if len(pieces) > 1:
+                created += pieces
+        cells, fresh = new, created
+    return cells
+
+
 class TestIsomorphism:
     def test_complement_c7_is_square(self):
         assert is_isomorphic(complement(cycle_power(7, 1)), cycle_power(7, 2))
@@ -436,6 +460,41 @@ class TestIsomorphism:
                     expected = colour_classes(refine_by_multisets(g, individualised))
                     assert _refine(g, split) == expected
                     assert _refine(g, split, [1 << v]) == expected
+
+    def test_refine_matches_packed_signatures(self):
+        # bit-sliced counts against the packed-signature reference, on random
+        # graphs, cycle powers and blow-ups of 1-40 vertices: from the unit
+        # and the degree partition, after individualising any vertex of the
+        # refined partition (fresh = [1 << v]), and in a cell inside one twin
+        # class, where the reference splits nothing (fresh = [])
+        rng = random.Random(2011)
+        widest = 0  # the largest count against a fresh cell of the inputs
+        for n in range(1, 41):
+            base = random_graph(rng, rng.randint(1, 4), rng.uniform(0.3, 0.9))
+            sizes = [rng.randint(1, 20) for _ in range(base.n)]
+            hosts = [random_graph(rng, n, rng.uniform(0.1, 0.9))]
+            if n >= 3:
+                hosts.append(cycle_power(n, rng.randint(1, (n - 1) // 2)))
+            if sum(sizes) <= 40:
+                perm = list(range(sum(sizes)))
+                rng.shuffle(perm)
+                hosts.append(relabel(blow_up(base, sizes), perm))
+            for g in hosts:
+                by_degree = _classes_by_row(g.degrees())
+                for root in ([(1 << g.n) - 1], [by_degree[d] for d in sorted(by_degree)]):
+                    widest = max(widest, *((row & c).bit_count() for row in g.adj for c in root))
+                    assert _refine(g, root) == refine_by_packed_signatures(g, root)
+                cells = _refine(g, root)
+                twins = _twin_masks(g.adj)
+                for k, cell in enumerate(cells):
+                    for v in bits(cell) if cell & (cell - 1) else ():
+                        split = cells[:k] + [1 << v, cell ^ 1 << v] + cells[k + 1 :]
+                        expected = refine_by_packed_signatures(g, split)
+                        assert _refine(g, split, [1 << v]) == expected
+                        if not cell & ~twins[v]:
+                            assert expected == split
+                            assert _refine(g, split, []) == split
+        assert widest >= 16  # five count bits
 
     def test_canonical_search_is_frozen(self):
         # SHA-256 over _canonical_search (encoding and the automorphisms that
