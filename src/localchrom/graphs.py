@@ -64,21 +64,33 @@ class Graph:
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
-        """Trusted constructor from adjacency rows (validates invariants)."""
+        """Validating constructor from adjacency rows: range, self-loops, symmetry.
+
+        Symmetry is checked once per open-twin class C with row R: every u in
+        R must see all of C, and u's own twins share u's row, so one u per
+        class met by R settles them all.  The cost is O(k^2) row operations
+        for k distinct rows (a blow-up pays for its classes, not its edges),
+        and O(edges) at most.
+        """
         rows = tuple(rows)
         n = len(rows)
-        g = cls._of_valid_rows(rows)
         full = (1 << n) - 1
         for v, row in enumerate(rows):
             if row & ~full:
                 raise ValueError(f"row {v} has bits beyond n-1")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(rows):
-            for u in bits(row):
-                if not rows[u] >> v & 1:
+        classes = _classes_by_row(rows)
+        for row, members in classes.items():
+            rest = row
+            while rest:
+                u = (rest & -rest).bit_length() - 1
+                unseen = members & ~rows[u]
+                if unseen:
+                    v = (unseen & -unseen).bit_length() - 1
                     raise ValueError(f"asymmetric adjacency at ({v}, {u})")
-        return g
+                rest &= ~classes[rows[u]]
+        return cls._of_valid_rows(rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -147,13 +159,13 @@ class Graph:
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
-    """Isomorphic copy with vertex v renamed perm[v]."""
+    """Isomorphic copy with vertex v renamed perm[v]; each distinct row is mapped once."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
+    image = {row: mask_of(perm[u] for u in bits(row)) for row in set(g.adj)}
     rows = [0] * g.n
-    for v in range(g.n):
-        for u in bits(g.adj[v]):
-            rows[perm[v]] |= 1 << perm[u]
+    for v, row in enumerate(g.adj):
+        rows[perm[v]] = image[row]
     return Graph.from_rows(rows)
 
 

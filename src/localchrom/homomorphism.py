@@ -370,18 +370,19 @@ def _canonical_search(
     stack: list[tuple[list[int], list[int] | None]] = [(root, None)]  # (cells, fresh)
     while stack:
         cells = _refine(g, *stack.pop())
-        # order: the singleton cells in front of the first larger cell, cells[k]
+        # order: the singleton cells in front of the first larger cell, cells[k],
+        # built only where it is read: at a leaf, and by the prefix prune
         k = n if len(cells) == n else next(i for i, cell in enumerate(cells) if cell & (cell - 1))
-        order = [cell.bit_length() - 1 for cell in cells[:k]]
-        if k == n:
+        if k == n or best is not None and k > 1:
+            order = [cell.bit_length() - 1 for cell in cells[:k]]
             code = _encode(g, order)
-            if best is None or code < best:
-                best, first, autos = code, order, []
-            elif code == best:
-                autos.append(tuple([v for _, v in sorted(zip(first, order))]))
-            continue
-        if best is not None and k > 1:
-            if _encode(g, order) > best >> (total_bits - k * (k - 1) // 2):
+            if k == n:
+                if best is None or code < best:
+                    best, first, autos = code, order, []
+                elif code == best:
+                    autos.append(tuple([v for _, v in sorted(zip(first, order))]))
+                continue
+            if code > best >> (total_bits - k * (k - 1) // 2):
                 continue
         if twins is None:
             twins = _twin_masks(g.adj) if twin_masks is None else twin_masks()

@@ -222,20 +222,59 @@ def saturate(g: Graph) -> Graph:
     return current
 
 
+class _LazySides:
+    """``neighbourhood_sides(g)`` read by vertex, each distinct row 2-coloured on
+    its first read; a neighbourhood that is not bipartite reads as None."""
+
+    __slots__ = ("adj", "by_row")
+
+    def __init__(self, g: Graph):
+        self.adj = g.adj
+        self.by_row: dict[int, list[tuple[int, int]] | None] = {}
+
+    def __getitem__(self, w: int) -> list[tuple[int, int]] | None:
+        row = self.adj[w]
+        if row not in self.by_row:
+            self.by_row[row] = _two_colouring(self.adj, row)
+        return self.by_row[row]
+
+
 def is_edge_maximal_locally_bipartite(g: Graph) -> bool:
     """Whether g is locally bipartite and adding any non-edge breaks that.
 
     One non-edge is tried per unordered pair of twin classes
-    (``graphs._twin_masks``): any permutation inside a twin class is an
-    automorphism, and some such automorphism carries one non-edge of a class
-    pair to any other, so they all give the same verdict.
+    (``graphs._twin_masks``), from the least member of one class: any
+    permutation inside a twin class is an automorphism, and some such
+    automorphism carries one non-edge of a class pair to any other, so they
+    all give the same verdict.  The cost goes with the number of classes.
+
+    The answer is False at the first tried non-edge uv that
+    ``locally_bipartite_after_adding`` accepts with every neighbourhood it
+    reads bipartite: if g is locally bipartite, so is g + uv; if not, the
+    answer is False anyway.  So a non-edge with no common neighbour answers
+    False with nothing read (u and v join each other's neighbourhood
+    isolated), and so does an odd neighbourhood read on the way.  Only a graph
+    with no addable non-edge is 2-coloured in full.
     """
-    sides = neighbourhood_sides(g)
-    if sides is None:
-        return False
-    twins = _twin_masks(g.adj)
-    pairs = {frozenset((twins[u], twins[v])): (u, v) for u, v in g.non_edges()}
-    return not any(locally_bipartite_after_adding(g, sides, u, v) for u, v in pairs.values())
+    adj = g.adj
+    sides = _LazySides(g)
+    classes = list(dict.fromkeys(_twin_masks(adj)))  # in order of least member
+    for i, a in enumerate(classes):
+        u = (a & -a).bit_length() - 1
+        others = ~(adj[u] | 1 << u)  # u's non-neighbours
+        for b in classes[i:]:
+            missing = b & others
+            if not missing:
+                continue
+            v = (missing & -missing).bit_length() - 1
+            common = adj[u] & adj[v]
+            if not common:
+                return False
+            if any(sides[w] is None for w in (u, v, *bits(common))):
+                return False
+            if locally_bipartite_after_adding(g, sides, u, v):
+                return False
+    return all(sides[w] is not None for w in range(g.n))
 
 
 def is_twin_free(g: Graph) -> bool:

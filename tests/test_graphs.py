@@ -1,6 +1,8 @@
 """Core graph type and construction tests."""
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -39,6 +41,60 @@ def k4():
     return Graph(4, [(u, v) for u, v in combinations(range(4), 2)])
 
 
+def random_graph(rng, n, p):
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def asymmetric_pairs(rows):
+    """The per-bit scan: every (v, u) with u in row v but v not in row u."""
+    return {(v, u) for v, row in enumerate(rows) for u in bits(row) if not rows[u] >> v & 1}
+
+
+def blow_ups(rng, count):
+    """Blow-ups of named graphs, some with one class of 30 twins, half relabelled."""
+    bases = [families.generate(fid) for fid in ("H0", "H2PLUS", "C7BAR", "DELTA(3)")]
+    out = []
+    for case in range(count):
+        base = bases[case % len(bases)]
+        sizes = [rng.randint(1, 4) for _ in range(base.n)]
+        if case % 3 == 0:
+            sizes[rng.randrange(base.n)] = 30
+        g = blow_up(base, sizes)
+        if case % 2:
+            g = relabel(g, rng.sample(range(g.n), g.n))
+        out.append(g)
+    return out
+
+
+def flipped_row_sets(rng):
+    """(kind, rows): random graphs and blow-ups, each as it is and with one bit
+    flipped, on one side or on both; and, in each twin class of two or more,
+    one member given an extra neighbour, and one member other than the least
+    dropped from the row of a vertex that sees the class."""
+    graphs = [random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.9)) for _ in range(150)]
+    for g in graphs + blow_ups(rng, 40):
+        rows = list(g.adj)
+        yield "as is", rows
+        v, u = rng.sample(range(g.n), 2)
+        yield "one side", rows[:v] + [rows[v] ^ 1 << u] + rows[v + 1 :]
+        both = list(rows)
+        both[v] ^= 1 << u
+        both[u] ^= 1 << v
+        yield "both sides", both
+        classes = {}
+        for w, row in enumerate(rows):
+            classes.setdefault(row, []).append(w)
+        for row, members in classes.items():
+            if len(members) < 2 or not row:
+                continue
+            x = rng.choice(members)
+            w = rng.choice([w for w in range(g.n) if w != x and not rows[x] >> w & 1])
+            yield "member gains", rows[:x] + [rows[x] | 1 << w] + rows[x + 1 :]
+            c = rng.choice(members[1:])
+            w = rng.choice(list(bits(row)))
+            yield "later member dropped", rows[:w] + [rows[w] & ~(1 << c)] + rows[w + 1 :]
+
+
 class TestGraphBasics:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -51,6 +107,31 @@ class TestGraphBasics:
     def test_from_rows_validates_symmetry(self):
         with pytest.raises(ValueError):
             Graph.from_rows([0b010, 0b000, 0b000])
+
+    def test_from_rows_accepts_iff_the_per_bit_scan_finds_no_asymmetric_pair(self):
+        # from_rows checks one vertex per twin class; the scan here checks every bit
+        rejected = Counter()
+        for kind, rows in flipped_row_sets(random.Random(23)):
+            pairs = asymmetric_pairs(rows)
+            if not pairs:
+                assert Graph.from_rows(rows).adj == tuple(rows), kind
+                continue
+            with pytest.raises(ValueError) as info:
+                Graph.from_rows(rows)
+            named = re.fullmatch(r"asymmetric adjacency at \((\d+), (\d+)\)", str(info.value))
+            assert named, str(info.value)
+            # the named pair is genuinely asymmetric: u in N(v), v not in N(u)
+            assert (int(named[1]), int(named[2])) in pairs, kind
+            rejected[kind] += 1
+        assert rejected["one side"] == 190 and rejected["both sides"] == 0
+        assert rejected["member gains"] >= 250 and rejected["later member dropped"] >= 250
+
+    def test_relabel_matches_a_per_edge_relabel(self):
+        rng = random.Random(29)
+        graphs = [random_graph(rng, rng.randint(0, 12), rng.uniform(0.1, 0.9)) for _ in range(100)]
+        for g in graphs + blow_ups(rng, 20):
+            perm = rng.sample(range(g.n), g.n)
+            assert relabel(g, perm) == Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
     def test_with_vertex_matches_the_edge_list_constructor(self):
         # the child skips from_rows's checks, so compare it with the graph that

@@ -10,6 +10,7 @@ import pytest
 from localchrom import families
 from localchrom.graphs import Graph, bits, blow_up, mask_of, relabel
 from localchrom.homomorphism import find_subgraph, subgraph_embeddings
+from localchrom.search import _next_level, _searched_level
 from localchrom.structure import (
     OddWheelWitness,
     PairClass,
@@ -259,15 +260,28 @@ class TestEdgeMaximalAndTwins:
 
     def test_edge_maximal_matches_every_non_edge(self):
         # the definition, one non-edge at a time, on relabelled blow-ups whose
-        # twin classes make many non-edges share a verdict
+        # twin classes make many non-edges share a verdict, on random graphs
+        # (some not locally bipartite) and their saturations, and on every
+        # graph of the search's level 6
+        rng = random.Random(1010)
+        graphs = relabelled_blow_ups(rng, 300)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.8))
+            graphs += [g, saturate(g)] if is_locally_bipartite(g) else [g]
+        level = _searched_level([Graph(1)])
+        for _ in range(5):
+            level = _next_level(level)
+        graphs += [g for g, _ in level]
         outcomes = Counter()
-        for case, g in enumerate(relabelled_blow_ups(random.Random(1010), 300)):
-            expected = is_locally_bipartite(g) and not any(
+        for case, g in enumerate(graphs):
+            lb = is_locally_bipartite(g)
+            expected = lb and not any(
                 is_locally_bipartite(g.with_edge(u, v)) for u, v in g.non_edges()
             )
             assert is_edge_maximal_locally_bipartite(g) == expected, case
-            outcomes[expected] += 1
-        assert outcomes[True] > 0 and outcomes[False] > 0
+            outcomes[lb, expected] += 1
+        assert len(level) == 119 and min(outcomes.values()) >= 20
+        assert set(outcomes) == {(False, False), (True, False), (True, True)}
 
 
 class TestFiveVertexCorollary:
