@@ -30,7 +30,13 @@ from .homomorphism import (
     is_isomorphic,
 )
 from .search import check_membership, compact_line, enumerate_extremal
-from .structure import _two_colourable, is_edge_maximal_locally_bipartite, is_locally_bipartite, is_twin_free
+from .structure import (
+    _two_colourable,
+    is_edge_maximal_locally_bipartite,
+    is_locally_bipartite,
+    is_twin_free,
+    saturate,
+)
 from .weighting import WeightingResult, optimal_weighting, verify_weighting
 
 PROPERTY_SEED = 20260810
@@ -131,8 +137,6 @@ def claim_h0_five_vertex() -> str:
 
 
 def claim_saturation_chain() -> str:
-    from .structure import saturate
-
     if saturate(families.h2()) != families.c7bar():
         raise ClaimFailure("saturate(H2) != C7BAR")
     for fid in ("H2PLUS", "C7BAR"):

@@ -23,14 +23,15 @@ resumed level is searched once per graph, and refused unless its graphs are
 locally bipartite and in strictly ascending canonical form, and its found
 graphs in strictly ascending (n, canonical form) with n at most the level.
 
-A mask is tested on the parent, against the sides of its neighbourhoods,
-before its child is built (``structure.locally_bipartite_with_vertex``).  A
-child's canonical search starts from its degree partition and, once it
-branches, reads its twin masks; both come from the parent's degree and twin
-classes by a few bit operations on the mask (``_ChildSetUp``).  The search
-refines against the cells that the last round split; a cell's vertices agree
-on every older cell, so the cells and their order are those of refining
-against every cell (``_refine``).
+A mask is tested on the parent before its child is built
+(``structure.locally_bipartite_with_vertex``), against the parent's one table
+of neighbourhood sides (``structure.NeighbourhoodSides``), which 2-colours each
+distinct row of the parent on its first read.  A child's canonical search
+starts from its degree partition and, once it branches, reads its twin masks;
+both come from the parent's degree and twin classes by a few bit operations on
+the mask (``_ChildSetUp``).  The search refines against the cells that the
+last round split; a cell's vertices agree on every older cell, so the cells
+and their order are those of refining against every cell (``_refine``).
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ from .colouring import chromatic_number
 from .graphs import Graph, _classes_by_row, _twin_masks, bits
 from .homomorphism import _automorphism_generators, _canonical_search
 from .structure import (
+    NeighbourhoodSides,
     is_edge_maximal_locally_bipartite,
     is_locally_bipartite,
     is_twin_free,
     locally_bipartite_with_vertex,
-    neighbourhood_sides,
 )
 from .weighting import optimal_weighting
 
@@ -216,7 +217,7 @@ def _next_level(level: Level, stats: list[LevelStats] | None = None) -> Level:
     for parent, autos in level:
         masks = _orbit_minimal_masks(parent, autos)
         tried += len(masks)
-        sides = neighbourhood_sides(parent)
+        sides = NeighbourhoodSides(parent)
         set_up = _ChildSetUp(parent)
         for mask in masks:
             if not locally_bipartite_with_vertex(parent, sides, mask):

@@ -2,8 +2,11 @@
 
 A graph is locally bipartite exactly when every vertex neighbourhood induces a
 bipartite graph, equivalently when it contains no odd wheel (an odd rim cycle
-plus a centre adjacent to the whole rim; W3 = K4).  One new vertex or edge is
-checked against the sides of the neighbourhoods (``neighbourhood_sides``).
+plus a centre adjacent to the whole rim; W3 = K4).  Odd wheels,
+edge-maximality, saturation, the missing-spoke audit and the test of one new
+vertex or edge all read one table of the sides of the neighbourhoods
+(``NeighbourhoodSides``), which 2-colours each distinct row once, on its first
+read.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .graphs import CertificateError, Graph, _twin_masks, bits
-
-Sides = list[list[tuple[int, int]]]  # per vertex w: (side, side) per component of G[N(w)]
 
 
 class PairClass(Enum):
@@ -82,10 +83,11 @@ def _shortest_odd_cycle(adj, region: int) -> tuple[int, ...] | None:
 
 def odd_wheel(g: Graph) -> OddWheelWitness | None:
     """First odd wheel by centre index, with the shortest rim in that neighbourhood."""
-    for centre in range(g.n):
-        # one 2-colouring settles a bipartite neighbourhood; an odd one gets a BFS per root
-        if not _two_colourable(g.adj, g.adj[centre]):
-            witness = OddWheelWitness(centre, _shortest_odd_cycle(g.adj, g.adj[centre]))
+    sides = NeighbourhoodSides(g)
+    for centre, row in enumerate(g.adj):
+        # one 2-colouring per distinct row settles it; the odd one gets a BFS per root
+        if sides[row] is None:
+            witness = OddWheelWitness(centre, _shortest_odd_cycle(g.adj, row))
             if not witness.validate(g):
                 raise CertificateError(f"odd wheel witness {witness} does not validate")
             return witness
@@ -141,16 +143,34 @@ def _two_colourable(adj, region: int) -> bool:
     return _two_colouring(adj, region) is not None
 
 
-def neighbourhood_sides(g: Graph) -> Sides | None:
-    """For each vertex w, the two sides of each component of G[N(w)] that has
-    an edge; None unless g is locally bipartite.  Twins share one list."""
-    by_row = {row: _two_colouring(g.adj, row) for row in set(g.adj)}
-    return None if None in by_row.values() else [by_row[row] for row in g.adj]
+class NeighbourhoodSides(dict):
+    """The sides of the neighbourhoods of a graph, keyed by adjacency row:
+    ``sides[g.adj[w]]`` lists the two sides of each component of G[N(w)] that
+    has an edge, or is None if G[N(w)] is not bipartite.  Each distinct row is
+    2-coloured on its first read, so twins share one entry."""
+
+    __slots__ = ("adj",)
+
+    def __init__(self, g: Graph):
+        self.adj = g.adj
+
+    def __missing__(self, row: int) -> list[tuple[int, int]] | None:
+        self[row] = sides = _two_colouring(self.adj, row)
+        return sides
+
+    def add_edge(self, g: Graph, u: int, v: int) -> None:
+        """Follow g, the table's graph plus the edge uv.  An entry is the
+        2-colouring of G[R] for its row R, which uv changes only if R holds
+        both u and v: those entries are dropped, and u's and v's new rows fill
+        on their first read."""
+        for row in [row for row in self if row >> u & row >> v & 1]:
+            del self[row]
+        self.adj = g.adj
 
 
 def _closes_odd_cycle(components: list[tuple[int, int]], mask: int) -> bool:
     """Whether a new neighbour x of w, adjacent to ``mask``, makes G[N(w) + x]
-    not bipartite, for ``components = neighbourhood_sides(g)[w]``.
+    not bipartite, for ``components = sides[g.adj[w]]``.
 
     G[N(w)] is bipartite, so every odd cycle of G[N(w) + x] passes through x.
     If x has neighbours y and z on the two sides of one component, a y-z path
@@ -162,28 +182,29 @@ def _closes_odd_cycle(components: list[tuple[int, int]], mask: int) -> bool:
     return False
 
 
-def locally_bipartite_with_vertex(g: Graph, sides: Sides, mask: int) -> bool:
+def locally_bipartite_with_vertex(g: Graph, sides: NeighbourhoodSides, mask: int) -> bool:
     """Whether ``g.with_vertex(mask)``, whose new vertex x has neighbourhood g[mask] and
-    joins each N(w) for w in mask, is locally bipartite; ``sides = neighbourhood_sides(g)``."""
+    joins each N(w) for w in mask, is locally bipartite, for locally bipartite g
+    and ``sides = NeighbourhoodSides(g)``."""
     for w in bits(mask):
-        if _closes_odd_cycle(sides[w], mask):
+        if _closes_odd_cycle(sides[g.adj[w]], mask):
             return False
     return _two_colourable(g.adj, mask)
 
 
-def locally_bipartite_after_adding(g: Graph, sides: Sides, u: int, v: int) -> bool:
+def locally_bipartite_after_adding(g: Graph, sides: NeighbourhoodSides, u: int, v: int) -> bool:
     """Whether g + uv is still locally bipartite, for a non-edge uv of a
-    locally bipartite g and ``sides = neighbourhood_sides(g)``.
+    locally bipartite g and ``sides = NeighbourhoodSides(g)``.
 
     N(u) gains v, whose neighbours in it are the common neighbourhood C, and
     N(v) gains u likewise.  Each w in C gains the edge uv, which closes an odd
     cycle of G[N(w)] iff u and v lie on one side of one component.
     """
     common = g.adj[u] & g.adj[v]
-    if _closes_odd_cycle(sides[u], common) or _closes_odd_cycle(sides[v], common):
+    if _closes_odd_cycle(sides[g.adj[u]], common) or _closes_odd_cycle(sides[g.adj[v]], common):
         return False
     pair = 1 << u | 1 << v
-    return not any(a & pair == pair or b & pair == pair for w in bits(common) for a, b in sides[w])
+    return all(pair not in (a & pair, b & pair) for w in bits(common) for a, b in sides[g.adj[w]])
 
 
 def classify_pair(g: Graph, u: int, v: int) -> PairClass:
@@ -208,35 +229,18 @@ def saturate(g: Graph) -> Graph:
 
     Non-edges are tried in lexicographic (u, v) order, the documented one, and
     kept whenever the graph stays locally bipartite; other orders may give
-    other maximal supergraphs.
+    other maximal supergraphs.  One sides table follows the graph through the
+    edges it gains (``NeighbourhoodSides.add_edge``).
     """
-    sides = neighbourhood_sides(g)
-    if sides is None:
+    sides = NeighbourhoodSides(g)
+    if any(sides[row] is None for row in g.adj):
         raise ValueError("saturate requires a locally bipartite input")
-    current = g
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not current.has_edge(u, v) and locally_bipartite_after_adding(current, sides, u, v):
-                current = current.with_edge(u, v)
-                sides = neighbourhood_sides(current)
-    return current
-
-
-class _LazySides:
-    """``neighbourhood_sides(g)`` read by vertex, each distinct row 2-coloured on
-    its first read; a neighbourhood that is not bipartite reads as None."""
-
-    __slots__ = ("adj", "by_row")
-
-    def __init__(self, g: Graph):
-        self.adj = g.adj
-        self.by_row: dict[int, list[tuple[int, int]] | None] = {}
-
-    def __getitem__(self, w: int) -> list[tuple[int, int]] | None:
-        row = self.adj[w]
-        if row not in self.by_row:
-            self.by_row[row] = _two_colouring(self.adj, row)
-        return self.by_row[row]
+            if not g.has_edge(u, v) and locally_bipartite_after_adding(g, sides, u, v):
+                g = g.with_edge(u, v)
+                sides.add_edge(g, u, v)
+    return g
 
 
 def is_edge_maximal_locally_bipartite(g: Graph) -> bool:
@@ -257,7 +261,7 @@ def is_edge_maximal_locally_bipartite(g: Graph) -> bool:
     with no addable non-edge is 2-coloured in full.
     """
     adj = g.adj
-    sides = _LazySides(g)
+    sides = NeighbourhoodSides(g)
     classes = list(dict.fromkeys(_twin_masks(adj)))  # in order of least member
     for i, a in enumerate(classes):
         u = (a & -a).bit_length() - 1
@@ -268,13 +272,11 @@ def is_edge_maximal_locally_bipartite(g: Graph) -> bool:
                 continue
             v = (missing & -missing).bit_length() - 1
             common = adj[u] & adj[v]
-            if not common:
-                return False
-            if any(sides[w] is None for w in (u, v, *bits(common))):
+            if not common or any(sides[adj[w]] is None for w in (u, v, *bits(common))):
                 return False
             if locally_bipartite_after_adding(g, sides, u, v):
                 return False
-    return all(sides[w] is not None for w in range(g.n))
+    return all(sides[row] is not None for row in adj)
 
 
 def is_twin_free(g: Graph) -> bool:
@@ -289,12 +291,12 @@ def sparse_missing_spoke(g: Graph) -> tuple[int, int] | None:
     in N(u).  A sparse pair is non-adjacent, so it is an odd cycle of
     G[N(u) + v] through v, whose neighbours there are N(u) & N(v).
     """
-    sides = neighbourhood_sides(g)
-    if sides is None:
+    sides = NeighbourhoodSides(g)
+    if any(sides[row] is None for row in g.adj):
         raise ValueError("sparse_missing_spoke requires a locally bipartite input")
     for u in range(g.n):
         for v in range(g.n):
             if u != v and classify_pair(g, u, v) is PairClass.SPARSE:
-                if _closes_odd_cycle(sides[u], g.adj[u] & g.adj[v]):
+                if _closes_odd_cycle(sides[g.adj[u]], g.adj[u] & g.adj[v]):
                     return (u, v)
     return None

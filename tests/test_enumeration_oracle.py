@@ -20,10 +20,10 @@ from localchrom.homomorphism import (
 )
 from localchrom.search import _next_level, _orbit_minimal_masks, _searched_level
 from localchrom.structure import (
+    NeighbourhoodSides,
     _two_colourable,
     is_locally_bipartite,
     locally_bipartite_with_vertex,
-    neighbourhood_sides,
 )
 
 # SHA-256 over repr([g.adj for g in level]) for levels 2..7, then over
@@ -120,7 +120,7 @@ def test_child_set_up_is_derived_from_the_parent():
     for level in _levels(6).values():
         for parent, _ in level:
             set_up = search._ChildSetUp(parent)
-            sides = neighbourhood_sides(parent)
+            sides = NeighbourhoodSides(parent)
             for mask in range(1 << parent.n):
                 if not locally_bipartite_with_vertex(parent, sides, mask):
                     continue
@@ -176,7 +176,7 @@ def _child_test_cases(parent: Graph) -> tuple[int, int]:
     the whole child; returns how many masks give a child that is not locally
     bipartite although parent[mask] is bipartite, and how many give a locally
     bipartite child whose new vertex joins two components of some N(w)."""
-    sides = neighbourhood_sides(parent)
+    sides = NeighbourhoodSides(parent)
     odd_through_new = across_components = 0
     for mask in range(1 << parent.n):
         child = parent.with_vertex(mask)

@@ -7,11 +7,12 @@ from itertools import combinations, permutations
 
 import pytest
 
-from localchrom import families
+from localchrom import families, structure
 from localchrom.graphs import Graph, bits, blow_up, mask_of, relabel
 from localchrom.homomorphism import find_subgraph, subgraph_embeddings
 from localchrom.search import _next_level, _searched_level
 from localchrom.structure import (
+    NeighbourhoodSides,
     OddWheelWitness,
     PairClass,
     _two_colourable,
@@ -21,7 +22,6 @@ from localchrom.structure import (
     is_locally_bipartite,
     is_twin_free,
     locally_bipartite_after_adding,
-    neighbourhood_sides,
     odd_wheel,
     saturate,
     sparse_missing_spoke,
@@ -102,14 +102,14 @@ class TestLocallyBipartite:
         assert agree == 120
 
     def test_incremental_matches_full(self):
-        # random graphs, then relabelled blow-ups, where twins share one sides list
+        # random graphs, then relabelled blow-ups, where twins share one sides entry
         rng = random.Random(5)
         graphs = [random_graph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.6)) for _ in range(60)]
         graphs += relabelled_blow_ups(rng, 40)
         outcomes = Counter()
         for g in graphs:
-            sides = neighbourhood_sides(g)
-            if sides is None:
+            sides = NeighbourhoodSides(g)
+            if any(sides[row] is None for row in g.adj):
                 continue
             for u, v in g.non_edges():
                 expected = is_locally_bipartite(g.with_edge(u, v))
@@ -122,11 +122,13 @@ class TestLocallyBipartite:
         graphs = [random_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8)) for _ in range(200)]
         graphs += relabelled_blow_ups(rng, 20)
         for g in graphs:
-            sides = neighbourhood_sides(g)
-            assert (sides is None) == (not is_locally_bipartite(g))
-            if sides is None:
+            sides = NeighbourhoodSides(g)
+            read = [sides[row] for row in g.adj]
+            assert (None in read) == (not is_locally_bipartite(g))
+            assert len(sides) == len(set(g.adj))  # one entry per distinct row
+            if None in read:
                 continue
-            for w, components in enumerate(sides):
+            for w, components in enumerate(read):
                 # the components split N(w); each side is independent, every
                 # edge of G[N(w)] joins the two sides of one component
                 covered = 0
@@ -139,11 +141,51 @@ class TestLocallyBipartite:
                     covered |= a | b
                 assert all(g.adj[x] & g.adj[w] == 0 for x in bits(g.adj[w] & ~covered))
                 twins = [x for x in range(g.n) if g.adj[x] == g.adj[w]]
-                assert all(sides[x] is components for x in twins)
+                assert all(read[x] is components for x in twins)
+
+    def test_adding_an_edge_keeps_the_table_of_the_new_graph(self):
+        # the table that saturate keeps: g's table, read in full, then told of
+        # an addable non-edge uv, reads as a fresh table of g + uv, on every
+        # row of g + uv and on every entry it kept
+        rng = random.Random(24)
+        graphs = [random_graph(rng, rng.randint(3, 8), rng.uniform(0.2, 0.6)) for _ in range(80)]
+        graphs += relabelled_blow_ups(rng, 20)
+        dropped = 0
+        for g in graphs:
+            if not is_locally_bipartite(g):
+                continue
+            for u, v in g.non_edges():
+                h = g.with_edge(u, v)
+                if not is_locally_bipartite(h):
+                    continue
+                sides = NeighbourhoodSides(g)
+                assert None not in [sides[row] for row in g.adj]
+                full = len(sides)
+                sides.add_edge(h, u, v)
+                dropped += full - len(sides)
+                fresh = NeighbourhoodSides(h)
+                for row in h.adj:
+                    assert sides[row] == fresh[row]
+                for row in list(sides):
+                    assert sides[row] == fresh[row]
+        assert dropped > 0
 
     def test_large_c7bar_blow_up_has_no_odd_wheel(self):
-        # 280 bipartite neighbourhoods of 120 vertices each, one 2-colouring apiece
+        # 280 bipartite neighbourhoods of 120 vertices each, one 2-colouring per distinct row
         assert odd_wheel(blow_up(families.c7bar(), [40] * 7)) is None
+
+    def test_odd_wheel_colours_each_distinct_row_once(self, monkeypatch):
+        # 1,400 bipartite neighbourhoods, 7 distinct rows
+        calls = Counter()
+        colour = structure._two_colouring
+
+        def counted(adj, region):
+            calls[region] += 1
+            return colour(adj, region)
+
+        monkeypatch.setattr(structure, "_two_colouring", counted)
+        assert odd_wheel(blow_up(families.c7bar(), [200] * 7)) is None
+        assert sum(calls.values()) == 7 and set(calls.values()) == {1}
 
     def test_witness_str_format(self):
         witness = OddWheelWitness(2, (0, 1, 3))
