@@ -4,6 +4,7 @@ Format: first line ``n m``, then m lines ``u v`` with 0 <= u < v < n.  The
 weighted variant appends n lines ``v p/q`` in vertex order.  The parsers never
 guess and their errors are loud, so test fixtures stay bit-exact; only
 ``localchrom weight`` accepts either format, falling back to the plain one.
+Each edge line is checked once, as it goes into the rows of the one ``Graph`` built.
 """
 
 from __future__ import annotations
@@ -17,19 +18,14 @@ class GraphFormatError(ValueError):
     pass
 
 
-def _tokenise(text: str) -> list[list[str]]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append(line.split())
-    return lines
-
-
-def _parse_edges(lines: list[list[str]]) -> tuple[int, list[tuple[int, int]], int]:
+def _parse_rows(text: str) -> tuple[Graph, list[str]]:
+    """The graph of the header and edge lines, and the lines after them; blank
+    lines and ``#`` comments are skipped.  A line is split only when it is read,
+    so a large file leaves no list per line for the garbage collector to walk."""
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     if not lines:
         raise GraphFormatError("empty input")
-    header = lines[0]
+    header = lines[0].split()
     if len(header) != 2:
         raise GraphFormatError(f"malformed header {' '.join(header)!r}, expected 'n m'")
     try:
@@ -40,9 +36,9 @@ def _parse_edges(lines: list[list[str]]) -> tuple[int, list[tuple[int, int]], in
         raise GraphFormatError("negative counts in header")
     if len(lines) - 1 < m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    seen = set()
-    for tokens in lines[1 : m + 1]:
+    rows = [0] * n
+    for line in lines[1 : m + 1]:
+        tokens = line.split()
         if len(tokens) != 2:
             raise GraphFormatError(f"malformed edge line {' '.join(tokens)!r}")
         try:
@@ -55,29 +51,27 @@ def _parse_edges(lines: list[list[str]]) -> tuple[int, list[tuple[int, int]], in
             raise GraphFormatError(f"edge ({u}, {v}) violates u < v")
         if u < 0 or v >= n:
             raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}")
-        if (u, v) in seen:
+        if rows[u] >> v & 1:
             raise GraphFormatError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        edges.append((u, v))
-    return n, edges, m
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph._of_valid_rows(tuple(rows)), lines[m + 1 :]
 
 
 def parse_graph(text: str) -> Graph:
-    lines = _tokenise(text)
-    n, edges, m = _parse_edges(lines)
-    if len(lines) != m + 1:
-        raise GraphFormatError(f"{len(lines) - m - 1} unexpected trailing lines")
-    return Graph(n, edges)
+    g, rest = _parse_rows(text)
+    if rest:
+        raise GraphFormatError(f"{len(rest)} unexpected trailing lines")
+    return g
 
 
 def parse_weighted_graph(text: str) -> WeightedGraph:
-    lines = _tokenise(text)
-    n, edges, m = _parse_edges(lines)
-    weight_lines = lines[m + 1 :]
-    if len(weight_lines) != n:
-        raise GraphFormatError(f"expected {n} weight lines, found {len(weight_lines)}")
+    g, weight_lines = _parse_rows(text)
+    if len(weight_lines) != g.n:
+        raise GraphFormatError(f"expected {g.n} weight lines, found {len(weight_lines)}")
     weights = []
-    for i, tokens in enumerate(weight_lines):
+    for i, line in enumerate(weight_lines):
+        tokens = line.split()
         if len(tokens) != 2:
             raise GraphFormatError(f"malformed weight line {' '.join(tokens)!r}")
         try:
@@ -89,7 +83,7 @@ def parse_weighted_graph(text: str) -> WeightedGraph:
         if w < 0:
             raise GraphFormatError(f"negative weight at vertex {v}")
         weights.append(w)
-    return WeightedGraph(Graph(n, edges), weights)
+    return WeightedGraph(g, weights)
 
 
 def emit_graph(g: Graph) -> str:

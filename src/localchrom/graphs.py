@@ -137,12 +137,15 @@ class Graph:
                     yield (u, v)
 
     def with_edge(self, u: int, v: int) -> "Graph":
+        """New graph with the edge uv added; only u and v are checked, as in ``with_vertex``."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
         if u == v:
-            raise ValueError("self-loop")
+            raise ValueError(f"self-loop at vertex {u}")
         rows = list(self.adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph.from_rows(rows)
+        return Graph._of_valid_rows(tuple(rows))
 
     def with_vertex(self, neighbour_mask: int = 0) -> "Graph":
         """New graph with vertex n appended, adjacent to ``neighbour_mask``.

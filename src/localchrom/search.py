@@ -220,7 +220,7 @@ def _next_level(level: Level, stats: list[LevelStats] | None = None) -> Level:
         sides = NeighbourhoodSides(parent)
         set_up = _ChildSetUp(parent)
         for mask in masks:
-            if not locally_bipartite_with_vertex(parent, sides, mask):
+            if not locally_bipartite_with_vertex(sides, mask):
                 continue
             children += 1
             child = parent.with_vertex(mask)

@@ -6,7 +6,8 @@ plus a centre adjacent to the whole rim; W3 = K4).  Odd wheels,
 edge-maximality, saturation, the missing-spoke audit and the test of one new
 vertex or edge all read one table of the sides of the neighbourhoods
 (``NeighbourhoodSides``), which 2-colours each distinct row once, on its first
-read.
+read.  The table owns the rows it describes, which ``saturate`` edits before it
+builds one ``Graph``.
 """
 
 from __future__ import annotations
@@ -144,33 +145,33 @@ def _two_colourable(adj, region: int) -> bool:
 
 
 class NeighbourhoodSides(dict):
-    """The sides of the neighbourhoods of a graph, keyed by adjacency row:
-    ``sides[g.adj[w]]`` lists the two sides of each component of G[N(w)] that
-    has an edge, or is None if G[N(w)] is not bipartite.  Each distinct row is
-    2-coloured on its first read, so twins share one entry."""
+    """The sides of the neighbourhoods of a graph G, keyed by row: ``adj`` is the
+    table's own list of G's rows, and ``sides[adj[w]]`` lists the two sides of
+    each component of G[N(w)] with an edge, or is None if G[N(w)] is not
+    bipartite.  A row is 2-coloured on its first read; twins share one entry."""
 
     __slots__ = ("adj",)
 
     def __init__(self, g: Graph):
-        self.adj = g.adj
+        self.adj = list(g.adj)
 
     def __missing__(self, row: int) -> list[tuple[int, int]] | None:
         self[row] = sides = _two_colouring(self.adj, row)
         return sides
 
-    def add_edge(self, g: Graph, u: int, v: int) -> None:
-        """Follow g, the table's graph plus the edge uv.  An entry is the
-        2-colouring of G[R] for its row R, which uv changes only if R holds
-        both u and v: those entries are dropped, and u's and v's new rows fill
-        on their first read."""
+    def add_edge(self, u: int, v: int) -> None:
+        """Add the non-edge uv to G.  An entry is the 2-colouring of G[R] for
+        its row R, which uv changes only if R holds both u and v: those entries
+        are dropped, and u's and v's new rows fill on their first read."""
         for row in [row for row in self if row >> u & row >> v & 1]:
             del self[row]
-        self.adj = g.adj
+        self.adj[u] |= 1 << v
+        self.adj[v] |= 1 << u
 
 
 def _closes_odd_cycle(components: list[tuple[int, int]], mask: int) -> bool:
     """Whether a new neighbour x of w, adjacent to ``mask``, makes G[N(w) + x]
-    not bipartite, for ``components = sides[g.adj[w]]``.
+    not bipartite, for ``components = sides[sides.adj[w]]``.
 
     G[N(w)] is bipartite, so every odd cycle of G[N(w) + x] passes through x.
     If x has neighbours y and z on the two sides of one component, a y-z path
@@ -182,29 +183,30 @@ def _closes_odd_cycle(components: list[tuple[int, int]], mask: int) -> bool:
     return False
 
 
-def locally_bipartite_with_vertex(g: Graph, sides: NeighbourhoodSides, mask: int) -> bool:
-    """Whether ``g.with_vertex(mask)``, whose new vertex x has neighbourhood g[mask] and
-    joins each N(w) for w in mask, is locally bipartite, for locally bipartite g
-    and ``sides = NeighbourhoodSides(g)``."""
+def locally_bipartite_with_vertex(sides: NeighbourhoodSides, mask: int) -> bool:
+    """Whether the table's locally bipartite graph G plus a new vertex x with
+    neighbourhood G[mask], joining each N(w) for w in mask, is locally bipartite."""
+    adj = sides.adj
     for w in bits(mask):
-        if _closes_odd_cycle(sides[g.adj[w]], mask):
+        if _closes_odd_cycle(sides[adj[w]], mask):
             return False
-    return _two_colourable(g.adj, mask)
+    return _two_colourable(adj, mask)
 
 
-def locally_bipartite_after_adding(g: Graph, sides: NeighbourhoodSides, u: int, v: int) -> bool:
-    """Whether g + uv is still locally bipartite, for a non-edge uv of a
-    locally bipartite g and ``sides = NeighbourhoodSides(g)``.
+def locally_bipartite_after_adding(sides: NeighbourhoodSides, u: int, v: int) -> bool:
+    """Whether G + uv is still locally bipartite, for a non-edge uv of the
+    table's graph G, which is locally bipartite.
 
     N(u) gains v, whose neighbours in it are the common neighbourhood C, and
     N(v) gains u likewise.  Each w in C gains the edge uv, which closes an odd
     cycle of G[N(w)] iff u and v lie on one side of one component.
     """
-    common = g.adj[u] & g.adj[v]
-    if _closes_odd_cycle(sides[g.adj[u]], common) or _closes_odd_cycle(sides[g.adj[v]], common):
+    adj = sides.adj
+    common = adj[u] & adj[v]
+    if _closes_odd_cycle(sides[adj[u]], common) or _closes_odd_cycle(sides[adj[v]], common):
         return False
     pair = 1 << u | 1 << v
-    return all(pair not in (a & pair, b & pair) for w in bits(common) for a, b in sides[g.adj[w]])
+    return all(pair not in (a & pair, b & pair) for w in bits(common) for a, b in sides[adj[w]])
 
 
 def classify_pair(g: Graph, u: int, v: int) -> PairClass:
@@ -229,18 +231,18 @@ def saturate(g: Graph) -> Graph:
 
     Non-edges are tried in lexicographic (u, v) order, the documented one, and
     kept whenever the graph stays locally bipartite; other orders may give
-    other maximal supergraphs.  One sides table follows the graph through the
-    edges it gains (``NeighbourhoodSides.add_edge``).
+    other maximal supergraphs.  The edges go into one sides table's own rows
+    (``NeighbourhoodSides.add_edge``), which become the one graph built.
     """
     sides = NeighbourhoodSides(g)
-    if any(sides[row] is None for row in g.adj):
+    adj = sides.adj
+    if any(sides[row] is None for row in adj):
         raise ValueError("saturate requires a locally bipartite input")
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not g.has_edge(u, v) and locally_bipartite_after_adding(g, sides, u, v):
-                g = g.with_edge(u, v)
-                sides.add_edge(g, u, v)
-    return g
+            if not adj[u] >> v & 1 and locally_bipartite_after_adding(sides, u, v):
+                sides.add_edge(u, v)
+    return Graph._of_valid_rows(tuple(adj))
 
 
 def is_edge_maximal_locally_bipartite(g: Graph) -> bool:
@@ -274,7 +276,7 @@ def is_edge_maximal_locally_bipartite(g: Graph) -> bool:
             common = adj[u] & adj[v]
             if not common or any(sides[adj[w]] is None for w in (u, v, *bits(common))):
                 return False
-            if locally_bipartite_after_adding(g, sides, u, v):
+            if locally_bipartite_after_adding(sides, u, v):
                 return False
     return all(sides[row] is not None for row in adj)
 

@@ -122,7 +122,7 @@ def test_child_set_up_is_derived_from_the_parent():
             set_up = search._ChildSetUp(parent)
             sides = NeighbourhoodSides(parent)
             for mask in range(1 << parent.n):
-                if not locally_bipartite_with_vertex(parent, sides, mask):
+                if not locally_bipartite_with_vertex(sides, mask):
                     continue
                 child = parent.with_vertex(mask)
                 by_degree = _classes_by_row(child.degrees())
@@ -181,7 +181,7 @@ def _child_test_cases(parent: Graph) -> tuple[int, int]:
     for mask in range(1 << parent.n):
         child = parent.with_vertex(mask)
         expected = is_locally_bipartite(child)
-        assert locally_bipartite_with_vertex(parent, sides, mask) == expected
+        assert locally_bipartite_with_vertex(sides, mask) == expected
         if not expected and _two_colourable(parent.adj, mask):
             odd_through_new += 1
         if expected and any(

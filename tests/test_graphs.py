@@ -149,6 +149,23 @@ class TestGraphBasics:
             with pytest.raises(ValueError):
                 Graph(3).with_vertex(bad)
 
+    def test_with_edge_matches_the_edge_list_constructor(self):
+        # only the two endpoints are checked, with Graph()'s messages
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(2, 9)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+            u, v = rng.sample(range(n), 2)
+            assert g.with_edge(u, v) == Graph(n, list(g.edges()) + [(u, v)])
+            assert g.with_edge(u, v).has_edge(v, u) and g.n == n
+        g = families.c7bar()
+        for u, v in ((0, 7), (7, 0), (-1, 0), (0, -1), (3, 3)):
+            message = f"edge ({u}, {v}) out of range for n=7" if u != v else "self-loop at vertex 3"
+            for build in (lambda: Graph(7, [(u, v)]), lambda: g.with_edge(u, v)):
+                with pytest.raises(ValueError) as info:
+                    build()
+                assert str(info.value) == message
+
     def test_immutable(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):

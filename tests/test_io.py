@@ -29,25 +29,31 @@ def test_families_round_trip():
         assert parse_graph(emit_graph(g)) == g
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "3",
-        "3 1",  # missing edge line
-        "2 1\n1 1",  # self-loop
-        "3 1\n2 1",  # u >= v
-        "3 1\n0 3",  # out of range
-        "3 1\n-1 2",  # negative index
-        "3 2\n0 1\n0 1",  # duplicate
-        "3 1\n0 1\nleftover tokens here",
-        "a b\n0 1",
-        "3 1\n0 x",
-    ],
-)
+# each text with the message of the plain and of the weighted parser
+PARSE_ERRORS = {
+    "": ("empty input",) * 2,
+    "3": ("malformed header '3', expected 'n m'",) * 2,
+    "3 1": ("expected 1 edge lines, found 0",) * 2,  # missing edge line
+    "2 1\n1 1": ("self-loop at vertex 1",) * 2,
+    "3 1\n2 1": ("edge (2, 1) violates u < v",) * 2,
+    "3 1\n0 3": ("edge (0, 3) out of range for n=3",) * 2,
+    "3 1\n-1 2": ("edge (-1, 2) out of range for n=3",) * 2,  # negative index
+    "3 2\n0 1\n0 1": ("duplicate edge (0, 1)",) * 2,
+    "3 1\n0 1\nleftover tokens here": (
+        "1 unexpected trailing lines",
+        "expected 3 weight lines, found 1",
+    ),
+    "a b\n0 1": ("malformed header 'a b'",) * 2,
+    "3 1\n0 x": ("malformed edge line '0 x'",) * 2,
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_errors(text):
-    with pytest.raises(GraphFormatError):
-        parse_graph(text)
+    for parse, message in zip((parse_graph, parse_weighted_graph), PARSE_ERRORS[text]):
+        with pytest.raises(GraphFormatError) as info:
+            parse(text)
+        assert str(info.value) == message
 
 
 def test_weighted_round_trip():
@@ -63,18 +69,19 @@ def test_weighted_integer_weights_accepted():
     assert wg.weights == (Fraction(2), Fraction(3, 2))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "2 1\n0 1\n0 1",  # only one weight line
-        "2 1\n0 1\n1 1\n0 1",  # out-of-order vertices
-        "2 1\n0 1\n0 -1\n1 1",  # negative weight
-        "2 1\n0 1\n0 1/0\n1 1",  # zero denominator
-    ],
-)
+WEIGHTED_PARSE_ERRORS = {
+    "2 1\n0 1\n0 1": "expected 2 weight lines, found 1",
+    "2 1\n0 1\n1 1\n0 1": "weight lines must list vertices in order; got 1, expected 0",
+    "2 1\n0 1\n0 -1\n1 1": "negative weight at vertex 0",
+    "2 1\n0 1\n0 1/0\n1 1": "malformed weight line '0 1/0'",  # zero denominator
+}
+
+
+@pytest.mark.parametrize("text", list(WEIGHTED_PARSE_ERRORS))
 def test_weighted_parse_errors(text):
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError) as info:
         parse_weighted_graph(text)
+    assert str(info.value) == WEIGHTED_PARSE_ERRORS[text]
 
 
 def test_comments_and_blank_lines_ignored():

@@ -113,7 +113,7 @@ class TestLocallyBipartite:
                 continue
             for u, v in g.non_edges():
                 expected = is_locally_bipartite(g.with_edge(u, v))
-                assert locally_bipartite_after_adding(g, sides, u, v) == expected
+                assert locally_bipartite_after_adding(sides, u, v) == expected
                 outcomes[expected] += 1
         assert outcomes[True] > 0 and outcomes[False] > 0
 
@@ -158,11 +158,15 @@ class TestLocallyBipartite:
                 h = g.with_edge(u, v)
                 if not is_locally_bipartite(h):
                     continue
+                rows = list(g.adj)
                 sides = NeighbourhoodSides(g)
                 assert None not in [sides[row] for row in g.adj]
                 full = len(sides)
-                sides.add_edge(h, u, v)
+                sides.add_edge(u, v)
                 dropped += full - len(sides)
+                # the table edits its own rows, never g's
+                assert sides.adj == list(h.adj)
+                assert list(g.adj) == rows and not g.has_edge(u, v)
                 fresh = NeighbourhoodSides(h)
                 for row in h.adj:
                     assert sides[row] == fresh[row]
@@ -273,6 +277,50 @@ class TestSaturation:
             assert saturate(g) == expected
             grown += expected != g
         assert grown > 20
+
+    def test_matches_the_loop_that_builds_a_graph_per_edge(self):
+        # the loop that saturate replaced: a new Graph by with_edge and a fresh
+        # table for every accepted edge
+        def rebuilt(g):
+            sides = NeighbourhoodSides(g)
+            for u, v in combinations(range(g.n), 2):
+                if not g.has_edge(u, v) and locally_bipartite_after_adding(sides, u, v):
+                    g = g.with_edge(u, v)
+                    sides = NeighbourhoodSides(g)
+            return g
+
+        rng = random.Random(25)
+        graphs = []
+        while len(graphs) < 300:
+            g = random_graph(rng, rng.randint(3, 10), rng.uniform(0.1, 0.5))
+            if is_locally_bipartite(g):
+                graphs.append(g)
+        graphs += relabelled_blow_ups(rng, 40)
+        grown = 0
+        for g in graphs:
+            expected = rebuilt(g)
+            assert saturate(g) == expected
+            grown += expected != g
+        assert grown > 200
+
+    def test_builds_one_graph_for_its_result(self, monkeypatch):
+        g = blow_up(families.h2(), [40] * 7)
+        expected = blow_up(families.c7bar(), [40] * 7)  # 1,600 edges more
+        calls = Counter()
+        with_edge, from_rows = Graph.with_edge, Graph.from_rows.__func__
+
+        def counted_with_edge(self, u, v):
+            calls["with_edge"] += 1
+            return with_edge(self, u, v)
+
+        def counted_from_rows(cls, rows):
+            calls["from_rows"] += 1
+            return from_rows(cls, rows)
+
+        monkeypatch.setattr(Graph, "with_edge", counted_with_edge)
+        monkeypatch.setattr(Graph, "from_rows", classmethod(counted_from_rows))
+        assert saturate(g) == expected
+        assert calls["with_edge"] == 0 and calls["from_rows"] <= 1
 
     def test_output_edge_maximal_and_contains_input(self):
         rng = random.Random(13)
