@@ -1,254 +1,232 @@
-"""Seeded randomized property suites backing the acceptance report.
+"""Property suites backing the acceptance report, each over a named finite family.
 
-Each suite returns a list of violation strings (empty = pass) and is run with
-a fixed seed and at least 200 cases by the acceptance layer; the same
-functions are exercised from pytest.
+A family is every graph of a class closed under induced subgraphs up to some
+order, one per isomorphism class, from the extremal search's own generator
+(``search.hereditary_graphs``), or every small blow-up of some base graphs.
+A suite checks every case of the family it is given and returns the violations,
+each prefixed by the index of its case (empty = pass).  It trusts the family
+to meet the hypothesis, so a graph just outside it shows that the suite can fail.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from itertools import combinations
+from functools import wraps
+from itertools import combinations, product
+from typing import Iterable
 
 from . import families
 from .colouring import chromatic_number, clique_number, k_colourable
-from .graphs import Graph, WeightedGraph, bits, blow_up, mask_of, merge_twins, relabel, weighted_degree
+from .graphs import (
+    Graph,
+    WeightedGraph,
+    bits,
+    blow_up,
+    blow_up_classes,
+    complement,
+    cycle_power,
+    mask_of,
+    merge_twins,
+    relabel,
+    weighted_degree,
+)
 from .homomorphism import compose, find_homomorphism, find_subgraph, is_homomorphism, verify_hom_forces_induced
+from .search import hereditary_graphs
 from .structure import PairClass, classify_pair, dense_set, is_locally_bipartite
 
 
-def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph(n, edges)
+class Family:
+    """The cases of a named family, generated as they are read, so that no
+    family is held whole; ``size`` counts the cases read so far."""
+
+    def __init__(self, description: str, cases: Iterable):
+        self.description, self.size, self._cases = description, 0, cases
+
+    def __iter__(self):
+        for self.size, case in enumerate(self._cases, 1):
+            yield case
 
 
-def random_permutation(rng: random.Random, n: int) -> list[int]:
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return perm
+# Classes for ``hereditary_graphs``: a table built once per parent, and a test
+# of each mask, the neighbourhood of the new vertex, against it.
+ANY_GRAPH = (lambda parent: None, lambda table, mask: True)
+TRIANGLE_FREE = (lambda g: g.adj, lambda adj, mask: not any(adj[w] & mask for w in bits(mask)))
 
 
-def _random_high_degree_graph(rng: random.Random) -> Graph:
-    """A graph with delta > n/2, by rejection sampling."""
-    while True:
-        n = rng.randint(5, 9)
-        g = random_graph(rng, n, rng.uniform(0.6, 0.85))
-        if 2 * g.min_degree() > n:
-            return g
+def _max_degree(k: int):
+    """Vertices of degree k may not gain the new vertex, which has at most k neighbours."""
+    return (
+        lambda parent: mask_of(v for v, d in enumerate(parent.degrees()) if d >= k),
+        lambda full, mask: not mask & full and mask.bit_count() <= k,
+    )
 
 
-def _maximum_independent_sets(g: Graph) -> list[int]:
-    out: list[int] = []
-    for size in range(g.n, 0, -1):
-        for subset in combinations(range(g.n), size):
-            if all(not g.has_edge(u, v) for u, v in combinations(subset, 2)):
-                out.append(sum(1 << v for v in subset))
-        if out:
-            break
-    return out
+def all_graphs(n_max: int) -> Family:
+    return Family(f"graphs on <= {n_max} vertices", hereditary_graphs(n_max, ANY_GRAPH))
 
 
-def suite_independent_set_pairs_dense(rng: random.Random, cases: int) -> list[str]:
-    """delta > n/2: every pair inside any maximum independent set is dense."""
-    violations = []
-    for case in range(cases):
-        g = _random_high_degree_graph(rng)
-        for mask in _maximum_independent_sets(g):
-            members = list(bits(mask))
-            for u, v in combinations(members, 2):
-                if classify_pair(g, u, v) is not PairClass.DENSE:
-                    violations.append(f"case {case}: pair ({u},{v}) in max independent set not dense")
-    return violations
+def triangle_free_graphs(n_max: int) -> Family:
+    graphs = hereditary_graphs(n_max, TRIANGLE_FREE)
+    return Family(f"triangle-free graphs on <= {n_max} vertices", graphs)
 
 
-def suite_c4_diagonal_dense(rng: random.Random, cases: int) -> list[str]:
-    """delta > n/2: every induced 4-cycle has at least one dense diagonal."""
-    violations = []
-    for _ in range(cases):
-        g = _random_high_degree_graph(rng)
-        for subset in combinations(range(g.n), 4):
-            # an induced 4-cycle: each member has exactly two neighbours among them
-            members = mask_of(subset)
-            if any((g.adj[v] & members).bit_count() != 2 for v in subset):
-                continue
-            diagonals = [(u, v) for u, v in combinations(subset, 2) if not g.has_edge(u, v)]
-            if not any(classify_pair(g, u, v) is PairClass.DENSE for u, v in diagonals):
-                violations.append(f"induced C4 {subset} has no dense diagonal")
-    return violations
+def dense_graphs(n_max: int) -> Family:
+    """The graphs with delta > n/2.  A complement has max degree n - 1 - delta <
+    n/2 - 1, so these are complements of graphs of max degree <= ceil(n_max/2) - 2."""
+    sparse = hereditary_graphs(n_max, _max_degree((n_max + 1) // 2 - 2))
+    graphs = (g for g in map(complement, sparse) if 2 * g.min_degree() > g.n)
+    return Family(f"graphs on <= {n_max} vertices with delta > n/2", graphs)
 
 
-def _random_locally_bipartite_h0_free(rng: random.Random) -> Graph:
+def h0_free_locally_bipartite_graphs(n_max: int) -> Family:
     h0 = families.h0()
-    while True:
-        n = rng.randint(5, 9)
-        g = random_graph(rng, n, rng.uniform(0.25, 0.5))
-        if is_locally_bipartite(g) and find_subgraph(h0, g) is None:
-            return g
+    graphs = (g for g in hereditary_graphs(n_max) if find_subgraph(h0, g) is None)
+    return Family(f"locally bipartite H0-free graphs on <= {n_max} vertices", graphs)
 
 
-def suite_dense_sets_independent(rng: random.Random, cases: int) -> list[str]:
+def small_blow_ups(n_max: int) -> Family:
+    """(g, sizes): every graph g on 2..n_max vertices with every class-size vector in {1, 2}^n."""
+    bases = (g for g in hereditary_graphs(n_max, ANY_GRAPH) if g.n > 1)
+    cases = ((g, sizes) for g in bases for sizes in product((1, 2), repeat=g.n))
+    return Family(f"{{1,2}}-class blow-ups of the graphs on 2..{n_max} vertices", cases)
+
+
+def anchor_blow_ups(max_class: int) -> Family:
+    """(f, sizes): K3, C7BAR and H2PLUS, each with every class-size vector in {1..max_class}^n."""
+    anchors = (cycle_power(3, 1), families.c7bar(), families.h2plus())
+    cases = ((f, sizes) for f in anchors for sizes in product(range(1, max_class + 1), repeat=f.n))
+    return Family(f"interleaved {{1..{max_class}}}-class blow-ups of K3, C7BAR and H2PLUS", cases)
+
+
+def _each_case(check):
+    """The suite that runs ``check`` on every case of a family and lists what it yields."""
+
+    @wraps(check)
+    def suite(cases) -> list[str]:
+        return [f"case {i}: {v}" for i, case in enumerate(cases) for v in check(case)]
+
+    return suite
+
+
+@_each_case
+def suite_independent_set_pairs_dense(g: Graph):
+    """delta > n/2: every pair inside any maximum independent set is dense."""
+    independent = [m for m in range(1 << g.n) if not any(g.adj[v] & m for v in bits(m))]
+    alpha = max(m.bit_count() for m in independent)
+    for mask in (m for m in independent if m.bit_count() == alpha):
+        for u, v in combinations(bits(mask), 2):
+            if classify_pair(g, u, v) is not PairClass.DENSE:
+                yield f"pair ({u},{v}) in max independent set not dense"
+
+
+@_each_case
+def suite_c4_diagonal_dense(g: Graph):
+    """delta > n/2: every induced 4-cycle has at least one dense diagonal."""
+    for subset in combinations(range(g.n), 4):
+        # an induced 4-cycle: each member has exactly two neighbours among them
+        members = mask_of(subset)
+        if any((g.adj[v] & members).bit_count() != 2 for v in subset):
+            continue
+        diagonals = [(u, v) for u, v in combinations(subset, 2) if not g.has_edge(u, v)]
+        if not any(classify_pair(g, u, v) is PairClass.DENSE for u, v in diagonals):
+            yield f"induced C4 {subset} has no dense diagonal"
+
+
+@_each_case
+def suite_dense_sets_independent(g: Graph):
     """Locally bipartite and H0-free: every D_v is an independent set."""
-    violations = []
-    for case in range(cases):
-        g = _random_locally_bipartite_h0_free(rng)
-        for v in range(g.n):
-            members = list(bits(dense_set(g, v)))
-            for a, b in combinations(members, 2):
-                if g.has_edge(a, b):
-                    violations.append(f"case {case}: D_{v} contains edge ({a},{b})")
-    return violations
+    for v in range(g.n):
+        for a, b in combinations(bits(dense_set(g, v)), 2):
+            if g.has_edge(a, b):
+                yield f"D_{v} contains edge ({a},{b})"
 
 
-def suite_hom_forces_induced(rng: random.Random, cases: int) -> list[str]:
+@_each_case
+def suite_hom_forces_induced(case: tuple[Graph, tuple[int, ...]]):
     """Twin-free edge-maximal locally bipartite f homomorphic to locally
-    bipartite g must appear induced in g; exercised on relabelled blow-ups."""
-    violations = []
-    anchors = [Graph(3, [(0, 1), (0, 2), (1, 2)]), families.c7bar(), families.h2plus()]
-    for case in range(cases):
-        f = anchors[case % len(anchors)]
-        sizes = [rng.randint(1, 3) for _ in range(f.n)]
-        g = relabel(blow_up(f, sizes), random_permutation(rng, sum(sizes)))
-        report = verify_hom_forces_induced(f, g)
-        if not report.hypotheses_hold:
-            violations.append(f"case {case}: hypotheses unexpectedly fail: {report.failed_hypotheses()}")
-        elif not report.conclusion_holds:
-            violations.append(f"case {case}: no induced copy found")
-    return violations
+    bipartite g must appear induced in g; exercised on the blow-up of f by
+    ``sizes`` with vertex v renamed order[v], which splits its classes: order
+    lists the first vertex of every class, then every second one, and so on."""
+    f, sizes = case
+    classes = blow_up_classes(sizes)
+    order = [c[i] for i in range(max(sizes)) for c in classes if i < len(c)]
+    report = verify_hom_forces_induced(f, relabel(blow_up(f, sizes), order))
+    if not report.hypotheses_hold:
+        yield f"hypotheses unexpectedly fail: {report.failed_hypotheses()}"
+    elif not report.conclusion_holds:
+        yield "no induced copy found"
 
 
-def suite_blowup_invariance(rng: random.Random, cases: int) -> list[str]:
-    """Blow-ups preserve chromatic number, clique number, local bipartiteness.
-
-    Instances reach 30 vertices (base n <= 6, classes up to size 5).
-    """
-    violations = []
-    for case in range(cases):
-        n = rng.randint(2, 6)
-        g = random_graph(rng, n, rng.uniform(0.3, 0.7))
-        sizes = [rng.randint(1, 5) for _ in range(n)]
-        b = blow_up(g, sizes)
-        if chromatic_number(b)[0] != chromatic_number(g)[0]:
-            violations.append(f"case {case}: chi changed under blow-up")
-        if clique_number(b) != clique_number(g):
-            violations.append(f"case {case}: clique number changed under blow-up")
-        if is_locally_bipartite(b) != is_locally_bipartite(g):
-            violations.append(f"case {case}: local bipartiteness changed under blow-up")
-    return violations
+@_each_case
+def suite_blowup_invariance(case: tuple[Graph, tuple[int, ...]]):
+    """Blow-ups preserve chromatic number, clique number, local bipartiteness."""
+    g, sizes = case
+    b = blow_up(g, sizes)
+    if chromatic_number(b)[0] != chromatic_number(g)[0]:
+        yield "chi changed under blow-up"
+    if clique_number(b) != clique_number(g):
+        yield "clique number changed under blow-up"
+    if is_locally_bipartite(b) != is_locally_bipartite(g):
+        yield "local bipartiteness changed under blow-up"
 
 
-def suite_merge_twins(rng: random.Random, cases: int) -> list[str]:
-    """merge_twins preserves total weight and surviving weighted degrees; idempotent."""
-    violations = []
-    for case in range(cases):
-        n = rng.randint(2, 6)
-        g = random_graph(rng, n, rng.uniform(0.3, 0.7))
-        sizes = [rng.randint(1, 3) for _ in range(n)]
-        b = blow_up(g, sizes)
-        weights = [Fraction(rng.randint(1, 5)) for _ in range(b.n)]
-        wg = WeightedGraph(b, weights)
-        merged = merge_twins(wg)
-        if merged.total_weight() != wg.total_weight():
-            violations.append(f"case {case}: total weight changed")
-        degrees_before = sorted(set(weighted_degree(wg, v) for v in range(b.n)))
-        degrees_after = sorted(set(weighted_degree(merged, v) for v in range(merged.graph.n)))
-        if degrees_before != degrees_after:
-            violations.append(f"case {case}: weighted degree profile changed")
-        if merge_twins(merged) != merged:
-            violations.append(f"case {case}: merge_twins not idempotent")
-    return violations
+@_each_case
+def suite_merge_twins(case: tuple[Graph, tuple[int, ...]]):
+    """merge_twins preserves total weight and surviving weighted degrees; idempotent.
+    Vertex v of the blow-up weighs 1 + v % 5."""
+    b = blow_up(*case)
+    wg = WeightedGraph(b, [Fraction(1 + v % 5) for v in range(b.n)])
+    merged = merge_twins(wg)
+    if merged.total_weight() != wg.total_weight():
+        yield "total weight changed"
+    degrees_before = sorted(set(weighted_degree(wg, v) for v in range(b.n)))
+    degrees_after = sorted(set(weighted_degree(merged, v) for v in range(merged.graph.n)))
+    if degrees_before != degrees_after:
+        yield "weighted degree profile changed"
+    if merge_twins(merged) != merged:
+        yield "merge_twins not idempotent"
 
 
-def suite_hom_composition(rng: random.Random, cases: int) -> list[str]:
-    """Certificates compose: G -> H and H -> K validate as G -> K."""
-    violations = []
-    for case in range(cases):
-        n = rng.randint(2, 5)
-        g = random_graph(rng, n, rng.uniform(0.3, 0.8))
-        h = blow_up(g, [rng.randint(1, 2) for _ in range(n)])
-        k = blow_up(h, [rng.randint(1, 2) for _ in range(h.n)])
-        c1 = find_homomorphism(g, h)
-        c2 = find_homomorphism(h, k)
-        if c1 is None or c2 is None:
-            violations.append(f"case {case}: expected homomorphisms missing")
-            continue
-        if not is_homomorphism(g, k, compose(c1, c2)):
-            violations.append(f"case {case}: composition does not validate")
-    return violations
+@_each_case
+def suite_hom_composition(case: tuple[Graph, tuple[int, ...]]):
+    """Certificates compose: G -> H and H -> K validate as G -> K, for H the
+    blow-up of G and K that of H with every class of two."""
+    g, sizes = case
+    h = blow_up(g, sizes)
+    k = blow_up(h, [2] * h.n)
+    c1 = find_homomorphism(g, h)
+    c2 = find_homomorphism(h, k)
+    if c1 is None or c2 is None:
+        yield "expected homomorphisms missing"
+    elif not is_homomorphism(g, k, compose(c1, c2)):
+        yield "composition does not validate"
 
 
-def suite_degree_identity(rng: random.Random, cases: int) -> list[str]:
+@_each_case
+def suite_degree_identity(g: Graph):
     """d(u,v) = d(u) + d(v) - |Gamma(u) u Gamma(v)| for every pair."""
-    violations = []
-    for case in range(cases):
-        n = rng.randint(2, 9)
-        g = random_graph(rng, n, rng.random())
-        for u, v in combinations(range(n), 2):
-            lhs = (g.adj[u] & g.adj[v]).bit_count()
-            rhs = g.degree(u) + g.degree(v) - (g.adj[u] | g.adj[v]).bit_count()
-            if lhs != rhs:
-                violations.append(f"case {case}: identity fails at ({u},{v})")
-    return violations
+    for u, v in combinations(range(g.n), 2):
+        lhs = (g.adj[u] & g.adj[v]).bit_count()
+        rhs = g.degree(u) + g.degree(v) - (g.adj[u] | g.adj[v]).bit_count()
+        if lhs != rhs:
+            yield f"identity fails at ({u},{v})"
 
 
+@_each_case
+def suite_aes_r2(g: Graph):
+    """Triangle-free with delta > 2n/5: 2-colourable (Andrasfai-Erdos-Sos, r = 2)."""
+    if k_colourable(g, 2) is None:
+        yield f"n={g.n} not 2-colourable"
+
+
+# (name, suite, family, the family's size in verify-paper)
 PROPERTY_SUITES = [
-    ("independent-set-pairs-dense", suite_independent_set_pairs_dense),
-    ("c4-diagonal-dense", suite_c4_diagonal_dense),
-    ("dense-sets-independent", suite_dense_sets_independent),
-    ("hom-forces-induced", suite_hom_forces_induced),
-    ("blowup-invariance", suite_blowup_invariance),
-    ("merge-twins", suite_merge_twins),
-    ("hom-composition", suite_hom_composition),
-    ("degree-identity", suite_degree_identity),
+    ("independent-set-pairs-dense", suite_independent_set_pairs_dense, dense_graphs, 8),
+    ("c4-diagonal-dense", suite_c4_diagonal_dense, dense_graphs, 8),
+    ("dense-sets-independent", suite_dense_sets_independent, h0_free_locally_bipartite_graphs, 6),
+    ("hom-forces-induced", suite_hom_forces_induced, anchor_blow_ups, 2),
+    ("blowup-invariance", suite_blowup_invariance, small_blow_ups, 4),
+    ("merge-twins", suite_merge_twins, small_blow_ups, 4),
+    ("hom-composition", suite_hom_composition, small_blow_ups, 4),
+    ("degree-identity", suite_degree_identity, all_graphs, 6),
 ]
-
-
-# ---------------------------------------------------------------------------
-# AES r=2 sanity instances (triangle-free, delta > 2/5 n, must be 2-colourable).
-
-
-def _has_triangle(g: Graph) -> bool:
-    return any(g.adj[u] & g.adj[v] for u, v in g.edges())
-
-
-def _aes_candidate(rng: random.Random) -> Graph:
-    """A K2, P4 or C5 blow-up less up to a tenth of its edges.  A C5 one never
-    has delta > 2/5 n: its five class degrees sum to 2n, and deletions lower them."""
-    base_kind = rng.choice(["K2", "P4", "C5"])
-    if base_kind == "K2":
-        base = Graph(2, [(0, 1)])
-    elif base_kind == "P4":
-        # C5 minus a vertex; its blow-ups seldom beat 2/5 (4 of 6,587 drawn)
-        base = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    else:
-        base = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    sizes = [rng.randint(1, 5) for _ in range(base.n)]
-    g = blow_up(base, sizes)
-    # perturb: delete a few random edges
-    edges = list(g.edges())
-    rng.shuffle(edges)
-    drop = set(edges[: rng.randint(0, max(1, len(edges) // 10))])
-    return Graph(g.n, [e for e in g.edges() if e not in drop])
-
-
-def aes_r2_instances(rng: random.Random, count: int) -> list[Graph]:
-    """Graphs with delta > 2/5 n: perturbed K2 and P4 blow-ups, so bipartite by
-    construction, and the triangle test rejects none.  With verify-paper's
-    seed all 100 are K2 blow-ups, drawn from 2,461 candidates."""
-    out = []
-    while len(out) < count:
-        g = _aes_candidate(rng)
-        if g.n < 3 or 5 * g.min_degree() <= 2 * g.n:
-            continue
-        if _has_triangle(g):
-            continue
-        out.append(g)
-    return out
-
-
-def suite_aes_r2(rng: random.Random, count: int = 100) -> list[str]:
-    violations = []
-    for i, g in enumerate(aes_r2_instances(rng, count)):
-        if k_colourable(g, 2) is None:
-            violations.append(f"instance {i} (n={g.n}) not 2-colourable")
-    return violations

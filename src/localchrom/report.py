@@ -4,14 +4,13 @@ stable id per claim.  A FAIL never aborts the remaining checks."""
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from . import families, properties
-from .colouring import chromatic_number, independence_number, validate_colouring
+from .colouring import chromatic_number, independence_number, k_colourable, validate_colouring
 from .decompose import decompose_c7bar, decompose_h2plus
 from .graphs import (
     CertificateError,
@@ -19,6 +18,7 @@ from .graphs import (
     WeightedGraph,
     blow_up,
     blow_up_classes,
+    cycle_power,
     mask_of,
     weighted_degree,
 )
@@ -38,9 +38,6 @@ from .structure import (
     saturate,
 )
 from .weighting import WeightingResult, optimal_weighting, verify_weighting
-
-PROPERTY_SEED = 20260810
-PROPERTY_CASES = 200
 
 # Frozen after the first verified enumerate_extremal(7, 1/2) run (the run is
 # the oracle): exactly K3 and a canonically labelled C7BAR, each re-verified
@@ -313,12 +310,11 @@ def claim_decomposition_h2plus() -> str:
     return f"scaled figure blow-up (n={g.n}, delta={g.min_degree()}) decomposes to HOM_H2PLUS"
 
 
-def _property_claim(name: str, fn) -> str:
-    rng = random.Random(PROPERTY_SEED)
-    violations = fn(rng, PROPERTY_CASES)
+def _property_claim(suite, family: properties.Family) -> str:
+    violations = suite(family)
     if violations:
         raise ClaimFailure(f"{len(violations)} violations; first: {violations[0]}")
-    return f"{PROPERTY_CASES} seeded cases, zero violations"
+    return f"all {family.size} {family.description}, zero violations"
 
 
 def claim_extremal_search_n7() -> str:
@@ -344,11 +340,21 @@ def claim_extremal_search_n7() -> str:
 
 
 def claim_aes_r2() -> str:
-    rng = random.Random(PROPERTY_SEED)
-    violations = properties.suite_aes_r2(rng, 100)
+    """Andrasfai-Erdos-Sos, r = 2: triangle-free with delta > 2n/5 is bipartite,
+    and C5 (delta = 2n/5) shows that the bound is sharp."""
+    family = properties.triangle_free_graphs(8)
+    near = [g for g in family if 5 * g.min_degree() >= 2 * g.n]
+    above = [g for g in near if 5 * g.min_degree() > 2 * g.n]
+    violations = properties.suite_aes_r2(above)
     if violations:
         raise ClaimFailure(violations[0])
-    return "100 triangle-free instances with delta > 2/5 n, all 2-colourable"
+    sharp = [g for g in near if 5 * g.min_degree() == 2 * g.n and k_colourable(g, 2) is None]
+    if not any(is_isomorphic(g, cycle_power(5, 1)) for g in sharp):
+        raise ClaimFailure("C5 should be in the family, with delta = 2n/5 and not 2-colourable")
+    return (
+        f"{len(above)} of the {family.size} {family.description} have delta > 2n/5, "
+        "all 2-colourable; C5, with delta = 2n/5, is not: the bound is sharp"
+    )
 
 
 def build_claims() -> list[tuple[str, object]]:
@@ -368,8 +374,8 @@ def build_claims() -> list[tuple[str, object]]:
         ("decomposition-c7bar", claim_decomposition_c7bar),
         ("decomposition-h2plus", claim_decomposition_h2plus),
     ]
-    for name, fn in properties.PROPERTY_SUITES:
-        claims.append((f"prop-{name}", lambda fn=fn, name=name: _property_claim(name, fn)))
+    for name, suite, family, size in properties.PROPERTY_SUITES:
+        claims.append((f"prop-{name}", lambda s=suite, f=family, n=size: _property_claim(s, f(n))))
     claims.append(("extremal-search-n7", claim_extremal_search_n7))
     claims.append(("AES-r2", claim_aes_r2))
     return claims

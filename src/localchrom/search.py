@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from time import perf_counter
+from typing import Iterator
 
 try:  # hashlib would also load OpenSSL, about 4 MB of resident memory
     from _sha256 import sha256
@@ -64,6 +65,7 @@ from .structure import (
 from .weighting import optimal_weighting
 
 MAX_N = 10  # documented desk-scale bound
+LOCALLY_BIPARTITE = (NeighbourhoodSides, locally_bipartite_with_vertex)  # the search's child test
 Level = list[tuple[Graph, tuple[tuple[int, ...], ...]]]  # (graph, its search's autos), in order
 
 
@@ -206,21 +208,24 @@ class _ChildSetUp:
         return twins
 
 
-def _next_level(level: Level, stats: list[LevelStats] | None = None) -> Level:
+def _next_level(level: Level, stats: list[LevelStats] | None = None, test=LOCALLY_BIPARTITE) -> Level:
     """The next level, one representative per class, ordered by canonical form.
 
+    ``test`` names the class: a child ``parent + mask`` is built iff
+    ``admits(table(parent), mask)`` for ``table, admits = test``.
     Appends a ``LevelStats`` record to ``stats`` when one is given.
     """
+    table, admits = test
     start = perf_counter()
     seen: dict[int, tuple[Graph, tuple]] = {}  # encoding -> the first child of its class
     tried = children = 0
     for parent, autos in level:
         masks = _orbit_minimal_masks(parent, autos)
         tried += len(masks)
-        sides = NeighbourhoodSides(parent)
+        sides = table(parent)
         set_up = _ChildSetUp(parent)
         for mask in masks:
-            if not locally_bipartite_with_vertex(sides, mask):
+            if not admits(sides, mask):
                 continue
             children += 1
             child = parent.with_vertex(mask)
@@ -245,6 +250,16 @@ def _searched_level(graphs: list[Graph]) -> Level:
     if keys != sorted(set(keys)) or not all(is_locally_bipartite(g) for g in graphs):
         raise ValueError("checkpoint level is out of canonical order or not locally bipartite")
     return [(g, autos) for g, _, autos in searched]
+
+
+def hereditary_graphs(n_max: int, test=LOCALLY_BIPARTITE) -> Iterator[Graph]:
+    """Every graph on 1..n_max vertices of the class that ``test`` names (see
+    ``_next_level``), one per isomorphism class, holding one level at a time."""
+    level = _searched_level([Graph(1)])
+    yield Graph(1)
+    for _ in range(n_max - 1):
+        level = _next_level(level, None, test)
+        yield from (g for g, _ in level)
 
 
 def enumerate_extremal(

@@ -85,10 +85,10 @@ def test_criterion_10_property_suites():
     from localchrom.properties import PROPERTY_SUITES
 
     claims = [
-        (lambda fn=fn, name=name: rp._property_claim(name, fn))
-        for name, fn in PROPERTY_SUITES
+        (lambda suite=suite, family=family, size=size: rp._property_claim(suite, family(size)))
+        for _, suite, family, size in PROPERTY_SUITES
     ]
-    _run("criterion-10 property suites (8 x 200 cases)", claims)
+    _run("criterion-10 property suites (8 named families)", claims)
 
 
 def test_criterion_11_extremal_search():
@@ -170,3 +170,24 @@ def test_checks_survive_python_optimise():
     )
     assert claims.returncode == 0, claims.stdout + claims.stderr
     assert claims.stdout.count("PASS") == 2
+
+
+def test_property_claims_name_their_families():
+    # each detail names the family checked and its size, counted as it was generated
+    details = {e.claim_id: e.detail for e in rp.verify_paper(only="prop-").entries}
+    dense = "all 84 graphs on <= 8 vertices with delta > n/2, zero violations"
+    blow_ups = "all 216 {1,2}-class blow-ups of the graphs on 2..4 vertices, zero violations"
+    assert details == {
+        "prop-independent-set-pairs-dense": dense,
+        "prop-c4-diagonal-dense": dense,
+        "prop-dense-sets-independent": "all 165 locally bipartite H0-free graphs on <= 6 vertices, zero violations",
+        "prop-hom-forces-induced": "all 392 interleaved {1..2}-class blow-ups of K3, C7BAR and H2PLUS, zero violations",
+        "prop-blowup-invariance": blow_ups,
+        "prop-merge-twins": blow_ups,
+        "prop-hom-composition": blow_ups,
+        "prop-degree-identity": "all 208 graphs on <= 6 vertices, zero violations",
+    }
+    assert rp.claim_aes_r2() == (
+        "5 of the 582 triangle-free graphs on <= 8 vertices have delta > 2n/5, all 2-colourable; "
+        "C5, with delta = 2n/5, is not: the bound is sharp"
+    )

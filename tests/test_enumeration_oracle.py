@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -18,7 +19,8 @@ from localchrom.homomorphism import (
     is_isomorphic,
     subgraph_embeddings,
 )
-from localchrom.search import _next_level, _orbit_minimal_masks, _searched_level
+from localchrom.properties import ANY_GRAPH, TRIANGLE_FREE, dense_graphs
+from localchrom.search import _next_level, _orbit_minimal_masks, _searched_level, hereditary_graphs
 from localchrom.structure import (
     NeighbourhoodSides,
     _two_colourable,
@@ -77,6 +79,20 @@ def test_level_counts_match_exhaustive_labelled_enumeration():
         assert len(classes) == counts[n]
     # n = 4: every graph except K4 is locally bipartite
     assert counts[4] == 10
+
+
+def test_other_hereditary_classes_match_oeis():
+    # the search's generator, orbit pruning included, with the child test of
+    # another class closed under induced subgraphs: OEIS A000088 (graphs) and
+    # A006785 (triangle-free graphs) count the classes on n = 1, 2, ... vertices
+    graphs = list(hereditary_graphs(8, ANY_GRAPH))
+    assert list(Counter(g.n for g in graphs).values()) == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    triangle_free = Counter(g.n for g in hereditary_graphs(9, TRIANGLE_FREE))
+    assert list(triangle_free.values()) == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+    # the graphs with delta > n/2, generated as complements of a max-degree class
+    dense = [g for g in graphs if 2 * g.min_degree() > g.n]
+    assert len(dense) == 84
+    assert sorted(canonical_form(g) for g in dense_graphs(8)) == sorted(map(canonical_form, dense))
 
 
 def test_levels_and_canonical_forms_are_frozen():

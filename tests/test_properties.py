@@ -1,55 +1,91 @@
-"""Randomized property suites at reduced case counts (full counts run in
-test_acceptance); plus direct checks of the generators they rely on."""
+"""The property suites over larger families than verify-paper runs, the
+families against their own hypotheses, and each lemma's suite on the smallest
+graph just outside its hypothesis, where it must report a violation."""
 
-import random
+from functools import cache
+from itertools import combinations
 
 import pytest
 
+from localchrom import families
+from localchrom.graphs import cycle_power
+from localchrom.homomorphism import find_subgraph
 from localchrom.properties import (
     PROPERTY_SUITES,
-    _random_high_degree_graph,
-    _random_locally_bipartite_h0_free,
-    aes_r2_instances,
+    dense_graphs,
+    h0_free_locally_bipartite_graphs,
     suite_aes_r2,
+    suite_c4_diagonal_dense,
+    suite_dense_sets_independent,
+    suite_independent_set_pairs_dense,
+    triangle_free_graphs,
 )
-from localchrom import families
-from localchrom.homomorphism import find_subgraph
 from localchrom.structure import is_locally_bipartite
 
+# the family size of each suite here; verify-paper's is the last field of its entry
+TIER1_SIZES = {
+    "independent-set-pairs-dense": 9,
+    "c4-diagonal-dense": 9,
+    "dense-sets-independent": 8,
+    "hom-forces-induced": 3,
+    "blowup-invariance": 5,
+    "merge-twins": 5,
+    "hom-composition": 5,
+    "degree-identity": 7,
+}
+FAMILIES = {name: (family, size) for name, _, family, size in PROPERTY_SUITES}
+C4, C5 = cycle_power(4, 1), cycle_power(5, 1)
 
-@pytest.mark.parametrize("name,suite", PROPERTY_SUITES)
+_family = cache(lambda family, size: list(family(size)))  # the two delta > n/2 suites share one
+
+
+@pytest.mark.parametrize("name,suite", [(name, suite) for name, suite, _, _ in PROPERTY_SUITES])
 def test_suite_clean(name, suite):
-    rng = random.Random(1234)
-    assert suite(rng, 50) == []
+    family, size = FAMILIES[name]
+    assert TIER1_SIZES[name] > size
+    assert suite(_family(family, TIER1_SIZES[name])) == []
 
 
 def test_high_degree_generator():
-    rng = random.Random(5)
-    for _ in range(20):
-        g = _random_high_degree_graph(rng)
-        assert 2 * g.min_degree() > g.n
+    graphs = _family(dense_graphs, 9)
+    assert len(graphs) == 1249
+    assert all(2 * g.min_degree() > g.n for g in graphs)
+    assert sum(g.n <= 8 for g in graphs) == len(list(dense_graphs(8))) == 84
 
 
 def test_h0_free_generator():
-    rng = random.Random(6)
     h0 = families.h0()
-    for _ in range(20):
-        g = _random_locally_bipartite_h0_free(rng)
-        assert is_locally_bipartite(g)
-        assert find_subgraph(h0, g) is None
+    graphs = _family(h0_free_locally_bipartite_graphs, 8)
+    assert len(graphs) == 6880
+    assert all(is_locally_bipartite(g) and find_subgraph(h0, g) is None for g in graphs)
 
 
 def test_aes_instances_satisfy_hypotheses():
-    rng = random.Random(7)
-    for g in aes_r2_instances(rng, 20):
-        assert 5 * g.min_degree() > 2 * g.n
-        from itertools import combinations
-
-        assert not any(
-            g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
-            for a, b, c in combinations(range(g.n), 3)
-        )
+    graphs = _family(triangle_free_graphs, 9)
+    assert len(graphs) == 2479
+    assert not any(
+        g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+        for g in graphs
+        for a, b, c in combinations(range(g.n), 3)
+    )
 
 
 def test_aes_suite_clean():
-    assert suite_aes_r2(random.Random(8), 30) == []
+    graphs = _family(triangle_free_graphs, 9)
+    above = [g for g in graphs if 5 * g.min_degree() > 2 * g.n]
+    assert [g.n for g in above] == [2, 4, 6, 7, 8, 9]  # K2, C4 and K(3,3) .. K(4,5)
+    assert suite_aes_r2(above) == []
+
+
+@pytest.mark.parametrize(
+    "suite,outside,violation",
+    [
+        (suite_independent_set_pairs_dense, C5, "case 0: pair (0,2) in max independent set not dense"),
+        (suite_c4_diagonal_dense, C4, "case 0: induced C4 (0, 1, 2, 3) has no dense diagonal"),
+        (suite_dense_sets_independent, families.h0(), "case 0: D_0 contains edge (3,4)"),
+        (suite_aes_r2, C5, "case 0: n=5 not 2-colourable"),
+    ],
+    ids=["C5-has-delta-n/2", "C4-has-delta-n/2", "H0", "C5-has-delta-2n/5"],
+)
+def test_suite_fails_just_outside_its_hypothesis(suite, outside, violation):
+    assert violation in suite([outside])
