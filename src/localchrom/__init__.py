@@ -31,7 +31,6 @@ from .homomorphism import (
     find_subgraph,
     is_homomorphism,
     is_isomorphic,
-    verify_hom_forces_induced,
 )
 from .colouring import chromatic_number, independence_number, k_colourable
 from .weighting import WeightingResult, optimal_weighting, verify_weighting
@@ -43,6 +42,7 @@ from .decompose import (
     verify_profile,
 )
 from . import families
+from .properties import verify_hom_forces_induced
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

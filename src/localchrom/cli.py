@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import families
 from .colouring import SolverTimeout, chromatic_number, k_colourable
 from .decompose import decompose_auto, verify_profile
-from .graphio import GraphFormatError, emit_graph, parse_graph, parse_weighted_graph, to_dot
+from .graphio import emit_graph, parse_any_graph, parse_graph, to_dot
 from .graphs import Graph
 from .homomorphism import find_homomorphism, find_subgraph, is_isomorphic
 from .report import verify_paper
@@ -117,15 +117,7 @@ def cmd_colour(args) -> int:
 def cmd_weight(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
-    wg = None
-    try:
-        wg = parse_weighted_graph(text)
-        g = wg.graph
-    except GraphFormatError as weighted_error:
-        try:  # a plain graph has no weight lines; any other file keeps the weighted error
-            g = parse_graph(text)
-        except GraphFormatError:
-            raise weighted_error from None
+    g, wg = parse_any_graph(text)
     c = None if args.beats is None else _threshold(args.beats)
     # validate the given weighting before any output
     result = optimal_weighting(g)

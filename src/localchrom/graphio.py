@@ -3,7 +3,7 @@
 Format: first line ``n m``, then m lines ``u v`` with 0 <= u < v < n.  The
 weighted variant appends n lines ``v p/q`` in vertex order.  The parsers never
 guess and their errors are loud, so test fixtures stay bit-exact; only
-``localchrom weight`` accepts either format, falling back to the plain one.
+``localchrom weight`` accepts either format: a file is weighted iff lines follow its edges.
 Each edge line is checked once, as it goes into the rows of the one ``Graph`` built.
 """
 
@@ -66,7 +66,16 @@ def parse_graph(text: str) -> Graph:
 
 
 def parse_weighted_graph(text: str) -> WeightedGraph:
-    g, weight_lines = _parse_rows(text)
+    return _weighted(*_parse_rows(text))
+
+
+def parse_any_graph(text: str) -> tuple[Graph, WeightedGraph | None]:
+    """The graph, and its weighting if lines follow the edges, from one pass."""
+    g, rest = _parse_rows(text)
+    return g, _weighted(g, rest) if rest else None
+
+
+def _weighted(g: Graph, weight_lines: list[str]) -> WeightedGraph:
     if len(weight_lines) != g.n:
         raise GraphFormatError(f"expected {g.n} weight lines, found {len(weight_lines)}")
     weights = []

@@ -17,11 +17,9 @@ unchanged.  ``brute_force_homomorphism`` is a separate oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .graphs import CertificateError, Graph, _classes_by_row, _twin_masks, bits, mask_of
-from .structure import is_edge_maximal_locally_bipartite, is_locally_bipartite, is_twin_free
 
 
 def is_homomorphism(g: Graph, h: Graph, mapping: tuple[int, ...]) -> bool:
@@ -414,47 +412,3 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
     return canonical_form(g) == canonical_form(h)
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InducedCopyReport:
-    """Hypothesis-by-hypothesis audit of the induced-copy lemma on one pair (f, g)."""
-
-    f_twin_free: bool
-    f_edge_maximal_locally_bipartite: bool
-    g_locally_bipartite: bool
-    homomorphism: tuple[int, ...] | None
-    hypotheses_hold: bool
-    induced_embedding: tuple[int, ...] | None
-    conclusion_holds: bool | None  # None when hypotheses fail
-
-    def failed_hypotheses(self) -> list[str]:
-        out = []
-        if not self.f_twin_free:
-            out.append("twin-free")
-        if not self.f_edge_maximal_locally_bipartite:
-            out.append("edge-maximal")
-        if not self.g_locally_bipartite:
-            out.append("locally-bipartite")
-        if self.homomorphism is None:
-            out.append("hom")
-        return out
-
-
-def verify_hom_forces_induced(f: Graph, g: Graph) -> InducedCopyReport:
-    """Check: twin-free edge-maximal locally bipartite f with f -> g and g
-    locally bipartite forces an induced copy of f in g."""
-    twin_free = is_twin_free(f)
-    edge_max = is_edge_maximal_locally_bipartite(f)
-    g_lb = is_locally_bipartite(g)
-    hom = find_homomorphism(f, g)
-    holds = twin_free and edge_max and g_lb and hom is not None
-    embedding = None
-    conclusion = None
-    if holds:
-        embedding = find_subgraph(f, g, induced=True)
-        conclusion = embedding is not None
-    return InducedCopyReport(twin_free, edge_max, g_lb, hom, holds, embedding, conclusion)

@@ -181,7 +181,9 @@ def test_property_claims_name_their_families():
         "prop-independent-set-pairs-dense": dense,
         "prop-c4-diagonal-dense": dense,
         "prop-dense-sets-independent": "all 165 locally bipartite H0-free graphs on <= 6 vertices, zero violations",
-        "prop-hom-forces-induced": "all 392 interleaved {1..2}-class blow-ups of K3, C7BAR and H2PLUS, zero violations",
+        "prop-hom-forces-induced": (
+            "all 495 pairs of K3, C7BAR or H2PLUS with a locally bipartite graph on <= 6 vertices, zero violations"
+        ),
         "prop-blowup-invariance": blow_ups,
         "prop-merge-twins": blow_ups,
         "prop-hom-composition": blow_ups,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from localchrom import cli, families, search
+from localchrom import cli, families, graphio, search
 from localchrom.cli import main
 from localchrom.graphio import emit_graph, emit_weighted_graph, parse_graph
 from localchrom.graphs import CertificateError, Graph, WeightedGraph, blow_up
@@ -407,12 +407,21 @@ def test_weight_all_zero_given_weights_is_usage_error(capsys, tmp_path):
     ids=["negative", "missing"],
 )
 def test_weight_reports_the_weighted_parse_error(capsys, tmp_path, text, message):
-    # not a plain graph either, so the weighted parser's error stands
+    # lines follow the edges, so the file is weighted and its error stands
     path = tmp_path / "weighted.txt"
     path.write_text(text)
     assert main(["weight", str(path), "--beats", "1/2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_weight_parses_a_plain_file_once(capsys, monkeypatch, c7bar_file):
+    texts = []
+    parse_rows = graphio._parse_rows
+    monkeypatch.setattr(graphio, "_parse_rows", lambda text: texts.append(text) or parse_rows(text))
+    assert main(["weight", c7bar_file]) == 0
+    assert capsys.readouterr().out.startswith("t*=4/7 ")
+    assert len(texts) == 1
 
 
 def test_malformed_threshold_is_usage_error(capsys, h2_file):

@@ -5,6 +5,7 @@ import random
 import time
 from collections import Counter
 from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 
@@ -79,6 +80,29 @@ def test_level_counts_match_exhaustive_labelled_enumeration():
         assert len(classes) == counts[n]
     # n = 4: every graph except K4 is locally bipartite
     assert counts[4] == 10
+
+
+# L_n, the labelled locally bipartite graphs on n = 2..7 vertices
+LABELLED_COUNTS = [2, 8, 63, 958, 27554, 1466437]
+
+
+def test_labelled_counts_by_vertex_extension():
+    # a class G on n vertices has n!/|Aut G| labellings, |Aut G| counted as its
+    # induced self-embeddings; and each labelled graph on n vertices is one on
+    # n - 1 vertices (the class is hereditary) with vertex n - 1 joined by a mask
+    levels = _levels(7)
+    labellings = {
+        g: factorial(n) // sum(1 for _ in subgraph_embeddings(g, g, induced=True))
+        for n, level in levels.items()
+        for g, _ in level
+    }
+    for n, expected in zip(range(2, 8), LABELLED_COUNTS):
+        assert sum(labellings[g] for g, _ in levels[n]) == expected
+        extended = sum(
+            labellings[p] * sum(is_locally_bipartite(p.with_vertex(m)) for m in range(1 << p.n))
+            for p, _ in levels[n - 1]
+        )
+        assert extended == expected
 
 
 def test_other_hereditary_classes_match_oeis():

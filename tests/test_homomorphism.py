@@ -9,7 +9,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from localchrom import families
+from localchrom import families, verify_hom_forces_induced
 from localchrom.colouring import chromatic_number
 from localchrom.graphs import (
     Graph,
@@ -36,7 +36,6 @@ from localchrom.homomorphism import (
     is_homomorphism,
     is_isomorphic,
     subgraph_embeddings,
-    verify_hom_forces_induced,
 )
 
 
