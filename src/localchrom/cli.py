@@ -145,7 +145,8 @@ def cmd_search(args) -> int:
         print(
             f"level {lv.n}: {lv.parents} parents, {lv.masks_tried} masks tried, "
             f"{lv.children} locally bipartite children, {lv.canonical_forms} canonical forms, "
-            f"{lv.classes} classes, {lv.seconds:.2f} s",
+            f"{lv.classes} classes, {lv.seconds:.2f} s in {lv.processes} "
+            f"{'process' if lv.processes == 1 else 'processes'}",
             file=sys.stderr,
         )
     print(f"searched n<={args.n} beating {c}: {len(result.found)} graphs", file=sys.stderr)

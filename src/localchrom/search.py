@@ -32,17 +32,29 @@ both come from the parent's degree and twin classes by a few bit operations on
 the mask (``_ChildSetUp``).  The search refines against the cells that the
 last round split; a cell's vertices agree on every older cell, so the cells
 and their order are those of refining against every cell (``_refine``).
+
+A large level is split over the CPUs this process may use, k of them, by the
+edge count of the child: share r builds, searches and dedupes only the children
+``parent + mask`` with ``(|E(parent)| + |mask|) % k == r`` (``_share``), share 0
+in this process and every other in a forked worker (``_shares``).  Isomorphic
+children have the same edge count, so each class lies inside one share, and a
+share meets its children in the serial (parent, mask) order, so each class keeps
+the first child, and that child's recorded automorphisms, of the serial loop.
+The union of the shares, sorted by canonical form, is the serial level; a class
+found by two shares would break this argument and is refused.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import os
+import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from time import perf_counter
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 try:  # hashlib would also load OpenSSL, about 4 MB of resident memory
     from _sha256 import sha256
@@ -53,7 +65,7 @@ except ImportError:
         from hashlib import sha256
 
 from .colouring import chromatic_number
-from .graphs import Graph, _classes_by_row, _twin_masks, bits
+from .graphs import CertificateError, Graph, _classes_by_row, _twin_masks, bits
 from .homomorphism import _automorphism_generators, _canonical_search
 from .structure import (
     NeighbourhoodSides,
@@ -67,6 +79,22 @@ from .weighting import optimal_weighting
 MAX_N = 10  # documented desk-scale bound
 LOCALLY_BIPARTITE = (NeighbourhoodSides, locally_bipartite_with_vertex)  # the search's child test
 Level = list[tuple[Graph, tuple[tuple[int, ...], ...]]]  # (graph, its search's autos), in order
+# A level is split over processes from this many parents on.  On a shared
+# 2-core x86-64 host with Python 3.11, a fork, its pipe and the merge cost about
+# 2 ms, so two shares already beat one from about 30 parents (29 parents of
+# the locally bipartite search: 11.2 -> 9.9 ms; 119 parents: 97 -> 69 ms;
+# 674 parents: 1.12 -> 0.64 s).  Below 128 parents a split saves at most about
+# 30 ms, and the level stays in one process, where every call can be counted:
+# a traced verify-paper pass, whose largest levels have 119 and 107 parents,
+# and the tests that count canonical searches through levels up to 7.
+SPLIT_MIN_PARENTS = 128
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where that is unknown or ``os.fork`` is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 @dataclass(frozen=True)
@@ -102,6 +130,7 @@ class LevelStats:
     canonical_forms: int  # one per locally bipartite child
     classes: int
     seconds: float
+    processes: int  # the processes that shared the level (see ``_next_level``)
 
 
 @dataclass
@@ -208,24 +237,22 @@ class _ChildSetUp:
         return twins
 
 
-def _next_level(level: Level, stats: list[LevelStats] | None = None, test=LOCALLY_BIPARTITE) -> Level:
-    """The next level, one representative per class, ordered by canonical form.
-
-    ``test`` names the class: a child ``parent + mask`` is built iff
-    ``admits(table(parent), mask)`` for ``table, admits = test``.
-    Appends a ``LevelStats`` record to ``stats`` when one is given.
-    """
+def _share(level: Level, test, k: int, r: int) -> tuple[dict, int, int]:
+    """Share r of k of the next level: the children ``parent + mask`` with
+    ``(|E(parent)| + |mask|) % k == r``, met in the serial order.  Returns each
+    class's first child as ``encoding -> (rows, autos)``, the masks tried (every
+    share tries all of them) and the children built."""
     table, admits = test
-    start = perf_counter()
-    seen: dict[int, tuple[Graph, tuple]] = {}  # encoding -> the first child of its class
+    seen: dict[int, tuple[tuple[int, ...], tuple]] = {}
     tried = children = 0
     for parent, autos in level:
         masks = _orbit_minimal_masks(parent, autos)
         tried += len(masks)
         sides = table(parent)
         set_up = _ChildSetUp(parent)
+        offset = parent.edge_count() - r
         for mask in masks:
-            if not admits(sides, mask):
+            if (offset + mask.bit_count()) % k or not admits(sides, mask):
                 continue
             children += 1
             child = parent.with_vertex(mask)
@@ -233,13 +260,84 @@ def _next_level(level: Level, stats: list[LevelStats] | None = None, test=LOCALL
                 child, set_up.root(mask), partial(set_up.twin_masks, mask)
             )
             if key not in seen:
-                seen[key] = (child, child_autos)
+                seen[key] = (child.adj, child_autos)
+    return seen, tried, children
+
+
+def _work(level: Level, test, k: int, r: int, write_end: int) -> NoReturn:
+    """Share r of k in a forked worker, marshalled down the pipe ``write_end``.
+    Exits with status 0 only once the whole share is written, and never returns
+    into the caller's stack."""
+    status = 1
+    try:
+        with open(write_end, "wb") as pipe:
+            marshal.dump(_share(level, test, k, r), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _shares(level: Level, test, k: int) -> list[tuple[dict, int, int]]:
+    """``_share`` r of k for r = 0..k-1.  Share 0 is computed here and each
+    other by a forked worker; the share of a worker that fails is computed
+    here again, so that its exception surfaces in this process.  No worker
+    outlives the call, however it ends."""
+    pids: list[int] = []
+    pipes = []
+    try:
+        for r in range(1, k):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _work(level, test, k, r, write_end)
+            finally:
+                os.close(write_end)
+        shares = [_share(level, test, k, 0)]
+        for r in range(1, k):
+            # marshal.load would read the pipe in pieces, about ten times slower
+            payload = pipes[r - 1].read()
+            _, status = os.waitpid(pids[r - 1], 0)
+            pids[r - 1] = 0  # reaped
+            if os.waitstatus_to_exitcode(status) == 0:
+                shares.append(marshal.loads(payload))
+            else:
+                shares.append(_share(level, test, k, r))
+        return shares
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _next_level(level: Level, stats: list[LevelStats] | None = None, test=LOCALLY_BIPARTITE) -> Level:
+    """The next level, one representative per class, ordered by canonical form.
+
+    ``test`` names the class: a child ``parent + mask`` is built iff
+    ``admits(table(parent), mask)`` for ``table, admits = test``.  A level of
+    at least ``SPLIT_MIN_PARENTS`` parents is split over the usable CPUs.
+    Appends a ``LevelStats`` record to ``stats`` when one is given.
+    """
+    start = perf_counter()
+    k = _usable_cpus() if len(level) >= SPLIT_MIN_PARENTS else 1
+    (seen, tried, children), *others = _shares(level, test, k)
+    for share, _, more in others:
+        if not seen.keys().isdisjoint(share):
+            raise CertificateError("two edge-count shares of a level hold the same class")
+        seen.update(share)
+        children += more
+    del others  # the workers' dicts, before the level's graphs are built
     if stats is not None:
         seconds = perf_counter() - start
         stats.append(
-            LevelStats(level[0][0].n + 1, len(level), tried, children, children, len(seen), seconds)
+            LevelStats(level[0][0].n + 1, len(level), tried, children, children, len(seen), seconds, k)
         )
-    return [seen[k] for k in sorted(seen)]
+    # popped, so that each (rows, autos) pair is freed as its (Graph, autos) is made
+    return [(Graph._of_valid_rows(rows), autos) for rows, autos in map(seen.pop, sorted(seen))]
 
 
 def _searched_level(graphs: list[Graph]) -> Level:
@@ -255,6 +353,8 @@ def _searched_level(graphs: list[Graph]) -> Level:
 def hereditary_graphs(n_max: int, test=LOCALLY_BIPARTITE) -> Iterator[Graph]:
     """Every graph on 1..n_max vertices of the class that ``test`` names (see
     ``_next_level``), one per isomorphism class, holding one level at a time."""
+    if n_max < 1:
+        return
     level = _searched_level([Graph(1)])
     yield Graph(1)
     for _ in range(n_max - 1):
@@ -322,16 +422,17 @@ def _write_checkpoint(path, c, level_n, level, found) -> None:
         "version": 2,
         "c": str(c),
         "level": level_n,
-        "graphs": [list(g.adj) for g, _ in level],
-        "found": [
-            {"rows": list(f.graph.adj), "t_star": str(f.t_star), "chi": f.chi} for f in found
-        ],
+        # JSON writes the row tuples as arrays: no copies, and the same bytes
+        "graphs": [g.adj for g, _ in level],
+        "found": [{"rows": f.graph.adj, "t_star": str(f.t_star), "chi": f.chi} for f in found],
     }
     state["digest"] = _digest(state)
     # Write a sibling file and rename it over the checkpoint, so that a crash
     # mid-write leaves the previous checkpoint whole.
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
+        # chunk by chunk, like ``_digest``: the one-shot C encoder of ``json.dumps``
+        # would first build a list of every chunk of the level
         json.dump(state, fh)
         fh.flush()
         os.fsync(fh.fileno())

@@ -170,6 +170,7 @@ def test_search_cli_reports_levels_on_stderr(capsys):
     assert [line.split(":")[0] for line in lines[:3]] == ["level 2", "level 3", "level 4"]
     assert lines[2].startswith("level 4: 4 parents, 20 masks tried, 19 locally bipartite children")
     assert "10 classes" in lines[2]
+    assert all(line.endswith(" s in 1 process") for line in lines[:3])  # levels below the split size
     assert lines[3] == "searched n<=4 beating 1/2: 1 graphs"
 
 

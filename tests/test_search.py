@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
+import time
 from fractions import Fraction
 
 import pytest
 
 from localchrom import families, search
-from localchrom.graphs import Graph
+from localchrom.colouring import SolverTimeout
+from localchrom.graphs import CertificateError, Graph
 from localchrom.homomorphism import canonical_form, is_isomorphic
-from localchrom.search import check_membership, compact_line, enumerate_extremal
+from localchrom.properties import ANY_GRAPH, TRIANGLE_FREE
+from localchrom.search import check_membership, compact_line, enumerate_extremal, hereditary_graphs
 
 F = Fraction
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -242,3 +246,165 @@ def test_resume_refuses_a_past_level_found_graph_before_solving_it(tmp_path, mon
     monkeypatch.setattr(search, "optimal_weighting", unexpected)
     with pytest.raises(ValueError, match=r"^checkpoint found entries need 1\.\.3 int rows"):
         enumerate_extremal(4, F(1, 2), resume_path=str(ckpt))
+
+
+def test_checkpoint_bytes_are_frozen(tmp_path):
+    # the whole level-7 file, frozen when the rows were still written as list copies
+    ckpt = tmp_path / "search.ckpt"
+    enumerate_extremal(7, F(1, 2), checkpoint_path=str(ckpt))
+    digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    assert digest == "89a08c6d2dd8c211b1a8c7412ee214798a6631d684bde1abc76f375b6d5cdde0"
+
+
+def test_hereditary_graphs_start_at_one_vertex():
+    assert list(hereditary_graphs(0)) == [] == list(hereditary_graphs(-3, ANY_GRAPH))
+    assert list(hereditary_graphs(1)) == [Graph(1)]
+
+
+def _counts(stats: list[search.LevelStats]) -> list[tuple]:
+    return [(s.n, s.parents, s.masks_tried, s.children, s.canonical_forms, s.classes) for s in stats]
+
+
+def _pairs(level: search.Level) -> list[tuple]:
+    return [(g.adj, autos) for g, autos in level]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial_levels(monkeypatch, test, top: int) -> tuple[list[search.Level], list[search.LevelStats]]:
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+    stats: list[search.LevelStats] = []
+    levels = [search._searched_level([Graph(1)])]
+    for _ in range(top - 1):
+        levels.append(search._next_level(levels[-1], stats, test))
+    return levels, stats
+
+
+@pytest.mark.parametrize(
+    "test", [search.LOCALLY_BIPARTITE, TRIANGLE_FREE, ANY_GRAPH], ids=["lb", "triangle-free", "any"]
+)
+def test_edge_count_shares_make_up_the_serial_level(monkeypatch, test):
+    # every share in this process: their union, merged by _next_level, against
+    # the level of one share, at every level up to 7
+    levels, serial_stats = _serial_levels(monkeypatch, test, 7)
+    monkeypatch.setattr(search, "SPLIT_MIN_PARENTS", 1)
+    monkeypatch.setattr(
+        search, "_shares", lambda level, test, k: [search._share(level, test, k, r) for r in range(k)]
+    )
+    for k in (2, 3):
+        monkeypatch.setattr(search, "_usable_cpus", lambda k=k: k)
+        stats: list[search.LevelStats] = []
+        for parents, children in zip(levels, levels[1:]):
+            assert _pairs(search._next_level(parents, stats, test)) == _pairs(children)
+        assert _counts(stats) == _counts(serial_stats)
+        assert [s.processes for s in stats] == [k] * 6
+        # every share holds classes of its own at level 7
+        assert all(search._share(levels[-2], test, k, r)[0] for r in range(k))
+    assert [s.processes for s in serial_stats] == [1] * 6
+
+
+@pytest.fixture(scope="module")
+def serial_levels_7_and_8() -> tuple[search.Level, search.Level, list[search.LevelStats]]:
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        levels, stats = _serial_levels(monkeypatch, search.LOCALLY_BIPARTITE, 8)
+    return levels[-2], levels[-1], stats[-1:]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_forked_level_8_is_the_serial_level(monkeypatch, serial_levels_7_and_8, k):
+    level7, serial, serial_stats = serial_levels_7_and_8
+    monkeypatch.setattr(search, "_usable_cpus", lambda: k)
+    stats: list[search.LevelStats] = []
+    assert _pairs(search._next_level(level7, stats)) == _pairs(serial)
+    assert _counts(stats) == _counts(serial_stats) == [(8, 674, 52970, 40134, 40134, 6195)]
+    assert (serial_stats[0].processes, stats[0].processes) == (1, k)
+    _no_child_left()
+
+
+def test_levels_below_the_split_size_never_fork(monkeypatch):
+    def no_fork():
+        pytest.fail("a level below SPLIT_MIN_PARENTS forked")
+
+    monkeypatch.setattr(search.os, "fork", no_fork)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 4)
+    result = enumerate_extremal(7, F(1, 2))
+    assert max(s.parents for s in result.levels) < search.SPLIT_MIN_PARENTS
+    assert {s.processes for s in result.levels} == {1}
+
+
+def test_usable_cpus_without_affinity_or_fork(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert search._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert search._usable_cpus() == 1
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert search._usable_cpus() == 1
+
+
+def _split_with(monkeypatch, share) -> None:
+    """Split every level in two, with ``share`` in place of ``search._share``."""
+    monkeypatch.setattr(search, "SPLIT_MIN_PARENTS", 1)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(search, "_share", share)
+
+
+def test_a_failed_worker_share_is_computed_again_here(monkeypatch):
+    parents = _level5()
+    expected = search._next_level(parents)
+    share, caller = search._share, os.getpid()
+
+    def fails_in_a_worker(level, test, k, r):
+        if os.getpid() != caller:
+            raise CertificateError("worker failed")
+        return share(level, test, k, r)
+
+    _split_with(monkeypatch, fails_in_a_worker)
+    stats: list[search.LevelStats] = []
+    assert _pairs(search._next_level(parents, stats)) == _pairs(expected)
+    assert stats[0].processes == 2
+    _no_child_left()
+
+
+def test_a_worker_exception_surfaces_in_the_caller(monkeypatch):
+    share = search._share
+
+    def share_1_fails(level, test, k, r):
+        if r == 1:
+            raise CertificateError("share 1 failed")
+        return share(level, test, k, r)
+
+    _split_with(monkeypatch, share_1_fails)
+    with pytest.raises(CertificateError, match="^share 1 failed$"):
+        search._next_level(_level5())
+    _no_child_left()
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, SolverTimeout, ValueError])
+def test_an_exception_in_this_process_share_leaves_no_worker(monkeypatch, error):
+    share = search._share
+
+    def share_0_fails(level, test, k, r):
+        if r == 0:
+            raise error("share 0 failed")
+        time.sleep(60)  # the worker is still running when share 0 fails
+        return share(level, test, k, r)
+
+    _split_with(monkeypatch, share_0_fails)
+    start = time.perf_counter()
+    with pytest.raises(error, match="^share 0 failed$"):
+        search._next_level(_level5())
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+def test_shares_that_meet_the_same_class_are_refused(monkeypatch):
+    # the merge check of _next_level, which python -O keeps
+    share = search._share
+    _split_with(monkeypatch, lambda level, test, k, r: share(level, test, 1, 0))
+    with pytest.raises(CertificateError, match="same class"):
+        search._next_level(_level5())
+    _no_child_left()
