@@ -35,8 +35,9 @@ and their order are those of refining against every cell (``_refine``).
 
 A large level is split over the CPUs this process may use, k of them, by the
 edge count of the child: share r builds, searches and dedupes only the children
-``parent + mask`` with ``(|E(parent)| + |mask|) % k == r`` (``_share``), share 0
-in this process and every other in a forked worker (``_shares``).  Isomorphic
+``parent + mask`` with ``(|E(parent)| + |mask|) % k == r`` (``_share``), each in
+a forked worker, or in this process where none hands it back whole: share 0, a
+failed worker's, or one whose fork could not start (``_shares``).  Isomorphic
 children have the same edge count, so each class lies inside one share, and a
 share meets its children in the serial (parent, mask) order, so each class keeps
 the first child, and that child's recorded automorphisms, of the serial loop.
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from time import perf_counter
-from typing import Iterator, NoReturn
+from typing import Iterator
 
 try:  # hashlib would also load OpenSSL, about 4 MB of resident memory
     from _sha256 import sha256
@@ -85,8 +86,7 @@ Level = list[tuple[Graph, tuple[tuple[int, ...], ...]]]  # (graph, its search's 
 # the locally bipartite search: 11.2 -> 9.9 ms; 119 parents: 97 -> 69 ms;
 # 674 parents: 1.12 -> 0.64 s).  Below 128 parents a split saves at most about
 # 30 ms, and the level stays in one process, where every call can be counted:
-# a traced verify-paper pass, whose largest levels have 119 and 107 parents,
-# and the tests that count canonical searches through levels up to 7.
+# a traced verify-paper pass, whose largest levels have 119 and 107 parents.
 SPLIT_MIN_PARENTS = 128
 
 
@@ -130,7 +130,7 @@ class LevelStats:
     canonical_forms: int  # one per locally bipartite child
     classes: int
     seconds: float
-    processes: int  # the processes that shared the level (see ``_next_level``)
+    processes: int  # the processes that shared the level (see ``_shares``)
 
 
 @dataclass
@@ -264,54 +264,57 @@ def _share(level: Level, test, k: int, r: int) -> tuple[dict, int, int]:
     return seen, tried, children
 
 
-def _work(level: Level, test, k: int, r: int, write_end: int) -> NoReturn:
-    """Share r of k in a forked worker, marshalled down the pipe ``write_end``.
-    Exits with status 0 only once the whole share is written, and never returns
-    into the caller's stack."""
-    status = 1
-    try:
-        with open(write_end, "wb") as pipe:
-            marshal.dump(_share(level, test, k, r), pipe)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _shares(level: Level, test, k: int) -> list[tuple[dict, int, int]]:
-    """``_share`` r of k for r = 0..k-1.  Share 0 is computed here and each
-    other by a forked worker; the share of a worker that fails is computed
-    here again, so that its exception surfaces in this process.  No worker
-    outlives the call, however it ends."""
-    pids: list[int] = []
-    pipes = []
+def _shares(level: Level, test, k: int) -> tuple[dict, int, int, int]:
+    """``_share`` r of k for r = 0..k-1, merged in that order, and the number of
+    processes that computed them.  Share r > 0 goes to a forked worker until a
+    fork fails; a share that no worker hands back whole is computed here, so a
+    worker's exception surfaces in this process.  No worker outlives the call,
+    however it ends, and none returns into the caller's stack."""
+    pids: dict[int, int] = {}  # share -> its worker, until reaped
+    pipes = {}
     try:
         for r in range(1, k):
             read_end, write_end = os.pipe()
-            pipes.append(open(read_end, "rb"))
-            try:
-                pids.append(os.fork())
-                if pids[-1] == 0:
-                    _work(level, test, k, r, write_end)
-            finally:
-                os.close(write_end)
-        shares = [_share(level, test, k, 0)]
-        for r in range(1, k):
-            # marshal.load would read the pipe in pieces, about ten times slower
-            payload = pipes[r - 1].read()
-            _, status = os.waitpid(pids[r - 1], 0)
-            pids[r - 1] = 0  # reaped
-            if os.waitstatus_to_exitcode(status) == 0:
-                shares.append(marshal.loads(payload))
+            pipes[r] = open(read_end, "rb")
+            with open(write_end, "wb") as out:
+                try:
+                    pids[r] = os.fork()
+                except OSError:  # no process to spare: this share and the later ones stay here
+                    break
+                if pids[r] == 0:  # the worker, which exits 0 only once its whole share is written
+                    status = 1
+                    try:
+                        marshal.dump(_share(level, test, k, r), out)
+                        out.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+        processes = 1 + len(pids)
+        children = 0
+        for r in range(k):
+            share = None
+            if r in pids:
+                # marshal.load would read the pipe in pieces, about ten times slower
+                payload = pipes[r].read()
+                _, status = os.waitpid(pids[r], 0)
+                del pids[r]  # reaped
+                if os.waitstatus_to_exitcode(status) == 0:
+                    share = marshal.loads(payload)
+            classes, tried, more = share or _share(level, test, k, r)
+            if r == 0:
+                seen = classes
+            elif seen.keys().isdisjoint(classes):
+                seen.update(classes)
             else:
-                shares.append(_share(level, test, k, r))
-        return shares
+                raise CertificateError("two edge-count shares of a level hold the same class")
+            children += more
+        return seen, tried, children, processes
     finally:
-        for pipe in pipes:
+        for pipe in pipes.values():
             pipe.close()
-        for pid in pids:
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _next_level(level: Level, stats: list[LevelStats] | None = None, test=LOCALLY_BIPARTITE) -> Level:
@@ -324,17 +327,11 @@ def _next_level(level: Level, stats: list[LevelStats] | None = None, test=LOCALL
     """
     start = perf_counter()
     k = _usable_cpus() if len(level) >= SPLIT_MIN_PARENTS else 1
-    (seen, tried, children), *others = _shares(level, test, k)
-    for share, _, more in others:
-        if not seen.keys().isdisjoint(share):
-            raise CertificateError("two edge-count shares of a level hold the same class")
-        seen.update(share)
-        children += more
-    del others  # the workers' dicts, before the level's graphs are built
+    seen, tried, children, processes = _shares(level, test, k)
     if stats is not None:
         seconds = perf_counter() - start
         stats.append(
-            LevelStats(level[0][0].n + 1, len(level), tried, children, children, len(seen), seconds, k)
+            LevelStats(level[0][0].n + 1, len(level), tried, children, children, len(seen), seconds, processes)
         )
     # popped, so that each (rows, autos) pair is freed as its (Graph, autos) is made
     return [(Graph._of_valid_rows(rows), autos) for rows, autos in map(seen.pop, sorted(seen))]

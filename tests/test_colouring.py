@@ -285,3 +285,8 @@ class TestCliqueHelpers:
                 if all(g.has_edge(u, v) for u, v in combinations(s, 2))
             )
             assert clique_number(g) == independence_number(complement(g))[0] == brute
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_the_empty_graph_is_coloured_by_the_empty_colouring(k):
+    assert k_colourable(Graph(0), k) == ()

@@ -621,3 +621,17 @@ def test_broken_promise_is_a_hard_failure(monkeypatch, capsys, tmp_path, build, 
     captured = capsys.readouterr()
     assert "outcome PROMISE-VIOLATED" in captured.out.splitlines()
     assert captured.err == detail + "\n"
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (Graph(0), "empty graph"),
+        (families.wheel(5), "verify_profile requires a locally bipartite graph"),
+    ],
+    ids=["empty", "W5"],
+)
+def test_verify_profile_diagnostics(g, message):
+    with pytest.raises(ValueError) as info:
+        verify_profile(g)
+    assert str(info.value) == message

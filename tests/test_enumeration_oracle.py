@@ -140,6 +140,7 @@ def test_orbit_pruning_matches_every_mask(monkeypatch):
         return _canonical_search(g, *set_up)
 
     monkeypatch.setattr(search, "_canonical_search", counted)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)  # a worker's calls would go uncounted
     level = _searched_level([Graph(1)])
     stats: list[search.LevelStats] = []
     for n in range(2, 8):

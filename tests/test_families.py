@@ -79,10 +79,22 @@ def test_generate_parses_parametrised_ids():
     assert families.generate("delta(3)").n == 11
 
 
-@pytest.mark.parametrize("bad", ["H3", "WHEEL", "WHEEL(2)", "DELTA(1)", "ANDRASFAI(0)", "H2 PLUS"])
+GENERATE_ERRORS = {
+    "H3": "unknown family: H3",
+    "WHEEL": "WHEEL requires a parameter, e.g. WHEEL(3)",
+    "WHEEL(2)": "wheel requires k >= 3",
+    "DELTA(1)": "delta requires ell >= 2",
+    "ANDRASFAI(0)": "andrasfai requires i >= 1",
+    "H2 PLUS": "malformed family id: 'H2 PLUS'",
+    "H0(3)": "H0 takes no parameter",
+}
+
+
+@pytest.mark.parametrize("bad", list(GENERATE_ERRORS))
 def test_generate_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         families.generate(bad)
+    assert str(info.value) == GENERATE_ERRORS[bad]
 
 
 def test_list_families_mentions_everything():

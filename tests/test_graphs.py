@@ -333,3 +333,38 @@ class TestWeightedGraph:
     def test_total_weight_recomputed(self):
         wg = WeightedGraph(families.h2(), families.H2_FIGURE_WEIGHTS)
         assert wg.total_weight() == 1
+
+
+K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Graph(-1), ValueError, "vertex count must be nonnegative"),
+        # Graph.from_rows reads the rows of a resumed checkpoint
+        (lambda: Graph.from_rows([2]), ValueError, "row 0 has bits beyond n-1"),
+        (lambda: Graph.from_rows([1]), ValueError, "self-loop at vertex 0"),
+        (lambda: relabel(K3, [0, 0, 1]), ValueError, "perm must be a permutation of 0..n-1"),
+        (lambda: blow_up(K3, [1, 1]), ValueError, "need one class size per vertex"),
+        (
+            lambda: min_weighted_degree(WeightedGraph(Graph(0), [])),
+            ValueError,
+            "empty graph has no minimum degree",
+        ),
+        (lambda: common_neighbourhood(K3, 0b1000), ValueError, "vertex set has bits beyond n-1"),
+        (
+            lambda: setattr(WeightedGraph(K3, [1, 1, 1]), "weights", (0, 0, 0)),
+            AttributeError,
+            "WeightedGraph is immutable",
+        ),
+    ],
+    ids=[
+        "negative-n", "row-beyond-n", "row-self-loop", "not-a-permutation", "sizes",
+        "empty-min-degree", "set-beyond-n", "weighted-immutable",
+    ],
+)
+def test_input_diagnostics(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

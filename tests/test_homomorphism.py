@@ -555,3 +555,12 @@ class TestHomscores:
         report = verify_hom_forces_induced(f, g)
         assert report.hypotheses_hold and report.conclusion_holds
         assert is_homomorphism(f, g, report.induced_embedding)
+
+
+@pytest.mark.parametrize(
+    "mapping", [(0, 1), (0, 1, 2, 0), (0, 1, 3), (0, 1, -1)], ids=["short", "long", "past-n", "negative"]
+)
+def test_is_homomorphism_refuses_a_map_that_is_not_into_the_target(mapping):
+    k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    assert is_homomorphism(k3, k3, (0, 1, 2))
+    assert is_homomorphism(k3, k3, mapping) is False

@@ -9,6 +9,7 @@ from localchrom.graphio import (
     GraphFormatError,
     emit_graph,
     emit_weighted_graph,
+    parse_any_graph,
     parse_graph,
     parse_weighted_graph,
     to_dot,
@@ -45,6 +46,8 @@ PARSE_ERRORS = {
     ),
     "a b\n0 1": ("malformed header 'a b'",) * 2,
     "3 1\n0 x": ("malformed edge line '0 x'",) * 2,
+    "-1 0": ("negative counts in header",) * 2,
+    "2 1\n0 1 1": ("malformed edge line '0 1 1'",) * 2,
 }
 
 
@@ -74,14 +77,17 @@ WEIGHTED_PARSE_ERRORS = {
     "2 1\n0 1\n1 1\n0 1": "weight lines must list vertices in order; got 1, expected 0",
     "2 1\n0 1\n0 -1\n1 1": "negative weight at vertex 0",
     "2 1\n0 1\n0 1/0\n1 1": "malformed weight line '0 1/0'",  # zero denominator
+    "1 0\n0": "malformed weight line '0'",
 }
 
 
 @pytest.mark.parametrize("text", list(WEIGHTED_PARSE_ERRORS))
 def test_weighted_parse_errors(text):
-    with pytest.raises(GraphFormatError) as info:
-        parse_weighted_graph(text)
-    assert str(info.value) == WEIGHTED_PARSE_ERRORS[text]
+    # parse_any_graph reads the weight lines that follow the edges the same way
+    for parse in (parse_weighted_graph, parse_any_graph):
+        with pytest.raises(GraphFormatError) as info:
+            parse(text)
+        assert str(info.value) == WEIGHTED_PARSE_ERRORS[text]
 
 
 def test_comments_and_blank_lines_ignored():

@@ -1,5 +1,6 @@
 """Extremal enumeration: membership filters, determinism, checkpoints."""
 
+import errno
 import hashlib
 import json
 import os
@@ -100,6 +101,21 @@ def test_membership_reports():
     assert not h0.edge_maximal and h0.locally_bipartite and h0.twin_free
     k2 = check_membership(Graph(2, [(0, 1)]), 0)
     assert k2.all_pass and k2.t_star == F(1, 2)
+
+
+@pytest.mark.parametrize("c", [F(1, 2), F(6, 11)], ids=["1/2", "6/11"])
+def test_membership_and_the_search_filter_agree(c):
+    # the public predicate and the search's own filter, which also re-derives a
+    # resumed checkpoint's found graphs, on every locally bipartite graph to n = 7
+    graphs = list(hereditary_graphs(7))
+    assert len(graphs) == 839
+    kept = 0
+    for g in graphs:
+        report, found = check_membership(g, c), search._filter_level([g], c)
+        assert report.all_pass == bool(found)
+        assert [f.t_star for f in found] == [report.t_star] * len(found)
+        kept += len(found)
+    assert kept == 2  # K3 (2/3) and C7BAR (4/7)
 
 
 def test_n8_at_just_below_5_9(tmp_path):
@@ -283,26 +299,32 @@ def _serial_levels(monkeypatch, test, top: int) -> tuple[list[search.Level], lis
     return levels, stats
 
 
+def _no_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
 @pytest.mark.parametrize(
     "test", [search.LOCALLY_BIPARTITE, TRIANGLE_FREE, ANY_GRAPH], ids=["lb", "triangle-free", "any"]
 )
 def test_edge_count_shares_make_up_the_serial_level(monkeypatch, test):
-    # every share in this process: their union, merged by _next_level, against
-    # the level of one share, at every level up to 7
+    # no fork can start, so the real _shares computes every share here and
+    # merges them: against the level of one share, at every level up to 7
     levels, serial_stats = _serial_levels(monkeypatch, test, 7)
     monkeypatch.setattr(search, "SPLIT_MIN_PARENTS", 1)
-    monkeypatch.setattr(
-        search, "_shares", lambda level, test, k: [search._share(level, test, k, r) for r in range(k)]
-    )
+    monkeypatch.setattr(search.os, "fork", _no_fork)
+    share, computed = search._share, []
+    monkeypatch.setattr(search, "_share", lambda *args: computed.append(args[-1]) or share(*args))
     for k in (2, 3):
         monkeypatch.setattr(search, "_usable_cpus", lambda k=k: k)
         stats: list[search.LevelStats] = []
+        computed.clear()
         for parents, children in zip(levels, levels[1:]):
             assert _pairs(search._next_level(parents, stats, test)) == _pairs(children)
+        assert computed == list(range(k)) * 6
         assert _counts(stats) == _counts(serial_stats)
-        assert [s.processes for s in stats] == [k] * 6
+        assert [s.processes for s in stats] == [1] * 6
         # every share holds classes of its own at level 7
-        assert all(search._share(levels[-2], test, k, r)[0] for r in range(k))
+        assert all(share(levels[-2], test, k, r)[0] for r in range(k))
     assert [s.processes for s in serial_stats] == [1] * 6
 
 
@@ -321,6 +343,28 @@ def test_forked_level_8_is_the_serial_level(monkeypatch, serial_levels_7_and_8, 
     assert _pairs(search._next_level(level7, stats)) == _pairs(serial)
     assert _counts(stats) == _counts(serial_stats) == [(8, 674, 52970, 40134, 40134, 6195)]
     assert (serial_stats[0].processes, stats[0].processes) == (1, k)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("k, forks", [(2, 0), (3, 0), (3, 1)], ids=["2-none", "3-none", "3-second-fails"])
+def test_forks_that_cannot_start_give_the_serial_level_8(monkeypatch, serial_levels_7_and_8, k, forks):
+    # os.fork starts ``forks`` workers and then fails, as on a host with no
+    # process to spare: every share left unforked is computed here
+    level7, serial, serial_stats = serial_levels_7_and_8
+    fork, started = os.fork, []
+
+    def fork_until_none_is_left():
+        if len(started) == forks:
+            _no_fork()
+        started.append(fork())
+        return started[-1]
+
+    monkeypatch.setattr(search.os, "fork", fork_until_none_is_left)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: k)
+    stats: list[search.LevelStats] = []
+    assert _pairs(search._next_level(level7, stats)) == _pairs(serial)
+    assert _counts(stats) == _counts(serial_stats)
+    assert stats[0].processes == 1 + forks
     _no_child_left()
 
 

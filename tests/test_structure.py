@@ -525,3 +525,19 @@ class TestSparseMissingSpoke:
             assert spoke == oracle(g), g.edges()
             outcomes[spoke is not None] += 1
         assert outcomes == {True: 52, False: 248}
+
+
+W5_WITHOUT_SPOKE_4 = Graph(6, [e for e in families.wheel(5).edges() if e != (4, 5)])
+
+
+@pytest.mark.parametrize(
+    "witness, g",
+    [
+        (OddWheelWitness(5, (0, 1, 2, 3)), families.wheel(5)),  # an even rim
+        (OddWheelWitness(5, (0, 1, 2, 3, 4)), W5_WITHOUT_SPOKE_4),  # 4 is outside N(5)
+    ],
+    ids=["even-rim", "rim-outside-the-centre"],
+)
+def test_odd_wheel_witness_refuses_a_rim_that_is_no_odd_wheel(witness, g):
+    assert OddWheelWitness(5, (0, 1, 2, 3, 4)).validate(families.wheel(5))
+    assert witness.validate(g) is False

@@ -376,3 +376,18 @@ class TestVerifyWeighting:
         assert r.beats(F(1, 2))
         assert r.beats(F(5, 9) - F(1, 100))
         assert not r.beats(F(5, 9))
+
+
+@pytest.mark.parametrize(
+    "objective, rows, message",
+    [
+        ([F(1), F(1)], [([F(1)], "<=", F(1))], "row length mismatch"),
+        ([F(1)], [([F(1)], ">=", F(1))], "bad relation '>='"),
+        ([F(1)], [([F(1)], "=", F(-1))], "negative right-hand side"),
+    ],
+    ids=["short-row", "relation", "negative-rhs"],
+)
+def test_solve_lp_diagnostics(objective, rows, message):
+    with pytest.raises(ValueError) as info:
+        solve_lp(objective, rows)
+    assert str(info.value) == message
