@@ -14,7 +14,7 @@ backtracker of ``homomorphism``, which finds the first list homomorphism or
 shows that there is none.  The targets are C7BAR, or H2PLUS and then its
 augmentation H2PLUS_AUG, whose four extra edges are the tolerated class
 pairs; S counts the edges on tolerated pairs.  The hypotheses guarantee a
-list homomorphism with S = 0.
+list homomorphism with S = 0.  Each target carries a fixed 4-colouring.
 
 Both cases run one class builder, driven by the seven-vertex anchor pattern
 (C7BAR, or the H2 part of H2+): D_i is the common neighbourhood of the anchor
@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import families
-from .colouring import chromatic_number, k_colourable, validate_colouring
+from .colouring import k_colourable, validate_colouring
 from .graphs import CertificateError, Graph, bits, common_neighbourhood, mask_of
 from .homomorphism import _backtrack, _broken_edge, find_subgraph
 from .structure import is_locally_bipartite, sparse_missing_spoke
@@ -138,17 +138,6 @@ def _list_hom(g: Graph, lists: dict[int, int], target: Graph) -> dict[int, int] 
     return image
 
 
-def _palette(name: str, target: Graph) -> tuple[int, ...]:
-    """The 4-colouring of a target, read by class label: the figure's for
-    H2PLUS_AUG, the solver's for the others."""
-    if name == "H2PLUS_AUG":
-        return families.AUGMENTED_FIGURE_COLOURING
-    colouring = chromatic_number(target)[1]
-    if len(set(colouring)) != 4:
-        raise CertificateError("the decomposition target is not 4-chromatic")
-    return colouring
-
-
 # ---------------------------------------------------------------------------
 # The class builder, driven by the anchor pattern.
 
@@ -161,8 +150,8 @@ class _Case:
     audit, the union of the D_i of the degree-4 pattern vertices and the
     vertices outside it.
     A vertex that meets every D_i with i in ``hub`` goes to the class R502.
-    ``targets`` are (outcome, target name, target graph), tried in order:
-    the first that G[R] has a list homomorphism onto decides.
+    ``targets`` are (outcome, target name, target graph, its 4-colouring),
+    tried in order: the first that G[R] has a list homomorphism onto decides.
     ``tolerated`` names the pairs of R-class unions that the last target
     joins and the first does not; S counts the edges between them.
     """
@@ -172,7 +161,7 @@ class _Case:
     star_name: str
     outside_name: str
     hub: tuple[int, ...]
-    targets: tuple[tuple[str, str, Graph], ...]
+    targets: tuple[tuple[str, str, Graph, tuple[int, ...]], ...]
     tolerated: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
 
 
@@ -244,14 +233,14 @@ def _classes(g: Graph, anchor: tuple[int, ...], case: _Case, audit: dict[str, st
 
 
 def _build(g: Graph, anchor: tuple[int, ...], case: _Case) -> DecompositionCertificate:
-    """One anchor's certificate: the lists, then one list-homomorphism search
-    of G[R] per target, re-checked edge by edge on the whole of g."""
+    """One anchor's certificate: the lists, one list-homomorphism search of G[R]
+    per target, then the map and its colouring, re-checked edge by edge on g."""
     audit: dict[str, str] = {}
     try:
         d_sets, lists = _classes(g, anchor, case, audit)
     except _Reject as exc:
         return _failed(case.kind, str(exc), anchor=anchor, audit=audit)
-    for outcome, name, target in case.targets:
+    for outcome, name, target, palette in case.targets:
         image = _list_hom(g, lists, target)
         if image is not None:
             break
@@ -271,7 +260,6 @@ def _build(g: Graph, anchor: tuple[int, ...], case: _Case) -> DecompositionCerti
     bad = _broken_edge(g, target, hom)
     if bad is not None:
         raise CertificateError(f"the {name} map breaks the edge {bad}")
-    palette = _palette(name, target)
     colouring = tuple([palette[c] for c in hom])
     if not validate_colouring(g, colouring, 4):
         raise CertificateError(f"the {name} colouring is not a proper 4-colouring")
@@ -306,7 +294,7 @@ _C7BAR_CASE = _Case(
     star_name="D_i",
     outside_name="R",
     hub=(),
-    targets=(("HOM_C7BAR", "C7BAR", _C7BAR),),
+    targets=(("HOM_C7BAR", "C7BAR", _C7BAR, families.C7BAR_COLOURING),),
     tolerated=(),
 )
 _H2PLUS_CASE = _Case(
@@ -316,8 +304,8 @@ _H2PLUS_CASE = _Case(
     outside_name="R u D1 u D6",
     hub=(5, 0, 2),  # the H2+ centre's neighbours, in the order reasons name them
     targets=(
-        ("HOM_H2PLUS", "H2PLUS", _H2PLUS),
-        ("HOM_AUGMENTED", "H2PLUS_AUG", _H2PLUS_AUG),
+        ("HOM_H2PLUS", "H2PLUS", _H2PLUS, families.H2PLUS_COLOURING),
+        ("HOM_AUGMENTED", "H2PLUS_AUG", _H2PLUS_AUG, families.AUGMENTED_FIGURE_COLOURING),
     ),
     # the edges of H2PLUS_AUG that H2PLUS lacks: 1-5, 2-6, and the centre to 3 and 4
     tolerated=(

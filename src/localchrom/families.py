@@ -28,7 +28,9 @@ H2_FIGURE_WEIGHTS = tuple(Fraction(w, 11) for w in (3, 1, 2, 1, 1, 2, 1))
 H2PLUS_FIGURE_WEIGHTS = tuple(Fraction(w, 9) for w in (2, 0, 2, 1, 1, 2, 0, 1))
 COUNTEREXAMPLE8_FIGURE_WEIGHTS = tuple(Fraction(w, 11) for w in (2, 1, 1, 2, 1, 2, 1, 1))
 
-# The 4-colouring drawn on the augmented graph (vertex index -> colour).
+# 4-colourings of the decomposition targets, by vertex; the augmented graph's is its figure's.
+C7BAR_COLOURING = (1, 2, 3, 1, 2, 3, 4)
+H2PLUS_COLOURING = (1, 2, 3, 1, 2, 3, 4, 2)
 AUGMENTED_FIGURE_COLOURING = (2, 1, 3, 2, 4, 3, 1, 1)
 
 

@@ -31,7 +31,7 @@ from .homomorphism import (
 )
 from .search import check_membership, compact_line, enumerate_extremal
 from .structure import (
-    _two_colourable,
+    _two_colouring,
     is_edge_maximal_locally_bipartite,
     is_locally_bipartite,
     is_twin_free,
@@ -128,7 +128,7 @@ def claim_h0_five_vertex() -> str:
     subsets = list(combinations(range(7), 5))
     for subset in subsets:
         # on five vertices every odd cycle is a triangle or a 5-cycle
-        if _two_colourable(g.adj, mask_of(subset)):
+        if _two_colouring(g.adj, mask_of(subset)) is not None:
             raise ClaimFailure(f"five-vertex subset {subset} has no triangle or 5-cycle")
     return f"all {len(subsets)} five-vertex subsets of H0 contain a triangle or a 5-cycle"
 

@@ -37,12 +37,13 @@ A large level is split over the CPUs this process may use, k of them, by the
 edge count of the child: share r builds, searches and dedupes only the children
 ``parent + mask`` with ``(|E(parent)| + |mask|) % k == r`` (``_share``), each in
 a forked worker, or in this process where none hands it back whole: share 0, a
-failed worker's, or one whose fork could not start (``_shares``).  Isomorphic
-children have the same edge count, so each class lies inside one share, and a
-share meets its children in the serial (parent, mask) order, so each class keeps
-the first child, and that child's recorded automorphisms, of the serial loop.
-The union of the shares, sorted by canonical form, is the serial level; a class
-found by two shares would break this argument and is refused.
+failed worker's, or a share whose worker cannot be started (no pipe or no
+process; ``_shares``).  Isomorphic children have the same edge count, so each
+class lies inside one share, and a share meets its children in the serial
+(parent, mask) order, so each class keeps the first child, and that child's
+recorded automorphisms, of the serial loop.  The union of the shares, sorted by
+canonical form, is the serial level; a class found by two shares would break
+this argument and is refused.
 """
 
 from __future__ import annotations
@@ -267,28 +268,28 @@ def _share(level: Level, test, k: int, r: int) -> tuple[dict, int, int]:
 def _shares(level: Level, test, k: int) -> tuple[dict, int, int, int]:
     """``_share`` r of k for r = 0..k-1, merged in that order, and the number of
     processes that computed them.  Share r > 0 goes to a forked worker until a
-    fork fails; a share that no worker hands back whole is computed here, so a
-    worker's exception surfaces in this process.  No worker outlives the call,
-    however it ends, and none returns into the caller's stack."""
+    pipe or a fork fails; a share that no worker hands back whole is computed
+    here, so a worker's exception surfaces in this process.  No worker outlives
+    the call, however it ends, and none returns into the caller's stack."""
     pids: dict[int, int] = {}  # share -> its worker, until reaped
     pipes = {}
     try:
         for r in range(1, k):
-            read_end, write_end = os.pipe()
-            pipes[r] = open(read_end, "rb")
-            with open(write_end, "wb") as out:
-                try:
+            try:
+                read_end, write_end = os.pipe()
+                pipes[r] = open(read_end, "rb")
+                with open(write_end, "wb") as out:
                     pids[r] = os.fork()
-                except OSError:  # no process to spare: this share and the later ones stay here
-                    break
-                if pids[r] == 0:  # the worker, which exits 0 only once its whole share is written
-                    status = 1
-                    try:
-                        marshal.dump(_share(level, test, k, r), out)
-                        out.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
+                    if pids[r] == 0:  # the worker: exits 0 only once its whole share is written
+                        status = 1
+                        try:
+                            marshal.dump(_share(level, test, k, r), out)
+                            out.flush()
+                            status = 0
+                        finally:
+                            os._exit(status)
+            except OSError:  # no pipe or process to spare: this share and the later ones stay here
+                break
         processes = 1 + len(pids)
         children = 0
         for r in range(k):

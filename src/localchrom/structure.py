@@ -2,9 +2,9 @@
 
 A graph is locally bipartite exactly when every vertex neighbourhood induces a
 bipartite graph, equivalently when it contains no odd wheel (an odd rim cycle
-plus a centre adjacent to the whole rim; W3 = K4).  Odd wheels,
-edge-maximality, saturation, the missing-spoke audit and the test of one new
-vertex or edge all read one table of the sides of the neighbourhoods
+plus a centre adjacent to the whole rim; W3 = K4).  Local bipartiteness, odd
+wheels, edge-maximality, saturation, the missing-spoke audit and the test of
+one new vertex or edge all read one table of the sides of the neighbourhoods
 (``NeighbourhoodSides``), which 2-colours each distinct row once, on its first
 read.  The table owns the rows it describes, which ``saturate`` edits before it
 builds one ``Graph``.
@@ -84,27 +84,25 @@ def _shortest_odd_cycle(adj, region: int) -> tuple[int, ...] | None:
 
 def odd_wheel(g: Graph) -> OddWheelWitness | None:
     """First odd wheel by centre index, with the shortest rim in that neighbourhood."""
-    sides = NeighbourhoodSides(g)
-    for centre, row in enumerate(g.adj):
-        # one 2-colouring per distinct row settles it; the odd one gets a BFS per root
-        if sides[row] is None:
-            witness = OddWheelWitness(centre, _shortest_odd_cycle(g.adj, row))
-            if not witness.validate(g):
-                raise CertificateError(f"odd wheel witness {witness} does not validate")
-            return witness
-    return None
+    centre = NeighbourhoodSides(g).odd_neighbourhood()
+    if centre is None:
+        return None
+    witness = OddWheelWitness(centre, _shortest_odd_cycle(g.adj, g.adj[centre]))
+    if not witness.validate(g):
+        raise CertificateError(f"odd wheel witness {witness} does not validate")
+    return witness
 
 
 def is_locally_bipartite(g: Graph) -> bool:
     """Cheap decision (one BFS 2-colouring per distinct neighbourhood, no
     witness): the verdict depends on the neighbourhood row alone."""
-    return all(_two_colourable(g.adj, row) for row in set(g.adj))
+    return NeighbourhoodSides(g).odd_neighbourhood() is None
 
 
 def neighbourhood_is_bipartite(g: Graph, centre: int) -> bool:
     """2-colour G[adj(centre)] by BFS.  Nothing in the package calls it: it is
     kept for ``perfbench/tracing.py``, which times this layer by its name."""
-    return _two_colourable(g.adj, g.adj[centre])
+    return _two_colouring(g.adj, g.adj[centre]) is not None
 
 
 def _two_colouring(adj, region: int) -> list[tuple[int, int]] | None:
@@ -139,11 +137,6 @@ def _two_colouring(adj, region: int) -> list[tuple[int, int]] | None:
     return components
 
 
-def _two_colourable(adj, region: int) -> bool:
-    """Whether the subgraph of ``adj`` induced by the bitset ``region`` is bipartite."""
-    return _two_colouring(adj, region) is not None
-
-
 class NeighbourhoodSides(dict):
     """The sides of the neighbourhoods of a graph G, keyed by row: ``adj`` is the
     table's own list of G's rows, and ``sides[adj[w]]`` lists the two sides of
@@ -158,6 +151,13 @@ class NeighbourhoodSides(dict):
     def __missing__(self, row: int) -> list[tuple[int, int]] | None:
         self[row] = sides = _two_colouring(self.adj, row)
         return sides
+
+    def odd_neighbourhood(self) -> int | None:
+        """The first vertex w of G with G[N(w)] not bipartite, or None."""
+        for row in dict.fromkeys(self.adj):  # the distinct rows, by their first vertex
+            if self[row] is None:
+                return self.adj.index(row)
+        return None
 
     def add_edge(self, u: int, v: int) -> None:
         """Add the non-edge uv to G.  An entry is the 2-colouring of G[R] for
@@ -190,7 +190,7 @@ def locally_bipartite_with_vertex(sides: NeighbourhoodSides, mask: int) -> bool:
     for w in bits(mask):
         if _closes_odd_cycle(sides[adj[w]], mask):
             return False
-    return _two_colourable(adj, mask)
+    return _two_colouring(adj, mask) is not None
 
 
 def locally_bipartite_after_adding(sides: NeighbourhoodSides, u: int, v: int) -> bool:
@@ -236,7 +236,7 @@ def saturate(g: Graph) -> Graph:
     """
     sides = NeighbourhoodSides(g)
     adj = sides.adj
-    if any(sides[row] is None for row in adj):
+    if sides.odd_neighbourhood() is not None:
         raise ValueError("saturate requires a locally bipartite input")
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -278,7 +278,7 @@ def is_edge_maximal_locally_bipartite(g: Graph) -> bool:
                 return False
             if locally_bipartite_after_adding(sides, u, v):
                 return False
-    return all(sides[row] is not None for row in adj)
+    return sides.odd_neighbourhood() is None
 
 
 def is_twin_free(g: Graph) -> bool:
@@ -294,7 +294,7 @@ def sparse_missing_spoke(g: Graph) -> tuple[int, int] | None:
     G[N(u) + v] through v, whose neighbours there are N(u) & N(v).
     """
     sides = NeighbourhoodSides(g)
-    if any(sides[row] is None for row in g.adj):
+    if sides.odd_neighbourhood() is not None:
         raise ValueError("sparse_missing_spoke requires a locally bipartite input")
     for u in range(g.n):
         for v in range(g.n):

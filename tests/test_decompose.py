@@ -1,5 +1,7 @@
 """Decomposition certificates and the end-to-end theorem pipeline."""
 
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -10,11 +12,12 @@ from localchrom import families
 from localchrom.colouring import chromatic_number, k_colourable, validate_colouring
 from localchrom.decompose import (
     _list_hom,
+    decompose_auto,
     decompose_c7bar,
     decompose_h2plus,
     verify_profile,
 )
-from localchrom.graphs import Graph, bits, blow_up, blow_up_classes, mask_of
+from localchrom.graphs import CertificateError, Graph, bits, blow_up, blow_up_classes, mask_of, relabel
 from localchrom.homomorphism import _backtrack, _pattern_order, find_subgraph, is_homomorphism
 from localchrom.report import h2plus_decomposition_instance
 from localchrom.structure import is_locally_bipartite
@@ -146,6 +149,42 @@ class TestAugmentedBranch:
         assert lines[0] == "outcome HOM_AUGMENTED"
         assert "s 1" in lines and "target H2PLUS_AUG" in lines
         assert lines[-1] == "failed-upgrades e(R1,R5)=0"
+
+
+class TestTargetColourings:
+    def test_are_proper_4_colourings(self):
+        from localchrom.decompose import _C7BAR_CASE, _H2PLUS_CASE
+
+        targets = _C7BAR_CASE.targets + _H2PLUS_CASE.targets
+        assert [name for _, name, _, _ in targets] == ["C7BAR", "H2PLUS", "H2PLUS_AUG"]
+        for _, name, target, colouring in targets:
+            assert target == families.generate(name)
+            assert validate_colouring(target, colouring, 4)
+
+    @pytest.mark.parametrize("name", ["C7BAR", "H2PLUS", "H2PLUS_AUG"])
+    def test_an_improper_target_colouring_is_refused(self, name):
+        # vertex 1 takes vertex 0's colour, across the edge 01 of every target:
+        # the re-check of the certificate's colouring on g refuses it
+        from localchrom.decompose import _C7BAR_CASE, _H2PLUS_CASE, _build
+
+        if name == "C7BAR":
+            case, g = _C7BAR_CASE, blow_up(families.c7bar(), [2] * 7)
+            anchor = find_subgraph(families.c7bar(), g)
+        elif name == "H2PLUS":
+            case, g = _H2PLUS_CASE, h2plus_decomposition_instance()[0]
+            anchor = find_subgraph(families.h2plus(), g)[:7]
+        else:
+            case, g = _H2PLUS_CASE, _augmented_certificate()[0]
+            anchor = tuple(c[0] for c in blow_up_classes([2] * 8)[:7])
+        assert _build(g, anchor, case).target == name
+        targets = []
+        for outcome, target_name, target, colouring in case.targets:
+            if target_name == name:
+                colouring = (colouring[0], colouring[0]) + colouring[2:]
+            targets.append((outcome, target_name, target, colouring))
+        broken = dataclasses.replace(case, targets=tuple(targets))
+        with pytest.raises(CertificateError, match=f"^the {name} colouring is not a proper 4-colouring$"):
+            _build(g, anchor, broken)
 
 
 class TestBuildRejects:
@@ -635,3 +674,28 @@ def test_verify_profile_diagnostics(g, message):
     with pytest.raises(ValueError) as info:
         verify_profile(g)
     assert str(info.value) == message
+
+
+def test_certificates_are_frozen():
+    # SHA-256 over every field of decompose_auto's and verify_profile's
+    # certificates on C7BAR blow-ups, shuffled and not, the H2+ instances and
+    # the augmented certificate, frozen before the targets' 4-colourings
+    # became fixed data
+    c7bar, a = families.c7bar(), 26
+    hosts = [blow_up(c7bar, [m] * 7) for m in (1, 2, 3, 4, 20, 40)]
+    for seed in range(1, 9):
+        perm = list(range(7 * 20))
+        random.Random(seed).shuffle(perm)
+        hosts.append(relabel(hosts[4], perm))
+    hosts.append(h2plus_decomposition_instance()[0])
+    hosts.append(blow_up(families.h2plus(), [2 * a, 1, 2 * a, a, a, 2 * a, 1, a]))
+    certs = [decompose_auto(g) for g in hosts] + [_augmented_certificate()[3]]
+    digest = hashlib.sha256()
+    for c in certs:
+        fields = (c.kind, c.outcome, c.hom, c.colouring, c.parts, c.s_value, c.failed_upgrades, c.audit)
+        digest.update(f"{fields}\n".encode())
+    for g in hosts:
+        report = verify_profile(g)
+        digest.update(f"{(report.outcome, report.colouring, report.hom)}\n".encode())
+    assert [c.outcome for c in certs] == ["HOM_C7BAR"] * 14 + ["HOM_H2PLUS"] * 2 + ["HOM_AUGMENTED"]
+    assert digest.hexdigest() == "be6060b608ec60820e768e3ce4ad771581718b716bf34d543c99e54eda269d9b"

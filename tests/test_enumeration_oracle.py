@@ -24,7 +24,7 @@ from localchrom.properties import ANY_GRAPH, TRIANGLE_FREE, dense_graphs
 from localchrom.search import _next_level, _orbit_minimal_masks, _searched_level, hereditary_graphs
 from localchrom.structure import (
     NeighbourhoodSides,
-    _two_colourable,
+    _two_colouring,
     is_locally_bipartite,
     locally_bipartite_with_vertex,
 )
@@ -223,7 +223,7 @@ def _child_test_cases(parent: Graph) -> tuple[int, int]:
         child = parent.with_vertex(mask)
         expected = is_locally_bipartite(child)
         assert locally_bipartite_with_vertex(sides, mask) == expected
-        if not expected and _two_colourable(parent.adj, mask):
+        if not expected and _two_colouring(parent.adj, mask) is not None:
             odd_through_new += 1
         if expected and any(
             sum(1 for c in _edged_components(parent, parent.adj[w]) if c & mask) > 1

@@ -368,6 +368,29 @@ def test_forks_that_cannot_start_give_the_serial_level_8(monkeypatch, serial_lev
     _no_child_left()
 
 
+@pytest.mark.parametrize("k, pipes", [(2, 0), (3, 1)], ids=["2-first-fails", "3-second-fails"])
+def test_pipes_that_cannot_be_opened_give_the_serial_level_8(monkeypatch, serial_levels_7_and_8, k, pipes):
+    # os.pipe opens ``pipes`` pipes and then fails, as on a host with no file
+    # descriptor to spare: like a fork that cannot start, every share left
+    # without a worker is computed here
+    level7, serial, serial_stats = serial_levels_7_and_8
+    pipe, opened = os.pipe, []
+
+    def pipe_until_none_is_left():
+        if len(opened) == pipes:
+            raise OSError(errno.EMFILE, "Too many open files")
+        opened.append(pipe())
+        return opened[-1]
+
+    monkeypatch.setattr(search.os, "pipe", pipe_until_none_is_left)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: k)
+    stats: list[search.LevelStats] = []
+    assert _pairs(search._next_level(level7, stats)) == _pairs(serial)
+    assert _counts(stats) == _counts(serial_stats)
+    assert stats[0].processes == 1 + pipes
+    _no_child_left()
+
+
 def test_levels_below_the_split_size_never_fork(monkeypatch):
     def no_fork():
         pytest.fail("a level below SPLIT_MIN_PARENTS forked")

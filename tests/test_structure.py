@@ -15,7 +15,7 @@ from localchrom.structure import (
     NeighbourhoodSides,
     OddWheelWitness,
     PairClass,
-    _two_colourable,
+    _two_colouring,
     classify_pair,
     dense_set,
     is_edge_maximal_locally_bipartite,
@@ -399,7 +399,7 @@ class TestFiveVertexCorollary:
             for subset in combinations(range(g.n), 5):
                 h = nx.Graph([(u, v) for u, v in combinations(subset, 2) if g.has_edge(u, v)])
                 h.add_nodes_from(subset)
-                bipartite = _two_colourable(g.adj, mask_of(subset))
+                bipartite = _two_colouring(g.adj, mask_of(subset)) is not None
                 assert bipartite == nx.is_bipartite(h)
                 assert bipartite == all(len(c) % 2 == 0 for c in nx.simple_cycles(h))
                 outcomes[bipartite] += 1
