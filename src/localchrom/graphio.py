@@ -1,11 +1,11 @@
 """Strict adjacency-list text format plus DOT export (write-only).
 
 Format: first line ``n m``, then m lines ``u v`` with 0 <= u < v < n.  The
-weighted variant appends n lines ``v p/q`` in vertex order.  The parsers never
-guess and their errors are loud, so test fixtures stay bit-exact; only
-``localchrom weight`` accepts either format: a file is weighted iff lines follow its edges.
-Each edge line is checked once, as it goes into the rows of the one ``Graph`` built.
-"""
+weighted variant, which is only read, appends n lines ``v p/q`` in vertex order.
+One strict reader per format: ``parse_graph`` reads the plain one, and
+``parse_any_graph`` (for ``localchrom weight``) either: a file is weighted iff
+lines follow its edges.  Each edge line is checked once, as it goes into the
+rows of the one ``Graph`` built; the errors are loud and never guess."""
 
 from __future__ import annotations
 
@@ -65,10 +65,6 @@ def parse_graph(text: str) -> Graph:
     return g
 
 
-def parse_weighted_graph(text: str) -> WeightedGraph:
-    return _weighted(*_parse_rows(text))
-
-
 def parse_any_graph(text: str) -> tuple[Graph, WeightedGraph | None]:
     """The graph, and its weighting if lines follow the edges, from one pass."""
     g, rest = _parse_rows(text)
@@ -98,12 +94,6 @@ def _weighted(g: Graph, weight_lines: list[str]) -> WeightedGraph:
 def emit_graph(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count()}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def emit_weighted_graph(wg: WeightedGraph) -> str:
-    lines = [emit_graph(wg.graph).rstrip("\n")]
-    lines.extend(f"{v} {w}" for v, w in enumerate(wg.weights))
     return "\n".join(lines) + "\n"
 
 

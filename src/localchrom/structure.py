@@ -7,7 +7,8 @@ wheels, edge-maximality, saturation, the missing-spoke audit and the test of
 one new vertex or edge all read one table of the sides of the neighbourhoods
 (``NeighbourhoodSides``), which 2-colours each distinct row once, on its first
 read.  The table owns the rows it describes, which ``saturate`` edits before it
-builds one ``Graph``.
+builds one ``Graph``.  Edge-maximality and the missing-spoke audit try one
+vertex pair per pair of twin classes: their cost goes with the class count.
 """
 
 from __future__ import annotations
@@ -292,12 +293,20 @@ def sparse_missing_spoke(g: Graph) -> tuple[int, int] | None:
     The configuration is an odd cycle through v whose other vertices all lie
     in N(u).  A sparse pair is non-adjacent, so it is an odd cycle of
     G[N(u) + v] through v, whose neighbours there are N(u) & N(v).
+
+    u and v run over the least member of each twin class, by least member, and
+    the first pair found is the first over all vertices: swapping two twins is
+    an automorphism, so the answering u's, and the answering v's of the first
+    of them, are unions of twin classes.  Two twins never answer: closed twins
+    are adjacent, and open twins share a row, so if sparse, their common
+    neighbourhood N(u) is independent and closes no odd cycle.
     """
     sides = NeighbourhoodSides(g)
     if sides.odd_neighbourhood() is not None:
         raise ValueError("sparse_missing_spoke requires a locally bipartite input")
-    for u in range(g.n):
-        for v in range(g.n):
+    firsts = [(a & -a).bit_length() - 1 for a in dict.fromkeys(_twin_masks(g.adj))]
+    for u in firsts:
+        for v in firsts:
             if u != v and classify_pair(g, u, v) is PairClass.SPARSE:
                 if _closes_odd_cycle(sides[g.adj[u]], g.adj[u] & g.adj[v]):
                     return (u, v)

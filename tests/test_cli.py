@@ -6,7 +6,7 @@ import pytest
 
 from localchrom import cli, families, graphio, search
 from localchrom.cli import main
-from localchrom.graphio import emit_graph, emit_weighted_graph, parse_graph
+from localchrom.graphio import emit_graph, parse_graph
 from localchrom.graphs import CertificateError, Graph, WeightedGraph, blow_up
 from localchrom.homomorphism import is_homomorphism
 
@@ -129,7 +129,7 @@ def test_weight(capsys, h2_file):
     assert "DOES-NOT-BEAT 6/11" in capsys.readouterr().out
 
 
-def test_weight_with_given_weighting(capsys, tmp_path):
+def test_weight_with_given_weighting(capsys, tmp_path, emit_weighted_graph):
     wg = WeightedGraph(families.h2(), families.H2_FIGURE_WEIGHTS)
     path = tmp_path / "h2w.txt"
     path.write_text(emit_weighted_graph(wg))
@@ -390,7 +390,7 @@ def test_weight_empty_graph_is_usage_error(capsys, tmp_path, beats):
     assert captured.out == "" and captured.err == "error: empty graph has no weighting\n"
 
 
-def test_weight_all_zero_given_weights_is_usage_error(capsys, tmp_path):
+def test_weight_all_zero_given_weights_is_usage_error(capsys, tmp_path, emit_weighted_graph):
     path = tmp_path / "zero.txt"
     path.write_text(emit_weighted_graph(WeightedGraph(Graph(2, [(0, 1)]), [0, 0])))
     assert main(["weight", str(path), "--beats", "1/2"]) == 2

@@ -8,10 +8,8 @@ from localchrom import families
 from localchrom.graphio import (
     GraphFormatError,
     emit_graph,
-    emit_weighted_graph,
     parse_any_graph,
     parse_graph,
-    parse_weighted_graph,
     to_dot,
 )
 from localchrom.graphs import Graph, WeightedGraph
@@ -30,7 +28,7 @@ def test_families_round_trip():
         assert parse_graph(emit_graph(g)) == g
 
 
-# each text with the message of the plain and of the weighted parser
+# each text with the message of parse_graph and of parse_any_graph
 PARSE_ERRORS = {
     "": ("empty input",) * 2,
     "3": ("malformed header '3', expected 'n m'",) * 2,
@@ -53,22 +51,22 @@ PARSE_ERRORS = {
 
 @pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_errors(text):
-    for parse, message in zip((parse_graph, parse_weighted_graph), PARSE_ERRORS[text]):
+    for parse, message in zip((parse_graph, parse_any_graph), PARSE_ERRORS[text]):
         with pytest.raises(GraphFormatError) as info:
             parse(text)
         assert str(info.value) == message
 
 
-def test_weighted_round_trip():
+def test_weighted_round_trip(emit_weighted_graph):
     wg = WeightedGraph(families.h2(), families.H2_FIGURE_WEIGHTS)
     text = emit_weighted_graph(wg)
-    back = parse_weighted_graph(text)
+    _, back = parse_any_graph(text)
     assert back.graph == wg.graph and back.weights == wg.weights
 
 
 def test_weighted_integer_weights_accepted():
     text = "2 1\n0 1\n0 2\n1 3/2"
-    wg = parse_weighted_graph(text)
+    _, wg = parse_any_graph(text)
     assert wg.weights == (Fraction(2), Fraction(3, 2))
 
 
@@ -83,11 +81,9 @@ WEIGHTED_PARSE_ERRORS = {
 
 @pytest.mark.parametrize("text", list(WEIGHTED_PARSE_ERRORS))
 def test_weighted_parse_errors(text):
-    # parse_any_graph reads the weight lines that follow the edges the same way
-    for parse in (parse_weighted_graph, parse_any_graph):
-        with pytest.raises(GraphFormatError) as info:
-            parse(text)
-        assert str(info.value) == WEIGHTED_PARSE_ERRORS[text]
+    with pytest.raises(GraphFormatError) as info:
+        parse_any_graph(text)
+    assert str(info.value) == WEIGHTED_PARSE_ERRORS[text]
 
 
 def test_comments_and_blank_lines_ignored():

@@ -8,9 +8,10 @@ from itertools import combinations, permutations
 import pytest
 
 from localchrom import families, structure
+from localchrom.decompose import decompose_auto
 from localchrom.graphs import Graph, bits, blow_up, mask_of, relabel
 from localchrom.homomorphism import find_subgraph, subgraph_embeddings
-from localchrom.search import _next_level, _searched_level
+from localchrom.search import _next_level, _searched_level, hereditary_graphs
 from localchrom.structure import (
     NeighbourhoodSides,
     OddWheelWitness,
@@ -46,6 +47,18 @@ def relabelled_blow_ups(rng, count):
         sizes = [rng.randint(1, 3) for _ in range(base.n)]
         out.append(relabel(blow_up(base, sizes), rng.sample(range(sum(sizes)), sum(sizes))))
     return out
+
+
+def per_vertex_pair_spoke(g: Graph) -> tuple[int, int] | None:
+    """Oracle for sparse_missing_spoke: classify_pair on every ordered pair of
+    distinct vertices, in (u, v) order, with no use of twins."""
+    sides = NeighbourhoodSides(g)
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v and classify_pair(g, u, v) is PairClass.SPARSE:
+                if structure._closes_odd_cycle(sides[g.adj[u]], g.adj[u] & g.adj[v]):
+                    return (u, v)
+    return None
 
 
 def odd_wheel_exists_oracle(g: Graph) -> bool:
@@ -525,6 +538,42 @@ class TestSparseMissingSpoke:
             assert spoke == oracle(g), g.edges()
             outcomes[spoke is not None] += 1
         assert outcomes == {True: 52, False: 248}
+
+    def test_twin_classes_give_the_per_vertex_pair_answer(self):
+        # the 839 locally bipartite graphs on <= 7 vertices, a blow-up of each
+        # with classes of 1-3 vertices, and that blow-up relabelled
+        rng = random.Random(31)
+        spokes = 0
+        for g in hereditary_graphs(7):
+            big = blow_up(g, [rng.randint(1, 3) for _ in range(g.n)])
+            for h in (g, big, relabel(big, rng.sample(range(big.n), big.n))):
+                spoke = sparse_missing_spoke(h)
+                assert spoke == per_vertex_pair_spoke(h), h.edges()
+                spokes += spoke is not None
+        assert spokes == 78
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 50])
+    def test_blown_up_w5_missing_spoke(self, m):
+        # W5 less the spoke 0-5, each vertex blown up to m twins: the first
+        # pair is the hub class's least vertex and vertex 0
+        broken = Graph(6, [e for e in families.wheel(5).edges() if e != (0, 5)])
+        g = blow_up(broken, [m] * 6)
+        assert sparse_missing_spoke(g) == per_vertex_pair_spoke(g) == (5 * m, 0)
+
+    def test_k3_blow_up_classifies_one_pair_per_class_pair(self, monkeypatch):
+        # the audit of decompose_auto on K3[100]: 3 twin classes, so at most 9
+        # classified pairs, against 300 * 299 = 89,700 ordered vertex pairs
+        calls = 0
+
+        def counted(g, u, v):
+            nonlocal calls
+            calls += 1
+            return classify_pair(g, u, v)
+
+        monkeypatch.setattr(structure, "classify_pair", counted)
+        certificate = decompose_auto(blow_up(Graph(3, [(0, 1), (0, 2), (1, 2)]), [100] * 3))
+        assert certificate.reason == "no H2PLUS copy"
+        assert 0 < calls <= 9
 
 
 W5_WITHOUT_SPOKE_4 = Graph(6, [e for e in families.wheel(5).edges() if e != (4, 5)])
