@@ -35,32 +35,37 @@ class WeightingResult:
         programming", 1956), some optimal omega > 0 iff every optimal dual
         distribution y is tight at every vertex: deg_y(u) = t* for all u.
         For t* > 0 the optimal duals are exactly {y >= 0, sum y = 1,
-        deg_y(u) <= t*}, and sum_u deg_y(u) = sum_v deg(v) y_v with each
-        term <= t*, so the minimum of sum_v deg(v) y_v over them is n t*
-        iff all of them are tight.  With an isolated vertex t* = 0, the
-        duals sit on the isolated vertices, the minimum is 0 and the answer
-        is True (the uniform weighting is optimal).  One LP of n + 1 rows,
-        solved on the first read; its primal, its row multipliers and its
-        value are re-checked exactly before the answer is read off.
+        deg_y(u) <= t*}.  So take the cone of pairs (y, s) >= 0 with
+        sum y = s <= 1 and deg_y(u) <= t* s, and maximise
+        n t* s - sum_v deg(v) y_v, which equals sum_u (t* s - deg_y(u)) >= 0
+        there (sum_u deg_y(u) = sum_v deg(v) y_v).  For s > 0, y / s is an
+        optimal dual, so the maximum is 0 iff every optimal dual is tight.
+        With an isolated vertex t* = 0, y sits on the isolated vertices, the
+        objective is 0 and the answer is True (the uniform weighting is
+        optimal).  One LP of n + 3 rows, all "<=" with right-hand side 0 but
+        s <= 1, solved on the first read; its primal, its row multipliers
+        and its value are re-checked exactly before the answer is read off.
         """
-        g, t = self.graph, self.optimum
-        objective = [-Fraction(g.degree(v)) for v in range(g.n)]
-        rows = [(_degree_row(g, u), "<=", t) for u in range(g.n)]
-        rows.append(([ONE] * g.n, "=", ONE))
+        g, t, n = self.graph, self.optimum, self.graph.n
+        objective = [-Fraction(g.degree(v)) for v in range(n)] + [n * t]
+        rows = [(_degree_row(g, u) + [-t], "<=", ZERO) for u in range(n)]
+        rows += [([ONE] * n + [-ONE], "<=", ZERO), ([-ONE] * n + [ONE], "<=", ZERO)]
+        rows.append(([ZERO] * n + [ONE], "<=", ONE))
         lp = _optimal(solve_lp(objective, rows), "full-support")
-        y, z, w = lp.x, lp.dual[:-1], lp.dual[-1]
-        if not (len(y) == g.n and sum(y) == 1 and all(p >= 0 for p in y)):
-            raise CertificateError("full-support primal is not a distribution")
-        if not all(sum(y[v] for v in bits(g.adj[u])) <= t for u in range(g.n)):
-            raise CertificateError("full-support primal is not feasible")
-        if any(m < 0 for m in z) or any(
-            sum(z[u] for u in bits(g.adj[v])) + w < objective[v] for v in range(g.n)
+        (*y, s), z, (a, b, c) = lp.x, lp.dual[:n], lp.dual[n:]
+        if not (
+            len(y) == n and 0 <= s <= 1 and sum(y) == s and all(p >= 0 for p in y)
+            and all(sum(y[v] for v in bits(g.adj[u])) <= t * s for u in range(n))
         ):
+            raise CertificateError("full-support primal is not feasible")
+        if any(m < 0 for m in lp.dual) or any(
+            sum(z[u] for u in bits(g.adj[v])) + a - b < objective[v] for v in range(n)
+        ) or -t * sum(z) - a + b + c < objective[n]:
             raise CertificateError("full-support dual is not feasible")
         # feasible on both sides with equal values, so both optimal (weak duality)
-        if not sum(o * p for o, p in zip(objective, y)) == t * sum(z) + w == lp.value:
+        if not sum(o * p for o, p in zip(objective, lp.x)) == c == lp.value:
             raise CertificateError("full-support primal and dual values differ")
-        return lp.value == -g.n * t
+        return lp.value == 0
 
     def beats(self, c: Fraction | int) -> bool:
         return self.optimum > Fraction(c)
@@ -118,7 +123,10 @@ def optimal_weighting(g: Graph) -> WeightingResult:
     for v in range(n):
         row = [-c for c in _degree_row(g, v)] + [ONE]  # t - deg_omega(v) <= 0
         rows.append((row, "<=", ZERO))
-    rows.append(([ONE] * n + [ZERO], "=", ONE))
+    # sum omega <= 1 is tight at every optimum: no vertex is isolated, so
+    # t* > 0 and scaling omega up would raise t; and t > 0 makes sum y = 1
+    # (complementary slackness)
+    rows.append(([ONE] * n + [ZERO], "<=", ONE))
     primal = _optimal(solve_lp(objective, rows), "primal")
     t_star = primal.value
     omega = tuple(primal.x[:n])

@@ -26,6 +26,7 @@ from localchrom.structure import (
     NeighbourhoodSides,
     _two_colouring,
     is_locally_bipartite,
+    is_twin_free,
     locally_bipartite_with_vertex,
 )
 
@@ -84,6 +85,16 @@ def test_level_counts_match_exhaustive_labelled_enumeration():
 
 # L_n, the labelled locally bipartite graphs on n = 2..7 vertices
 LABELLED_COUNTS = [2, 8, 63, 958, 27554, 1466437]
+# T_n, the labelled twin-free locally bipartite graphs on n = 2..7 vertices
+TWIN_FREE_LABELLED_COUNTS = [1, 4, 31, 532, 17167, 1019332]
+
+
+def _stirling2(n: int, q: int) -> int:
+    """S(n, q): the partitions of n labelled elements into q blocks."""
+    row = [1] + [0] * q  # S(0, .)
+    for i in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, q + 1)]
+    return row[q]
 
 
 def test_labelled_counts_by_vertex_extension():
@@ -103,6 +114,15 @@ def test_labelled_counts_by_vertex_extension():
             for p, _ in levels[n - 1]
         )
         assert extended == expected
+    # the twin-free subset the search keeps: merging the open-twin classes of
+    # a labelled graph on n vertices into q blocks leaves a twin-free one on
+    # the blocks, and blowing the blocks back up keeps local bipartiteness, so
+    # L_n = sum over q of S(n, q) T_q
+    twin_free = {n: sum(labellings[g] for g, _ in levels[n] if is_twin_free(g)) for n in levels}
+    assert twin_free[1] == 1
+    assert [twin_free[n] for n in range(2, 8)] == TWIN_FREE_LABELLED_COUNTS
+    for n, expected in zip(range(2, 8), LABELLED_COUNTS):
+        assert sum(_stirling2(n, q) * twin_free[q] for q in range(1, n + 1)) == expected
 
 
 def test_other_hereditary_classes_match_oeis():

@@ -11,8 +11,9 @@ SRC = Path(localchrom.__file__).parent
 
 # each module and the siblings it may import
 LAYERS = {
-    **{name: {"graphs"} for name in ("families", "graphio", "structure", "homomorphism", "colouring", "simplex")},
+    **{name: {"graphs"} for name in ("families", "graphio", "structure", "homomorphism", "colouring")},
     "graphs": set(),
+    "simplex": set(),
     "weighting": {"graphs", "simplex"},
 }
 

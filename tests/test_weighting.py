@@ -36,20 +36,13 @@ class TestSimplex:
         assert sol.value == F(14, 5)
         assert sol.x == [F(8, 5), F(6, 5)]
 
-    def test_equality_constraint(self):
-        sol = solve_lp([F(2), F(3)], [([F(1), F(1)], "=", F(1))])
-        assert sol.status == "optimal" and sol.value == F(3) and sol.x == [F(0), F(1)]
-
-    def test_infeasible(self):
-        sol = solve_lp([F(1)], [([F(1)], "=", F(1)), ([F(1)], "=", F(2))])
-        assert sol.status == "infeasible"
-
     def test_unbounded(self):
         sol = solve_lp([F(1)], [([F(-1)], "<=", F(1))])
         assert sol.status == "unbounded"
 
     def test_ge_rows_and_negative_rhs_rejected(self):
-        for row in [([F(1)], ">=", F(2)), ([F(-1)], "<=", F(-2)), ([F(1)], "=", F(-1))]:
+        rejected = [([F(1)], ">=", F(2)), ([F(-1)], "<=", F(-2)), ([F(1)], "=", F(-1))]
+        for row in [*rejected, ([F(1)], "=", F(1))]:
             with pytest.raises(ValueError):
                 solve_lp([F(1)], [([F(1)], "<=", F(3)), row])
 
@@ -65,8 +58,7 @@ class TestSimplex:
         assert sol.value == F(1, 20)
 
     def test_row_duals_certify_the_optimum(self):
-        # seeded bounded feasible LPs: a known feasible point x0 fixes each
-        # rhs (an "=" row is negated where its lhs at x0 is negative), and a
+        # seeded bounded LPs: a known feasible point x0 fixes each rhs, and a
         # box keeps it bounded
         rng = random.Random(41)
         for _ in range(150):
@@ -76,52 +68,22 @@ class TestSimplex:
             for _ in range(m):
                 coeffs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nvar)]
                 lhs = sum(a * x for a, x in zip(coeffs, x0))
-                rel = rng.choice(["<=", "="])
-                if rel == "<=":
-                    rhs = max(lhs, 0) + rng.randint(0, 3)
-                elif lhs < 0:
-                    coeffs, rhs = [-a for a in coeffs], -lhs
-                else:
-                    rhs = lhs
-                rows.append((coeffs, rel, rhs))
+                rows.append((coeffs, "<=", max(lhs, 0) + rng.randint(0, 3)))
             rows += [([F(int(j == i)) for j in range(nvar)], "<=", F(5)) for i in range(nvar)]
             objective = [F(rng.randint(-4, 4)) for _ in range(nvar)]
             sol = solve_lp(objective, rows)
             assert sol.status == "optimal" and len(sol.dual) == len(rows)
-            for y, (_, rel, _) in zip(sol.dual, rows):
-                if rel == "<=":
-                    assert y >= 0
+            assert all(y >= 0 for y in sol.dual)
             for j, c in enumerate(objective):
                 assert sum(y * coeffs[j] for y, (coeffs, _, _) in zip(sol.dual, rows)) >= c
             assert sum(y * rhs for y, (_, _, rhs) in zip(sol.dual, rows)) == sol.value
 
-    def test_drive_out_on_a_negative_entry(self):
-        # Phase 1 pivots x2 into row 0, then x1 into row 2, whose ratio ties
-        # with row 1's and whose slack has the lesser index; row 1's
-        # artificial stays basic at level zero, so the drive-out pivots on
-        # row 1's entry -2/5 in that slack's column, and phase 2 still has
-        # x3 to bring in, reading signs on the tableau the drive-out left
-        objective = [F(1), F(1, 2), F(1)]
-        rows = [([F(-1, 2), F(1, 3), F(0)], "=", F(0)), ([F(0), F(2, 3), F(0)], "=", F(2))]
-        rows += [([F(1), F(1), F(0)], "<=", F(5)), ([F(0), F(0), F(1)], "<=", F(1))]
-        sol = solve_lp(objective, rows)
-        assert (sol.status, sol.x, sol.value) == ("optimal", [F(2), F(3), F(1)], F(9, 2))
-        assert sol.dual == [F(-2), F(7, 4), F(0), F(1)]
-        assert all(v >= 0 for v in sol.x)
-        for (coeffs, rel, rhs), y in zip(rows, sol.dual):
-            lhs = sum(a * v for a, v in zip(coeffs, sol.x))
-            assert lhs == rhs if rel == "=" else (lhs <= rhs and y >= 0)
-        for j, c in enumerate(objective):
-            assert sum(y * coeffs[j] for y, (coeffs, _, _) in zip(sol.dual, rows)) >= c
-        assert sum(c * v for c, v in zip(objective, sol.x)) == sol.value
-        assert sum(y * rhs for y, (_, _, rhs) in zip(sol.dual, rows)) == sol.value
-
     def test_random_lps_are_frozen(self):
         # SHA-256 over (status, x, value, dual) of 200 seeded LPs with
         # fractional data, sparse rows and zero right-hand sides (degenerate
-        # ties), "=" rows with redundant multiples that leave an artificial
-        # basic at level zero, and infeasible and unbounded cases; frozen from
-        # the Fraction tableau, before the tableau became integer
+        # ties), and unbounded cases; every row "<=", each rhs from a seeded
+        # point x0 or drawn at random; frozen from the two-phase solver,
+        # which solved an LP without "=" rows in phase 2 alone
         rng = random.Random(47)
 
         def coeff():
@@ -131,35 +93,23 @@ class TestSimplex:
         for _ in range(200):
             nvar, m = rng.randint(1, 5), rng.randint(1, 5)
             x0 = [F(rng.randint(0, 3), rng.randint(1, 2)) * rng.randint(0, 1) for _ in range(nvar)]
-            consistent = rng.random() < 0.8
+            at_x0 = rng.random() < 0.8
             rows = []
             for _ in range(m):
-                coeffs, rel = [coeff() for _ in range(nvar)], rng.choice(["<=", "="])
-                lhs = sum(a * x for a, x in zip(coeffs, x0))
-                if not consistent:
-                    rhs = F(rng.randint(0, 4), rng.randint(1, 3))
-                elif rel == "<=":
+                coeffs = [coeff() for _ in range(nvar)]
+                if at_x0:
+                    lhs = sum(a * x for a, x in zip(coeffs, x0))
                     rhs = max(lhs, 0) + rng.choice([0, 0, F(1, 2), 2])
-                elif lhs < 0:
-                    coeffs, rhs = [-a for a in coeffs], -lhs
                 else:
-                    rhs = lhs
-                rows.append((coeffs, rel, rhs))
-            equalities = [row for row in rows if row[1] == "="]
-            if equalities and rng.random() < 0.4:
-                (a, _, p), (b, _, q) = rng.choice(equalities), rng.choice(equalities)
-                k = F(rng.randint(1, 3), rng.randint(1, 2))
-                redundant = ([k * (s + t) for s, t in zip(a, b)], "=", k * (p + q))
-                rows.insert(rng.randint(0, len(rows)), redundant)
+                    rhs = F(rng.randint(0, 4), rng.randint(1, 3))
+                rows.append((coeffs, "<=", rhs))
             if rng.random() < 0.6:
                 rows += [([F(int(j == i)) for j in range(nvar)], "<=", F(3)) for i in range(nvar)]
             sol = solve_lp([coeff() for _ in range(nvar)], rows)
             statuses.append(sol.status)
             digest.update(repr((sol.status, sol.x, sol.value, sol.dual)).encode())
-        assert {s: statuses.count(s) for s in set(statuses)} == {
-            "optimal": 163, "unbounded": 20, "infeasible": 17
-        }
-        expected = "a0825462a5151d5e0aa14a9934f7563882fbc096bb8ffe08f4e9f79a11011301"
+        assert {s: statuses.count(s) for s in set(statuses)} == {"optimal": 171, "unbounded": 29}
+        expected = "7778a8e56fb075a324bbae8cf5c6b3a95acd937cb6c604a07e2a788771a0b5af"
         assert digest.hexdigest() == expected
 
 
@@ -180,22 +130,24 @@ def _relabelled_catalogue():
 
 
 def _support_full_reference(g, t):
-    """Primal test of full support: maximise s subject to omega_v >= s,
-    deg_omega(v) >= t and sum omega = 1; full support iff the optimum s > 0.
-    Variables omega (n), s, and one surplus per degree row (n)."""
+    """Primal test of full support: maximise e subject to e <= omega_v,
+    t s <= deg_omega(v), sum omega = s and s <= 1; for s > 0, omega / s is
+    an optimal weighting, so full support iff the optimum e > 0.
+    Variables omega (n), s and e."""
     n = g.n
-    objective = [F(0)] * n + [F(1)] + [F(0)] * n
+    objective = [F(0)] * (n + 1) + [F(1)]
     rows = []
     for v in range(n):
-        row = [F(0)] * (2 * n + 1)
+        row = [F(0)] * (n + 2)
+        row[v], row[n + 1] = F(-1), F(1)
+        rows.append((row, "<=", F(0)))  # e - omega_v <= 0
+        row = [F(0)] * n + [t, F(0)]
         for u in bits(g.adj[v]):
-            row[u] = F(1)
-        row[n + 1 + v] = F(-1)
-        rows.append((row, "=", t))  # deg_omega(v) - surplus_v = t
-        row = [F(0)] * (2 * n + 1)
-        row[v], row[n] = F(-1), F(1)
-        rows.append((row, "<=", F(0)))  # s - omega_v <= 0
-    rows.append(([F(1)] * n + [F(0)] * (n + 1), "=", F(1)))
+            row[u] = F(-1)
+        rows.append((row, "<=", F(0)))  # t s - deg_omega(v) <= 0
+    rows.append(([F(1)] * n + [F(-1), F(0)], "<=", F(0)))  # sum omega - s <= 0
+    rows.append(([F(-1)] * n + [F(1), F(0)], "<=", F(0)))  # s - sum omega <= 0
+    rows.append(([F(0)] * n + [F(1), F(0)], "<=", F(1)))  # s <= 1
     sol = solve_lp(objective, rows)
     assert sol.status == "optimal"
     return sol.value > 0
@@ -258,13 +210,19 @@ class TestOptimalWeighting:
     @pytest.mark.parametrize(
         "field, corrupt, message",
         [
-            ("x", lambda x: [x[0] + F(1, 100), *x[1:]], "primal is not a distribution"),
+            ("x", lambda x: [x[0] + F(1, 100), *x[1:]], "primal is not feasible"),
             ("x", lambda x: [F(1)] + [F(0)] * (len(x) - 1), "primal is not feasible"),
+            ("x", lambda x: [*x[:-1], x[-1] + F(1, 100)], "primal is not feasible"),
             ("dual", lambda d: [F(-1, 100), *d[1:]], "dual is not feasible"),
+            ("dual", lambda d: [*d[:-3], d[-3] + 1, *d[-2:]], "dual is not feasible"),
+            ("dual", lambda d: [*d[:-2], d[-2] + 1, d[-1]], "dual is not feasible"),
             ("dual", lambda d: [*d[:-1], d[-1] - 1], "dual is not feasible"),
             ("dual", lambda d: [*d[:-1], d[-1] + F(1, 100)], "values differ"),
         ],
-        ids=["x-off-sum", "x-point-mass", "z-negative", "w-too-low", "w-too-high"],
+        ids=[
+            "x-off-sum", "x-point-mass", "s-off-sum", "z-negative",
+            "sum-at-most-s-too-high", "s-at-most-sum-too-high", "w-too-low", "w-too-high",
+        ],
     )
     def test_support_full_rechecks_its_lp(self, monkeypatch, field, corrupt, message):
         # a wrong primal or wrong row multipliers from the LP raise, never answer
@@ -294,12 +252,19 @@ class TestOptimalWeighting:
             outcomes.add((r.support_full, r.has_isolated_vertex))
         assert outcomes == {(True, False), (False, False), (True, True)}
 
+    def test_support_full_on_large_blow_ups(self):
+        # a blow-up keeps the answer of its base: 280 and 80 vertices
+        assert optimal_weighting(blow_up(families.c7bar(), [40] * 7)).support_full is True
+        assert optimal_weighting(blow_up(families.h2plus(), [10] * 8)).support_full is False
+
     def test_results_are_frozen(self):
         # SHA-256 over (t*, weights, dual, support_full) of 206 graphs: the
         # relabelled catalogue, 150 random graphs on 2-9 vertices, the five
         # families the catalogue leaves out and 30 blow-ups with classes of
-        # 1-2; frozen from the one-LP support_full, before any change to the
-        # pivoting of simplex.py
+        # 1-2; frozen from the one-phase simplex with sum omega <= 1.  The
+        # answers alone, (t*, support_full), have their own SHA, frozen from
+        # the two-phase simplex with sum omega = 1: the certificates may move
+        # where the optimum is not unique, the answers may not
         graphs = _relabelled_catalogue()
         rng = random.Random(43)
         graphs += [random_graph(rng, rng.randint(2, 9), rng.random()) for _ in range(150)]
@@ -310,11 +275,14 @@ class TestOptimalWeighting:
             base = families.generate(fid)
             graphs.append(blow_up(base, [rng.randint(1, 2) for _ in range(base.n)]))
         assert len(graphs) == 206
-        digest = hashlib.sha256()
+        digest, answers = hashlib.sha256(), hashlib.sha256()
         for g in graphs:
             r = optimal_weighting(g)
             digest.update(repr((r.optimum, r.weights, r.dual, r.support_full)).encode())
-        expected = "11f48a1bf16f10b7b07efc81d269b303b351e9c43b81a8461baa46d50c65316a"
+            answers.update(repr((r.optimum, r.support_full)).encode())
+        expected = "e3a7cc1b1b87da31d16fee46faa0b2123a371bf6905040c36899b3f6cd30e758"
+        assert answers.hexdigest() == expected
+        expected = "18f3378d48febb1d9e1d1bf48d4b7467941b34fd72b763373d61b4a0ab996d7c"
         assert digest.hexdigest() == expected
 
     def test_empty_graph_rejected(self):
@@ -383,9 +351,10 @@ class TestVerifyWeighting:
     [
         ([F(1), F(1)], [([F(1)], "<=", F(1))], "row length mismatch"),
         ([F(1)], [([F(1)], ">=", F(1))], "bad relation '>='"),
-        ([F(1)], [([F(1)], "=", F(-1))], "negative right-hand side"),
+        ([F(1)], [([F(1)], "=", F(1))], "bad relation '='"),
+        ([F(1)], [([F(1)], "<=", F(-1))], "negative right-hand side"),
     ],
-    ids=["short-row", "relation", "negative-rhs"],
+    ids=["short-row", "relation", "equality", "negative-rhs"],
 )
 def test_solve_lp_diagnostics(objective, rows, message):
     with pytest.raises(ValueError) as info:
