@@ -38,6 +38,7 @@ from .structure import (
     saturate,
 )
 from .weighting import WeightingResult, optimal_weighting, verify_weighting
+from .workers import run_tasks, usable_cpus
 
 # Frozen after the first verified enumerate_extremal(7, 1/2) run (the run is
 # the oracle): exactly K3 and a canonically labelled C7BAR, each re-verified
@@ -382,26 +383,29 @@ def build_claims() -> list[tuple[str, object]]:
 
 
 def verify_paper(only: str | None = None, timeout: float | None = None) -> Report:
-    """Run the acceptance claims in declared order; exit code 0 iff no FAIL.
+    """Run the acceptance claims over the usable CPUs (``workers.run_tasks``) and
+    report them in declared order; exit code 0 iff no FAIL.
 
     ``only`` filters claim ids by substring; ``timeout`` is a global budget in
-    seconds: claims that have not started when it expires are SKIPped.
+    seconds: claims that have not started when it expires are SKIPped.  A
+    claim's ``seconds`` is its wall time in the process that ran it.
     """
     claims = build_claims()
     if only:
         claims = [(cid, fn) for cid, fn in claims if only in cid]
     deadline = None if timeout is None else time.monotonic() + timeout
 
-    def run_one(cid: str, fn) -> ClaimResult:
+    def run_one(cid: str, fn) -> tuple[str, str, str, float]:
         start = time.monotonic()
         if deadline is not None and start > deadline:
-            return ClaimResult(cid, "SKIP", "global timeout reached before start", 0.0)
+            return cid, "SKIP", "global timeout reached before start", 0.0
         try:
             detail = fn()
-            return ClaimResult(cid, "PASS", detail, time.monotonic() - start)
+            return cid, "PASS", detail, time.monotonic() - start
         except ClaimFailure as exc:
-            return ClaimResult(cid, "FAIL", str(exc), time.monotonic() - start)
+            return cid, "FAIL", str(exc), time.monotonic() - start
         except Exception as exc:  # a crash is a failure, never an abort
-            return ClaimResult(cid, "FAIL", f"unexpected error: {exc!r}", time.monotonic() - start)
+            return cid, "FAIL", f"unexpected error: {exc!r}", time.monotonic() - start
 
-    return Report([run_one(cid, fn) for cid, fn in claims])
+    tasks = [lambda cid=cid, fn=fn: run_one(cid, fn) for cid, fn in claims]
+    return Report([ClaimResult(*entry) for entry in run_tasks(tasks, usable_cpus())[0]])

@@ -35,23 +35,21 @@ and their order are those of refining against every cell (``_refine``).
 
 A large level is split over the CPUs this process may use, k of them, by the
 edge count of the child: share r builds, searches and dedupes only the children
-``parent + mask`` with ``(|E(parent)| + |mask|) % k == r`` (``_share``), each in
-a forked worker, or in this process where none hands it back whole: share 0, a
-failed worker's, or a share whose worker cannot be started (no pipe or no
-process; ``_shares``).  Isomorphic children have the same edge count, so each
-class lies inside one share, and a share meets its children in the serial
-(parent, mask) order, so each class keeps the first child, and that child's
-recorded automorphisms, of the serial loop.  The union of the shares, sorted by
-canonical form, is the serial level; a class found by two shares would break
-this argument and is refused.
+``parent + mask`` with ``(|E(parent)| + |mask|) % k == r`` (``_share``).  The
+shares are the k tasks of one ``workers.run_tasks`` call (``_shares``): share 0
+here, each other share in a forked worker, or here if none hands it back whole.
+Isomorphic children have the same edge count, so each class lies inside one
+share, and a share meets its children in the serial (parent, mask) order, so
+each class keeps the first child, and that child's recorded automorphisms, of
+the serial loop.  The union of the shares, sorted by canonical form, is the
+serial level; a class found by two shares would break this argument and is
+refused.
 """
 
 from __future__ import annotations
 
 import json
-import marshal
 import os
-import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -77,6 +75,7 @@ from .structure import (
     locally_bipartite_with_vertex,
 )
 from .weighting import optimal_weighting
+from .workers import run_tasks, usable_cpus as _usable_cpus
 
 MAX_N = 10  # documented desk-scale bound
 LOCALLY_BIPARTITE = (NeighbourhoodSides, locally_bipartite_with_vertex)  # the search's child test
@@ -86,16 +85,10 @@ Level = list[tuple[Graph, tuple[tuple[int, ...], ...]]]  # (graph, its search's 
 # 2 ms, so two shares already beat one from about 30 parents (29 parents of
 # the locally bipartite search: 11.2 -> 9.9 ms; 119 parents: 97 -> 69 ms;
 # 674 parents: 1.12 -> 0.64 s).  Below 128 parents a split saves at most about
-# 30 ms, and the level stays in one process, where every call can be counted:
-# a traced verify-paper pass, whose largest levels have 119 and 107 parents.
+# 30 ms.  The value stays where the split was first measured: it keeps level 7
+# of the search to n = 8 (119 parents) in one process, and lowering it waits
+# for a re-measure of that search.
 SPLIT_MIN_PARENTS = 128
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where that is unknown or ``os.fork`` is missing."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 @dataclass(frozen=True)
@@ -266,56 +259,16 @@ def _share(level: Level, test, k: int, r: int) -> tuple[dict, int, int]:
 
 
 def _shares(level: Level, test, k: int) -> tuple[dict, int, int, int]:
-    """``_share`` r of k for r = 0..k-1, merged in that order, and the number of
-    processes that computed them.  Share r > 0 goes to a forked worker until a
-    pipe or a fork fails; a share that no worker hands back whole is computed
-    here, so a worker's exception surfaces in this process.  No worker outlives
-    the call, however it ends, and none returns into the caller's stack."""
-    pids: dict[int, int] = {}  # share -> its worker, until reaped
-    pipes = {}
-    try:
-        for r in range(1, k):
-            try:
-                read_end, write_end = os.pipe()
-                pipes[r] = open(read_end, "rb")
-                with open(write_end, "wb") as out:
-                    pids[r] = os.fork()
-                    if pids[r] == 0:  # the worker: exits 0 only once its whole share is written
-                        status = 1
-                        try:
-                            marshal.dump(_share(level, test, k, r), out)
-                            out.flush()
-                            status = 0
-                        finally:
-                            os._exit(status)
-            except OSError:  # no pipe or process to spare: this share and the later ones stay here
-                break
-        processes = 1 + len(pids)
-        children = 0
-        for r in range(k):
-            share = None
-            if r in pids:
-                # marshal.load would read the pipe in pieces, about ten times slower
-                payload = pipes[r].read()
-                _, status = os.waitpid(pids[r], 0)
-                del pids[r]  # reaped
-                if os.waitstatus_to_exitcode(status) == 0:
-                    share = marshal.loads(payload)
-            classes, tried, more = share or _share(level, test, k, r)
-            if r == 0:
-                seen = classes
-            elif seen.keys().isdisjoint(classes):
-                seen.update(classes)
-            else:
-                raise CertificateError("two edge-count shares of a level hold the same class")
-            children += more
-        return seen, tried, children, processes
-    finally:
-        for pipe in pipes.values():
-            pipe.close()
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    """``_share`` r of k for r = 0..k-1, run by ``workers.run_tasks``, merged in
+    that order, and the number of processes that computed them."""
+    shares, processes = run_tasks([partial(_share, level, test, k, r) for r in range(k)], k)
+    seen, tried, children = shares[0]
+    for classes, _, more in shares[1:]:
+        if not seen.keys().isdisjoint(classes):
+            raise CertificateError("two edge-count shares of a level hold the same class")
+        seen.update(classes)
+        children += more
+    return seen, tried, children, processes
 
 
 def _next_level(level: Level, stats: list[LevelStats] | None = None, test=LOCALLY_BIPARTITE) -> Level:

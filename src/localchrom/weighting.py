@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .graphs import CertificateError, Graph, WeightedGraph, bits, min_weighted_degree
 from .simplex import solve_lp
@@ -55,11 +56,11 @@ class WeightingResult:
         (*y, s), z, (a, b, c) = lp.x, lp.dual[:n], lp.dual[n:]
         if not (
             len(y) == n and 0 <= s <= 1 and sum(y) == s and all(p >= 0 for p in y)
-            and all(sum(y[v] for v in bits(g.adj[u])) <= t * s for u in range(n))
+            and all(deg <= t * s for deg in _degrees(g, y))
         ):
             raise CertificateError("full-support primal is not feasible")
         if any(m < 0 for m in lp.dual) or any(
-            sum(z[u] for u in bits(g.adj[v])) + a - b < objective[v] for v in range(n)
+            deg + a - b < o for deg, o in zip(_degrees(g, z), objective)
         ) or -t * sum(z) - a + b + c < objective[n]:
             raise CertificateError("full-support dual is not feasible")
         # feasible on both sides with equal values, so both optimal (weak duality)
@@ -78,20 +79,26 @@ def _degree_row(g: Graph, v: int) -> list[int]:
     return row
 
 
+def _degrees(g: Graph, xs) -> list[Fraction]:
+    """Each vertex's degree under the weights ``xs``, summed exactly as integers
+    over their least common denominator: far fewer Fraction operations."""
+    d = lcm(*{x.denominator for x in xs})
+    scaled = [x.numerator * (d // x.denominator) for x in xs]
+    return [Fraction(sum(scaled[u] for u in bits(row)), d) for row in g.adj]
+
+
 def _check_certificates(g: Graph, t: Fraction, omega, dual) -> None:
     """Re-check the primal and dual certificates of t* exactly; raise if either fails."""
-    n = g.n
     if not (sum(omega) == 1 and all(w >= 0 for w in omega)):
         raise CertificateError("primal weighting is not a distribution")
     if not (sum(dual) == 1 and all(y >= 0 for y in dual)):
         raise CertificateError("dual weighting is not a distribution")
-    degrees = [sum(omega[u] for u in bits(g.adj[v])) for v in range(n)]
-    if min(degrees) != t:
+    if min(_degrees(g, omega)) != t:
         raise CertificateError("primal weighting does not attain t*")
     # Dual feasibility: every vertex sees dual mass at most t*, which bounds
     # every weighting's minimum degree by t* (weak duality, checked exactly):
     # min_v A.omega <= omega . A.y <= t*.
-    if not all(sum(dual[v] for v in bits(g.adj[u])) <= t for u in range(n)):
+    if max(_degrees(g, dual)) > t:
         raise CertificateError("dual weighting is not feasible")
 
 
@@ -108,13 +115,12 @@ def optimal_weighting(g: Graph) -> WeightingResult:
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no weighting")
-    uniform = tuple(Fraction(1, n) for _ in range(n))
     isolated = [v for v in range(n) if g.adj[v] == 0]
     if isolated:
         # Any weighting gives the isolated vertex degree 0, so t* = 0; the
         # dual concentrates on an isolated vertex (no one sees its mass).
         dual = tuple(ONE if v == isolated[0] else ZERO for v in range(n))
-        return WeightingResult(ZERO, uniform, dual, True, g)
+        return WeightingResult(ZERO, (Fraction(1, n),) * n, dual, True, g)  # uniform
 
     # Primal: variables (omega_0..omega_{n-1}, t), maximize t.  The multipliers
     # of the degree rows are the dual distribution y: deg_y(u) <= t*, sum y = 1.

@@ -15,6 +15,7 @@ LAYERS = {
     "graphs": set(),
     "simplex": set(),
     "weighting": {"graphs", "simplex"},
+    "workers": set(),
 }
 
 
