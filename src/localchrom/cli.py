@@ -119,9 +119,9 @@ def cmd_weight(args) -> int:
         text = fh.read()
     g, wg = parse_any_graph(text)
     c = None if args.beats is None else _threshold(args.beats)
-    # validate the given weighting before any output
-    result = optimal_weighting(g)
+    # check the given weighting before the LP and before any output
     given = None if wg is None or c is None else verify_weighting(g, wg.weights, c)
+    result = optimal_weighting(g)
     print(f"t*={result.optimum} omega: " + ",".join(str(w) for w in result.weights))
     if result.has_isolated_vertex:
         print("warning: isolated vertex forces t* = 0", file=sys.stderr)

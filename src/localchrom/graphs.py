@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 
 class CertificateError(Exception):
@@ -291,15 +292,23 @@ class WeightedGraph:
         return sum(self.weights, Fraction(0))
 
 
+def _weights_of(masks: Iterable[int], weights: Sequence[Fraction | int]) -> list[Fraction]:
+    """The exact total weight of each vertex bitset in ``masks``, summed as
+    integers over the weights' least common denominator: one Fraction per mask."""
+    d = lcm(*{w.denominator for w in weights})
+    scaled = [w.numerator * (d // w.denominator) for w in weights]
+    return [Fraction(sum(scaled[u] for u in bits(m)), d) for m in masks]
+
+
 def weighted_degree(wg: WeightedGraph, v: int) -> Fraction:
     """Total weight of the neighbours of v."""
-    return sum((wg.weights[u] for u in bits(wg.graph.adj[v])), Fraction(0))
+    return _weights_of([wg.graph.adj[v]], wg.weights)[0]
 
 
 def min_weighted_degree(wg: WeightedGraph) -> Fraction:
     if wg.graph.n == 0:
         raise ValueError("empty graph has no minimum degree")
-    return min(weighted_degree(wg, v) for v in range(wg.graph.n))
+    return min(_weights_of(wg.graph.adj, wg.weights))
 
 
 def common_neighbourhood(g: Graph, xs: int) -> int:
@@ -328,5 +337,4 @@ def merge_twins(wg: WeightedGraph) -> WeightedGraph:
         return wg
     index = {row: i for i, row in enumerate(classes)}
     rows = [mask_of(index[g.adj[u]] for u in bits(row)) for row in classes]
-    weights = [sum((wg.weights[v] for v in bits(m)), Fraction(0)) for m in classes.values()]
-    return WeightedGraph(Graph.from_rows(rows), weights)
+    return WeightedGraph(Graph.from_rows(rows), _weights_of(classes.values(), wg.weights))

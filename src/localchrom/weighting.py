@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
-from .graphs import CertificateError, Graph, WeightedGraph, bits, min_weighted_degree
+from .graphs import CertificateError, Graph, WeightedGraph, _weights_of, bits, min_weighted_degree
 from .simplex import solve_lp
 
 ZERO = Fraction(0)
@@ -56,11 +55,11 @@ class WeightingResult:
         (*y, s), z, (a, b, c) = lp.x, lp.dual[:n], lp.dual[n:]
         if not (
             len(y) == n and 0 <= s <= 1 and sum(y) == s and all(p >= 0 for p in y)
-            and all(deg <= t * s for deg in _degrees(g, y))
+            and all(deg <= t * s for deg in _weights_of(g.adj, y))
         ):
             raise CertificateError("full-support primal is not feasible")
         if any(m < 0 for m in lp.dual) or any(
-            deg + a - b < o for deg, o in zip(_degrees(g, z), objective)
+            deg + a - b < o for deg, o in zip(_weights_of(g.adj, z), objective)
         ) or -t * sum(z) - a + b + c < objective[n]:
             raise CertificateError("full-support dual is not feasible")
         # feasible on both sides with equal values, so both optimal (weak duality)
@@ -79,26 +78,18 @@ def _degree_row(g: Graph, v: int) -> list[int]:
     return row
 
 
-def _degrees(g: Graph, xs) -> list[Fraction]:
-    """Each vertex's degree under the weights ``xs``, summed exactly as integers
-    over their least common denominator: far fewer Fraction operations."""
-    d = lcm(*{x.denominator for x in xs})
-    scaled = [x.numerator * (d // x.denominator) for x in xs]
-    return [Fraction(sum(scaled[u] for u in bits(row)), d) for row in g.adj]
-
-
 def _check_certificates(g: Graph, t: Fraction, omega, dual) -> None:
     """Re-check the primal and dual certificates of t* exactly; raise if either fails."""
     if not (sum(omega) == 1 and all(w >= 0 for w in omega)):
         raise CertificateError("primal weighting is not a distribution")
     if not (sum(dual) == 1 and all(y >= 0 for y in dual)):
         raise CertificateError("dual weighting is not a distribution")
-    if min(_degrees(g, omega)) != t:
+    if min(_weights_of(g.adj, omega)) != t:
         raise CertificateError("primal weighting does not attain t*")
     # Dual feasibility: every vertex sees dual mass at most t*, which bounds
     # every weighting's minimum degree by t* (weak duality, checked exactly):
     # min_v A.omega <= omega . A.y <= t*.
-    if max(_degrees(g, dual)) > t:
+    if max(_weights_of(g.adj, dual)) > t:
         raise CertificateError("dual weighting is not feasible")
 
 

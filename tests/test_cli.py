@@ -399,6 +399,18 @@ def test_weight_all_zero_given_weights_is_usage_error(capsys, tmp_path, emit_wei
     assert captured.err == "error: weighting must not be identically zero\n"
 
 
+def test_weight_refuses_zero_given_weights_before_the_lp(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "optimal_weighting", lambda g: calls.append(g))
+    path = tmp_path / "zero.txt"
+    path.write_text("2 1\n0 1\n0 0\n1 0\n")
+    assert main(["weight", str(path), "--beats", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weighting must not be identically zero\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -125,6 +125,39 @@ def test_labelled_counts_by_vertex_extension():
         assert sum(_stirling2(n, q) * twin_free[q] for q in range(1, n + 1)) == expected
 
 
+def _without(g: Graph, v: int) -> Graph:
+    """G - v, the vertices above v moved down by one."""
+    low = (1 << v) - 1
+    return Graph.from_rows(row & low | row >> (v + 1) << v for u, row in enumerate(g.adj) if u != v)
+
+
+def test_twin_free_counts_by_vertex_deletion():
+    # the labelled twin-free graphs on n vertices whose vertex n - 1 can be
+    # deleted leaving a twin-free graph, counted two ways.  By deletion: a class
+    # G has n!/|Aut G| labellings, each with g(G) deletable vertices, and by
+    # symmetry 1/n of these pairs delete vertex n - 1, which gives
+    # sum_G (n - 1)! g(G) / |Aut G|.  By extension: a twin-free P on n - 1
+    # vertices joined by a mask m, twin-free iff m is no row of P.  A lost or
+    # merged class shortens the left side, a split one lengthens it.
+    levels = _levels(7)
+    twin_free = {n: [g for g, _ in level if is_twin_free(g)] for n, level in levels.items()}
+    labellings = {
+        g: factorial(n) // sum(1 for _ in subgraph_embeddings(g, g, induced=True))
+        for n, level in twin_free.items()
+        for g in level
+    }
+    for n in range(2, 8):
+        deleted = sum(
+            labellings[g] * sum(is_twin_free(_without(g, v)) for v in range(n)) for g in twin_free[n]
+        )
+        extended = sum(
+            labellings[p]
+            * sum(m not in p.adj and is_locally_bipartite(p.with_vertex(m)) for m in range(1 << p.n))
+            for p in twin_free[n - 1]
+        )
+        assert deleted == n * extended
+
+
 def test_other_hereditary_classes_match_oeis():
     # the search's generator, orbit pruning included, with the child test of
     # another class closed under induced subgraphs: OEIS A000088 (graphs) and

@@ -16,7 +16,9 @@ from localchrom.graphs import (
     bits,
     blow_up,
     merge_twins,
+    min_weighted_degree,
     relabel,
+    weighted_degree,
 )
 from localchrom.simplex import solve_lp
 from localchrom.weighting import optimal_weighting, verify_weighting
@@ -338,6 +340,39 @@ class TestVerifyWeighting:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             verify_weighting(families.h2(), [0] * 7, F(1, 2))
+
+    def test_weight_sums_match_plain_fraction_sums(self):
+        # every exact weight sum against one written out Fraction by Fraction,
+        # on weights mixing ints, zeros and several denominators
+        rng = random.Random(34)
+
+        def plain(weights, vertices):
+            total = F(0)
+            for v in vertices:
+                total += F(weights[v])
+            return total
+
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 6), rng.uniform(0.2, 0.8))
+            b = blow_up(g, [rng.randint(1, 3) for _ in range(g.n)])
+            weights = [
+                rng.choice([0, rng.randint(1, 5), F(rng.randint(0, 7), rng.choice([2, 3, 4, 6, 9, 35]))])
+                for _ in range(b.n)
+            ]
+            if not any(weights):
+                weights[rng.randrange(b.n)] = F(1, 7)
+            wg = WeightedGraph(b, weights)
+            degrees = [plain(weights, bits(row)) for row in b.adj]
+            assert [weighted_degree(wg, v) for v in range(b.n)] == degrees
+            assert min_weighted_degree(wg) == min(degrees)
+            total = plain(weights, range(b.n))
+            ratio = min(degrees) / total
+            for c in (ratio, ratio - F(1, 1000), F(rng.randint(0, 4), 5)):
+                assert verify_weighting(b, weights, c) == (min(degrees) > c * total)
+            classes = {}
+            for v, row in enumerate(b.adj):
+                classes.setdefault(row, []).append(v)
+            assert list(merge_twins(wg).weights) == [plain(weights, vs) for vs in classes.values()]
 
     def test_beats_matches_threshold_semantics(self):
         r = optimal_weighting(families.h2plus())
