@@ -24,11 +24,7 @@ from .graphs import Graph
 from .homomorphism import find_homomorphism, find_subgraph, is_isomorphic
 from .report import verify_paper
 from .search import compact_line, enumerate_extremal
-from .structure import (
-    is_edge_maximal_locally_bipartite,
-    is_twin_free,
-    odd_wheel,
-)
+from .structure import NeighbourhoodSides, _edge_maximal, _odd_wheel, is_twin_free
 from .weighting import optimal_weighting, verify_weighting
 
 
@@ -69,12 +65,13 @@ def cmd_families(args) -> int:
 
 def cmd_check(args) -> int:
     g = _read_graph(args.file)
-    witness = odd_wheel(g)
+    sides = NeighbourhoodSides(g)  # one table for both tests
+    witness = _odd_wheel(g, sides)
     print(f"locally-bipartite: {'yes' if witness is None else 'no'}")
     if witness is not None:
         print(str(witness))
     print(f"twin-free: {'yes' if is_twin_free(g) else 'no'}")
-    edge_max = is_edge_maximal_locally_bipartite(g) if witness is None else False
+    edge_max = _edge_maximal(sides) if witness is None else False
     print(f"edge-maximal: {'yes' if edge_max else 'no'}")
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 class CertificateError(Exception):
@@ -292,12 +292,14 @@ class WeightedGraph:
         return sum(self.weights, Fraction(0))
 
 
-def _weights_of(masks: Iterable[int], weights: Sequence[Fraction | int]) -> list[Fraction]:
+def _weights_of(masks: Collection[int], weights: Sequence[Fraction | int]) -> list[Fraction]:
     """The exact total weight of each vertex bitset in ``masks``, summed as
-    integers over the weights' least common denominator: one Fraction per mask."""
+    integers over the weights' least common denominator, once per distinct
+    bitset (a blow-up's rows are as many as its classes): one Fraction per mask."""
     d = lcm(*{w.denominator for w in weights})
     scaled = [w.numerator * (d // w.denominator) for w in weights]
-    return [Fraction(sum(scaled[u] for u in bits(m)), d) for m in masks]
+    total = {m: Fraction(sum(map(scaled.__getitem__, bits(m))), d) for m in set(masks)}
+    return [total[m] for m in masks]
 
 
 def weighted_degree(wg: WeightedGraph, v: int) -> Fraction:

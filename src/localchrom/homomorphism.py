@@ -17,7 +17,7 @@ unchanged.  ``brute_force_homomorphism`` is a separate oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterator
 
 from .graphs import CertificateError, Graph, _classes_by_row, _twin_masks, bits, mask_of
 
@@ -338,7 +338,10 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 
 
 def _canonical_search(
-    g: Graph, root: list[int] | None = None, twin_masks: Callable[[], list[int]] | None = None
+    g: Graph,
+    root: list[int] | None = None,
+    twin_masks: Callable[[], list[int]] | None = None,
+    known: Container[int] = (),
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``canonical_form``'s encoding, and the map first[i] -> order[i] from the
     first leaf ``first`` of minimal encoding to each later one ``order``.
@@ -346,6 +349,12 @@ def _canonical_search(
     ``root`` is g's degree partition in ascending degree and ``twin_masks()``
     is ``_twin_masks(g.adj)``; both are computed from g unless given, and the
     twin masks only at the first node that branches.
+
+    ``known`` holds canonical encodings of graphs on n vertices; the search
+    returns at the first leaf whose encoding is in it, with no maps.  A leaf's
+    encoding is g relabelled, so it is the canonical encoding of H only for H
+    isomorphic to g, and then it is g's own; a g isomorphic to none of them
+    meets no such leaf and is searched in full.
 
     A node whose target cell lies inside one twin class individualises one
     vertex v of it and skips refining the child: the child is equitable.
@@ -375,6 +384,8 @@ def _canonical_search(
             order = [cell.bit_length() - 1 for cell in cells[:k]]
             code = _encode(g, order)
             if k == n:
+                if code in known:
+                    return code, ()
                 if best is None or code < best:
                     best, first, autos = code, order, []
                 elif code == best:

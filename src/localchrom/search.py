@@ -33,6 +33,13 @@ the mask (``_ChildSetUp``).  The search refines against the cells that the
 last round split; a cell's vertices agree on every older cell, so the cells
 and their order are those of refining against every cell (``_refine``).
 
+A child's search is handed the classes met so far and stops at its first leaf
+whose encoding is one of their keys (``_canonical_search``'s ``known``): that
+leaf is the child relabelled, so the child is isomorphic to that class and is
+dropped, as a full search would have shown.  The first child of a class meets
+no known leaf, so its search runs in full and its key and recorded maps are
+those of the full search.  Every child still counts one canonical form.
+
 A large level is split over the CPUs this process may use, k of them, by the
 edge count of the child: share r builds, searches and dedupes only the children
 ``parent + mask`` with ``(|E(parent)| + |mask|) % k == r`` (``_share``).  The
@@ -69,6 +76,7 @@ from .graphs import CertificateError, Graph, _classes_by_row, _twin_masks, bits
 from .homomorphism import _automorphism_generators, _canonical_search
 from .structure import (
     NeighbourhoodSides,
+    _edge_maximal,
     is_edge_maximal_locally_bipartite,
     is_locally_bipartite,
     is_twin_free,
@@ -138,8 +146,9 @@ class SearchResult:
 
 def check_membership(g: Graph, c: Fraction | int) -> MembershipReport:
     """The four filter predicates on a single graph."""
-    lb = is_locally_bipartite(g)
-    edge_max = is_edge_maximal_locally_bipartite(g) if lb else False
+    sides = NeighbourhoodSides(g)  # one table for both tests
+    lb = sides.odd_neighbourhood() is None
+    edge_max = _edge_maximal(sides) if lb else False
     twin_free = is_twin_free(g)
     t_star = optimal_weighting(g).optimum if g.n else None
     beats = t_star is not None and t_star > Fraction(c)
@@ -147,9 +156,16 @@ def check_membership(g: Graph, c: Fraction | int) -> MembershipReport:
 
 
 def _filter_level(graphs: list[Graph], c: Fraction) -> list[FoundGraph]:
+    """The twin-free edge-maximal graphs among ``graphs`` with t* > c.
+
+    A graph whose maximum degree D is at most c * n is dropped before the
+    edge-maximality test (compared in integers, D * q <= p * n for c = p/q):
+    under the uniform dual y = 1/n, every weighting w has
+    min_v deg_w(v) <= sum_v y_v deg_w(v) = sum_u w_u deg(u) / n <= D/n,
+    so t* <= D/n <= c."""
     out = []
     for g in graphs:
-        if not is_twin_free(g):
+        if not is_twin_free(g) or max(g.degrees()) * c.denominator <= c.numerator * g.n:
             continue
         if not is_edge_maximal_locally_bipartite(g):
             continue
@@ -251,7 +267,7 @@ def _share(level: Level, test, k: int, r: int) -> tuple[dict, int, int]:
             children += 1
             child = parent.with_vertex(mask)
             key, child_autos = _canonical_search(
-                child, set_up.root(mask), partial(set_up.twin_masks, mask)
+                child, set_up.root(mask), partial(set_up.twin_masks, mask), seen
             )
             if key not in seen:
                 seen[key] = (child.adj, child_autos)
@@ -356,13 +372,31 @@ def enumerate_extremal(
     return SearchResult(n_max, c, found, exhausted=True, levels=levels)
 
 
+def _json_text(obj: dict | list) -> Iterator[str]:
+    """The text of ``json.dumps(obj)`` for a list or a dict with str keys, in
+    pieces: an item that is a list goes through the C encoder 256 items at a
+    time, so neither the text of a large level nor a list of its chunks (which
+    ``json.dumps`` builds first) is ever held whole."""
+    dumps = json.dumps
+    is_dict = isinstance(obj, dict)
+    heads = [dumps(key) + ": " for key in obj] if is_dict else [""] * len(obj)
+    yield "{" if is_dict else "["
+    for i, (head, item) in enumerate(zip(heads, obj.values() if is_dict else obj)):
+        yield (", " if i else "") + head
+        if isinstance(item, list) and item:
+            for j in range(0, len(item), 256):
+                yield ("[" if j == 0 else ", ") + dumps(item[j : j + 256])[1:-1]
+            yield "]"
+        else:
+            yield dumps(item)
+    yield "}" if is_dict else "]"
+
+
 def _digest(state: dict) -> str:
-    """SHA-256 over the threshold, the level number, the level rows and the found entries."""
-    body = [state.get(key) for key in ("c", "level", "graphs", "found")]
+    """SHA-256 over ``json.dumps([c, level, graphs, found])`` of the state."""
     digest = sha256()
-    # chunk by chunk: ``json.dumps`` would hold every chunk of a large level at once
-    for chunk in json.JSONEncoder().iterencode(body):
-        digest.update(chunk.encode())
+    for piece in _json_text([state.get(key) for key in ("c", "level", "graphs", "found")]):
+        digest.update(piece.encode())
     return digest.hexdigest()
 
 
@@ -382,9 +416,7 @@ def _write_checkpoint(path, c, level_n, level, found) -> None:
     # mid-write leaves the previous checkpoint whole.
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        # chunk by chunk, like ``_digest``: the one-shot C encoder of ``json.dumps``
-        # would first build a list of every chunk of the level
-        json.dump(state, fh)
+        fh.writelines(_json_text(state))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

@@ -85,7 +85,12 @@ def _shortest_odd_cycle(adj, region: int) -> tuple[int, ...] | None:
 
 def odd_wheel(g: Graph) -> OddWheelWitness | None:
     """First odd wheel by centre index, with the shortest rim in that neighbourhood."""
-    centre = NeighbourhoodSides(g).odd_neighbourhood()
+    return _odd_wheel(g, NeighbourhoodSides(g))
+
+
+def _odd_wheel(g: Graph, sides: NeighbourhoodSides) -> OddWheelWitness | None:
+    """``odd_wheel(g)``, read from g's table ``sides``."""
+    centre = sides.odd_neighbourhood()
     if centre is None:
         return None
     witness = OddWheelWitness(centre, _shortest_odd_cycle(g.adj, g.adj[centre]))
@@ -263,8 +268,12 @@ def is_edge_maximal_locally_bipartite(g: Graph) -> bool:
     isolated), and so does an odd neighbourhood read on the way.  Only a graph
     with no addable non-edge is 2-coloured in full.
     """
-    adj = g.adj
-    sides = NeighbourhoodSides(g)
+    return _edge_maximal(NeighbourhoodSides(g))
+
+
+def _edge_maximal(sides: NeighbourhoodSides) -> bool:
+    """``is_edge_maximal_locally_bipartite`` of the table's graph, read from ``sides``."""
+    adj = sides.adj
     classes = list(dict.fromkeys(_twin_masks(adj)))  # in order of least member
     for i, a in enumerate(classes):
         u = (a & -a).bit_length() - 1

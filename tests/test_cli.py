@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from localchrom import cli, families, graphio, search
+from localchrom import cli, families, graphio, search, structure
 from localchrom.cli import main
 from localchrom.graphio import emit_graph, parse_graph
 from localchrom.graphs import CertificateError, Graph, WeightedGraph, blow_up
@@ -64,6 +64,22 @@ def test_check_output(capsys, c7bar_file, tmp_path):
     out = capsys.readouterr().out
     assert "locally-bipartite: no" in out
     assert "centre:" in out and "rim:" in out
+
+
+def test_check_colours_each_distinct_row_once(capsys, tmp_path, monkeypatch):
+    # one NeighbourhoodSides table serves the odd-wheel and edge-maximality tests
+    calls = []
+    colouring = structure._two_colouring
+    monkeypatch.setattr(structure, "_two_colouring", lambda adj, rows: calls.append(rows) or colouring(adj, rows))
+    path = tmp_path / "blow.txt"
+    path.write_text(emit_graph(blow_up(families.c7bar(), [40] * 7)))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "locally-bipartite: yes\ntwin-free: no\nedge-maximal: yes\n"
+    assert len(calls) == 7
+    path.write_text(emit_graph(families.wheel(7)))
+    assert main(["check", str(path)]) == 0
+    out = "locally-bipartite: no\ncentre: 7 rim: 3,2,1,0,6,5,4\ntwin-free: yes\nedge-maximal: no\n"
+    assert capsys.readouterr().out == out
 
 
 def test_hom_yes_no(capsys, h2_file, c7bar_file):

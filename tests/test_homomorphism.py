@@ -511,6 +511,21 @@ class TestIsomorphism:
         expected = "2fa3298125cecc7479e457a00dd50ff2023e61220fe33250269bddf6265d6edd"
         assert digest.hexdigest() == expected
 
+    def test_canonical_search_stops_at_a_known_encoding(self):
+        # a relabelled copy of g stops at a leaf of g's encoding and returns it,
+        # with no maps; a graph whose class is not known keeps its full search
+        rng = random.Random(1998)
+        panel = [random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8)) for _ in range(200)]
+        panel += [families.c7bar(), families.h2plus(), families.counterexample8(), petersen()]
+        panel += [blow_up(families.c7bar(), [2] * 7), cycle_power(12, 3)]
+        searched = [(g, _canonical_search(g)) for g in panel]
+        for g, (key, autos) in searched:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert _canonical_search(relabel(g, perm), known={key}) == (key, ())
+            others = {k for h, (k, _) in searched if h.n == g.n and k != key}
+            assert _canonical_search(g, known=others) == (key, autos)
+
     def test_edgeless_and_complete_need_no_recursion(self):
         # all 200 vertices are twins, so the search branches once per level
         # and goes 200 levels deep, with the recursion limit 50 frames away

@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -9,12 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from localchrom import families, search
+from localchrom import families, homomorphism, search, structure
 from localchrom.colouring import SolverTimeout
-from localchrom.graphs import CertificateError, Graph
+from localchrom.graphs import CertificateError, Graph, blow_up
 from localchrom.homomorphism import canonical_form, is_isomorphic
 from localchrom.properties import ANY_GRAPH, TRIANGLE_FREE
 from localchrom.search import check_membership, compact_line, enumerate_extremal, hereditary_graphs
+from localchrom.structure import is_edge_maximal_locally_bipartite, is_twin_free
+from localchrom.weighting import optimal_weighting
 
 F = Fraction
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -73,11 +76,16 @@ def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
     ckpt = tmp_path / "search.ckpt"
     enumerate_extremal(5, F(1, 2), checkpoint_path=str(ckpt))
 
-    def dump_then_crash(state, fh):
-        fh.write(json.dumps(state)[:100])
+    json_text = search._json_text
+
+    def text_then_crash(obj):
+        if isinstance(obj, list):  # the digest's body: whole
+            yield from json_text(obj)
+            return
+        yield from itertools.islice(json_text(obj), 9)  # the file, into the level rows
         raise OSError("disk full")
 
-    monkeypatch.setattr(search.json, "dump", dump_then_crash)
+    monkeypatch.setattr(search, "_json_text", text_then_crash)
     with pytest.raises(OSError, match="disk full"):
         enumerate_extremal(6, F(1, 2), checkpoint_path=str(ckpt), resume_path=str(ckpt))
     monkeypatch.undo()
@@ -475,3 +483,102 @@ def test_shares_that_meet_the_same_class_are_refused(monkeypatch):
     with pytest.raises(CertificateError, match="same class"):
         search._next_level(_level5())
     _no_child_left()
+
+
+def _counting(calls: list, f):
+    """``f``, appending its first argument to ``calls`` on each call."""
+    return lambda first, *rest: calls.append(first) or f(first, *rest)
+
+
+@pytest.mark.parametrize("test", [search.LOCALLY_BIPARTITE, TRIANGLE_FREE], ids=["lb", "triangle-free"])
+def test_a_duplicate_child_search_stops_at_a_known_class(monkeypatch, test):
+    # levels 2..7 as _share makes them, against the same share with every child
+    # searched in full (known forced to ()): the same keys in the same order,
+    # rows, automorphisms and counts, with fewer leaves encoded
+    parents = [search._searched_level([Graph(1)])]
+    for _ in range(5):
+        parents.append(search._next_level(parents[-1], None, test))
+    encoded: list[Graph] = []
+    monkeypatch.setattr(homomorphism, "_encode", _counting(encoded, homomorphism._encode))
+
+    def shares():
+        encoded.clear()
+        made = [search._share(level, test, 1, 0) for level in parents]
+        return [(list(seen.items()), tried, children) for seen, tried, children in made], len(encoded)
+
+    stopped, stopped_leaves = shares()
+    search_in_full = search._canonical_search
+    monkeypatch.setattr(search, "_canonical_search", lambda g, root, twins, known: search_in_full(g, root, twins))
+    full, full_leaves = shares()
+    assert stopped == full
+    assert stopped_leaves < full_leaves
+
+
+@pytest.mark.parametrize("c", [F(-1), 0, F(1, 3), F(1, 2), F(5, 9) - F(1, 100), F(4, 7), F(2, 3)])
+def test_the_degree_bound_drops_no_found_graph(monkeypatch, c):
+    # _filter_level on every locally bipartite graph to n = 7, against the
+    # same filter with no bound: t* of every twin-free edge-maximal graph
+    graphs = list(hereditary_graphs(7))
+    candidates = [g for g in graphs if is_twin_free(g) and is_edge_maximal_locally_bipartite(g)]
+    expected = [(g.adj, t) for g in candidates for t in [optimal_weighting(g).optimum] if t > c]
+    tested: list[Graph] = []
+    edge_maximal = _counting(tested, search.is_edge_maximal_locally_bipartite)
+    monkeypatch.setattr(search, "is_edge_maximal_locally_bipartite", edge_maximal)
+    found = search._filter_level(graphs, F(c))
+    assert [(f.graph.adj, f.t_star) for f in found] == expected
+    twin_free = sum(map(is_twin_free, graphs))
+    assert len(tested) == twin_free if c < 0 else len(tested) < twin_free
+
+
+def test_checkpoint_text_is_json_dumps(tmp_path):
+    # levels 1..7; level 7 (674 graphs) passes the C encoder in three slices
+    ckpt = tmp_path / "search.ckpt"
+    for n in range(1, 8):
+        enumerate_extremal(n, F(1, 2), checkpoint_path=str(ckpt))
+        text = ckpt.read_text()
+        state = json.loads(text)
+        assert text == json.dumps(state)
+        body = [state[key] for key in ("c", "level", "graphs", "found")]
+        assert state["digest"] == hashlib.sha256(json.dumps(body).encode()).hexdigest()
+    assert len(state["graphs"]) == 674 and len(state["found"]) == 2
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        {},
+        [[]],
+        {"graphs": [], "found": [[]]},
+        # the malformed states of tests/test_cli.py
+        {"version": 2, "c": "1/2", "graphs": [[0]], "found": []},
+        {"version": 2, "c": "1/2", "level": 1, "graphs": [["0"]], "found": []},
+        {"version": 2, "c": "1/2", "level": 1, "graphs": [[0]], "found": [{"rows": [0]}]},
+        {"version": 2, "c": "1/0", "level": 1, "graphs": [[0]], "found": []},
+        {
+            "version": 2,
+            "c": "1/2",
+            "level": 1,
+            "graphs": [[0]],
+            "found": [{"rows": [0], "t_star": "1/0", "chi": 1}],
+        },
+        {"é": "é\n", "n": None, "t": True, "x": 1.5, "d": {"a": [1, [2, [3]]]}},
+        [list(range(k)) for k in range(300)],
+        {"graphs": [(k, k + 1) for k in range(256)], "found": [{"rows": (k,)} for k in range(257)]},
+        [None, "c", [[k] for k in range(512)], [[k] for k in range(513)]],
+    ],
+)
+def test_json_text_is_json_dumps(obj):
+    assert "".join(search._json_text(obj)) == json.dumps(obj)
+    if isinstance(obj, dict):
+        body = [obj.get(key) for key in ("c", "level", "graphs", "found")]
+        assert search._digest(obj) == hashlib.sha256(json.dumps(body).encode()).hexdigest()
+
+
+def test_membership_colours_each_distinct_row_once(monkeypatch):
+    # one NeighbourhoodSides table serves local bipartiteness and edge-maximality
+    coloured: list = []
+    monkeypatch.setattr(structure, "_two_colouring", _counting(coloured, structure._two_colouring))
+    report = check_membership(blow_up(families.c7bar(), [40] * 7), 0)
+    assert report.locally_bipartite and report.edge_maximal and not report.twin_free
+    assert len(coloured) == 7
