@@ -9,8 +9,9 @@ T_i = D_i u R_i onto i is then exactly a list homomorphism of G onto the
 target (Hell & Nesetril, *Graphs and Homomorphisms*, 2004; Feder, Hell &
 Huang, *Combinatorica* 19, 1999).  The edges inside D are checked before the
 lists are drawn up and the edges between D and R are kept by the lists, so
-a search of G[R] onto the target decides, one component at a time; it is the
-backtracker of ``homomorphism``, which finds the first list homomorphism or
+a search of G[R] onto the target decides: ``homomorphism._first_map``, the
+first-map search behind ``find_homomorphism``, run with the lists, searches
+each component of G[R] on its own and finds the first list homomorphism or
 shows that there is none.  The targets are C7BAR, or H2PLUS and then its
 augmentation H2PLUS_AUG, whose four extra edges are the tolerated class
 pairs; S counts the edges on tolerated pairs.  The hypotheses guarantee a
@@ -27,12 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 from . import families
 from .colouring import k_colourable, validate_colouring
 from .graphs import CertificateError, Graph, bits, common_neighbourhood, mask_of
-from .homomorphism import _backtrack, _broken_edge, find_subgraph
+from .homomorphism import _broken_edge, _first_map, find_subgraph
 from .structure import is_locally_bipartite, sparse_missing_spoke
 
 DEGREE_THRESHOLD = Fraction(6, 11)
@@ -103,39 +103,6 @@ def _union(masks: list[int], indices) -> int:
     for i in indices:
         out |= masks[i]
     return out
-
-
-def _components(g: Graph, mask: int) -> Iterator[int]:
-    """The vertex bitsets of the connected components of g[mask], by least vertex."""
-    while mask:
-        component = frontier = mask & -mask
-        while frontier:
-            frontier = _union(g.adj, bits(frontier)) & mask & ~component
-            component |= frontier
-        yield component
-        mask &= ~component
-
-
-def _list_hom(g: Graph, lists: dict[int, int], target: Graph) -> dict[int, int] | None:
-    """The first list homomorphism of G[R] onto target, R being the keys of
-    ``lists``, or None.
-
-    Each component of G[R] is searched on its own, so a component without a
-    list homomorphism cannot make the search retry every map of the others.
-    A component's vertices keep their relative order, so the maps are those
-    of one search of the whole of G[R].
-    """
-    image: dict[int, int] = {}
-    for component in _components(g, mask_of(lists)):
-        members = [*bits(component)]
-        index = {v: k for k, v in enumerate(members)}
-        rows = [mask_of(index[u] for u in bits(g.adj[v] & component)) for v in members]
-        options = [lists[v] for v in members]
-        found = next(_backtrack(Graph.from_rows(rows), target, False, False, options), None)
-        if found is None:
-            return None
-        image.update(zip(members, found))
-    return image
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +208,20 @@ def _build(g: Graph, anchor: tuple[int, ...], case: _Case) -> DecompositionCerti
     except _Reject as exc:
         return _failed(case.kind, str(exc), anchor=anchor, audit=audit)
     for outcome, name, target, palette in case.targets:
-        image = _list_hom(g, lists, target)
+        image = _first_map(g, target, mask_of(lists), lists)
         if image is not None:
             break
     else:
         reason = f"no list homomorphism of G[R] onto {name}"
         return _failed(case.kind, reason, anchor=anchor, audit=audit)
 
-    label = [-1] * g.n
+    label = [*image]
     for i in range(7):
         for x in bits(d_sets[i]):
             label[x] = i
     r_masks = [0] * target.n
-    for r, c in image.items():
-        label[r] = c
-        r_masks[c] |= 1 << r
+    for r in lists:
+        r_masks[image[r]] |= 1 << r
     hom = tuple(label)
     bad = _broken_edge(g, target, hom)
     if bad is not None:

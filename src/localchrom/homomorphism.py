@@ -1,18 +1,18 @@
 """Exact decision procedures: homomorphism, (induced) subgraph, isomorphism.
 
-One backtracker, ``_backtrack``, serves ``find_homomorphism``,
-``subgraph_embeddings``, ``find_subgraph`` and the list homomorphisms of
-``decompose``.  Its flag ``injective`` keeps used host vertices out and drops
-host vertices of too small a degree; its flag ``induced`` also keeps placed
-non-neighbours' images non-adjacent; its ``lists`` keep each pattern vertex's
-images inside its own list.  Pattern vertices are processed in descending
-degree order (ties by index) and candidate images in ascending index order,
-so failures and certificates are reproducible.  Host twins (equal open or
-equal closed neighbourhoods, as in a blow-up) are interchangeable outside the
-partial image, so a dead end is explored once per twin class rather than once
-per twin (the twin pruning of Ren & Wang, PVLDB 8(5), 2015); only empty
-subtrees are skipped, so every map and its position in the order are
-unchanged.  ``brute_force_homomorphism`` is a separate oracle.
+One backtracker, ``_backtrack``, serves ``subgraph_embeddings`` and
+``_first_map``, the first-map search of ``find_homomorphism`` and
+``decompose``, one component at a time.  Its flag ``injective`` keeps used host
+vertices out and drops host vertices of too small a degree; its flag
+``induced`` also keeps placed non-neighbours' images non-adjacent; its
+``lists`` keep each pattern vertex's images inside its own list.  Pattern
+vertices are processed in descending degree order (ties by index) and candidate
+images in ascending index order, so failures and certificates are reproducible.
+Host twins (equal open or equal closed neighbourhoods, as in a blow-up) are
+interchangeable outside the partial image, so a dead end is explored once per
+twin class rather than once per twin (the twin pruning of Ren & Wang, PVLDB
+8(5), 2015); only empty subtrees are skipped, so every map and its position in
+the order are unchanged.  ``brute_force_homomorphism`` is a separate oracle.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ def _backtrack(
     induced: bool,
     lists: list[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Every map V(pattern) -> V(host) preserving edges, in a fixed order.
+    """Every map V(pattern) -> V(host) preserving edges, in a fixed order:
+    the first one for ``_first_map``, all injective ones for ``subgraph_embeddings``.
 
     Pattern vertices are placed in ``_pattern_order`` and each one's images
     are tried in ascending index, so the maps come out in lexicographic order
@@ -151,9 +152,42 @@ def _backtrack(
         untried[i] = candidates
 
 
+def _first_map(
+    g: Graph, host: Graph, region: int, lists: dict[int, int] | None = None
+) -> tuple[int, ...] | None:
+    """The first map of g[region] into host in ``_backtrack``'s order (-1 off
+    region), or None; v's images lie in ``lists[v]``.  A component keeps its
+    vertices' order and degrees, and a product's first map is that of its
+    factors, so each component is searched alone, not under others' maps."""
+    whole, full, image = (1 << g.n) - 1, (1 << host.n) - 1, [-1] * g.n
+    while region:
+        component = frontier = region & -region
+        while frontier and component != region:  # stop once no vertex is left out
+            v = frontier.bit_length() - 1
+            new = g.adj[v] & region & ~component
+            component, frontier = component | new, frontier ^ 1 << v | new
+        region ^= component
+        members = range(g.n) if component == whole else [*bits(component)]
+        options = None if lists is None else [lists[v] for v in members]
+        if component == whole:  # connected: searched as it is
+            return next(_backtrack(g, host, False, False, options), None)
+        if len(members) == 1:  # a lone vertex takes its least candidate
+            low = full if options is None else full & options[0]
+            found = ((low & -low).bit_length() - 1,) if low else None
+        else:
+            index = {v: k for k, v in enumerate(members)}
+            rows = tuple([mask_of(index[u] for u in bits(g.adj[v] & component)) for v in members])
+            found = next(_backtrack(Graph._of_valid_rows(rows), host, False, False, options), None)
+        if found is None:
+            return None
+        for v, x in zip(members, found):
+            image[v] = x
+    return tuple(image)
+
+
 def find_homomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
-    """The first map V(g) -> V(h) preserving edges, or None (see ``_backtrack``)."""
-    return next(_backtrack(g, h, injective=False, induced=False), None)
+    """The first map V(g) -> V(h) preserving edges, or None (see ``_first_map``)."""
+    return _first_map(g, h, (1 << g.n) - 1)
 
 
 def brute_force_homomorphism(g: Graph, h: Graph) -> bool:

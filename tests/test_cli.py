@@ -89,6 +89,16 @@ def test_hom_yes_no(capsys, h2_file, c7bar_file):
     assert capsys.readouterr().out.strip() == "NO"
 
 
+def test_hom_no_on_a_late_component(capsys, tmp_path, c7bar_file):
+    # K_{6,6} + K4: the K4 has no map into C7BAR, and one search per component
+    # stops there instead of retrying it under every map of the K_{6,6}
+    pattern = tmp_path / "pattern.txt"
+    edges = [(u, v) for u in range(6) for v in range(6, 12)]
+    pattern.write_text(emit_graph(Graph(16, edges + [(u, v) for u in range(12, 16) for v in range(u + 1, 16)])))
+    assert main(["hom", str(pattern), c7bar_file]) == 1
+    assert capsys.readouterr().out == "NO\n"
+
+
 def test_hom_iso(capsys, tmp_path, c7bar_file):
     delta2 = tmp_path / "delta2.txt"
     delta2.write_text(emit_graph(families.delta(2)))

@@ -11,14 +11,13 @@ import pytest
 from localchrom import families
 from localchrom.colouring import chromatic_number, k_colourable, validate_colouring
 from localchrom.decompose import (
-    _list_hom,
     decompose_auto,
     decompose_c7bar,
     decompose_h2plus,
     verify_profile,
 )
 from localchrom.graphs import CertificateError, Graph, bits, blow_up, blow_up_classes, mask_of, relabel
-from localchrom.homomorphism import _backtrack, _pattern_order, find_subgraph, is_homomorphism
+from localchrom.homomorphism import _backtrack, _first_map, _pattern_order, find_subgraph, is_homomorphism
 from localchrom.report import h2plus_decomposition_instance
 from localchrom.structure import is_locally_bipartite
 
@@ -340,8 +339,8 @@ class TestListHomomorphism:
             maps.sort(key=lambda m: [m[v] for v in order])
             assert list(_backtrack(g, target, False, False, lists)) == maps
             # one component at a time, the first map is that of one search
-            first = _list_hom(g, dict(enumerate(lists)), target)
-            assert first == (dict(enumerate(maps[0])) if maps else None)
+            first = _first_map(g, target, (1 << n) - 1, dict(enumerate(lists)))
+            assert first == (maps[0] if maps else None)
             found.add(bool(maps))
             split_twins += any((options >> 2 ^ options >> 5) & 1 for options in lists)
         assert found == {True, False}
@@ -353,7 +352,7 @@ class TestListHomomorphism:
         # have many maps each; the K4 after them has none.  One search of G[R]
         # would retry the K4 under every map of the K_{3,3}s (over two minutes
         # with two of them); one search per component stops at the K4.
-        from localchrom import decompose
+        from localchrom import homomorphism
         from localchrom.decompose import _C7BAR_CASE, _build
 
         sizes = []
@@ -362,7 +361,7 @@ class TestListHomomorphism:
             sizes.append(pattern.n)
             return _backtrack(pattern, host, injective, induced, lists)
 
-        monkeypatch.setattr(decompose, "_backtrack", counted)
+        monkeypatch.setattr(homomorphism, "_backtrack", counted)
         edges = list(families.c7bar().edges())
         for v in (7, 13, 19):
             edges += [(x, y) for x in range(v, v + 3) for y in range(v + 3, v + 6)]
@@ -479,10 +478,10 @@ class TestOneAnchorSearch:
         searches = []
         backtrack = homomorphism._backtrack
 
-        def counted(pattern, host, injective, induced):
+        def counted(pattern, host, injective, induced, lists=None):
             if injective and pattern == families.c7bar():
                 searches.append(host.n)
-            return backtrack(pattern, host, injective, induced)
+            return backtrack(pattern, host, injective, induced, lists)
 
         monkeypatch.setattr(homomorphism, "_backtrack", counted)
         g = blow_up(families.c7bar(), [3] * 7)

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import random
 import sys
+import time
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -320,6 +321,86 @@ class TestBacktracker:
             iso = as_maps(matcher.subgraph_isomorphisms_iter(), p.n)
             assert set(subgraph_embeddings(p, h, induced=False)) == mono
             assert set(subgraph_embeddings(p, h, induced=True)) == iso
+
+
+def disjoint_union(parts):
+    """The disjoint union of ``parts``, each on the next block of labels."""
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.n
+    return Graph(offset, edges)
+
+
+def kaa_k4(a):
+    """K_{a,a} on 0..2a-1, then K4: the K4 comes last in the search order and
+    has no map into C7BAR, whose clique number is 3."""
+    return disjoint_union([blow_up(Graph(2, [(0, 1)]), [a, a]), complement(Graph(4))])
+
+
+class TestFirstMap:
+    """find_homomorphism searches each component of the pattern on its own."""
+
+    def test_vs_whole_pattern_search(self):
+        # oracle: one search of the whole pattern, and brute force on small
+        # pairs; the labels are shuffled so that the components interleave
+        rng = random.Random(36)
+        named = [families.c7bar(), families.h2plus(), families.h2(), families.delta(3)]
+        named += [cycle_power(3, 1), cycle_power(5, 1), Graph(2, [(0, 1)])]
+        outcomes = Counter()
+        late = 0  # NO on a part whose least vertex comes after that of a part with maps
+        for _ in range(300):
+            parts = [random_graph(rng, rng.randint(1, 5), rng.uniform(0.3, 0.9)) for _ in range(rng.randint(2, 4))]
+            perm = list(range(sum(part.n for part in parts)))
+            rng.shuffle(perm)
+            g = relabel(disjoint_union(parts), perm)
+            starts, offset = [], 0
+            for part in parts:
+                starts.append(min(perm[offset : offset + part.n]))
+                offset += part.n
+            for h in named + [twin_host(rng, classes=(1, 3))]:
+                first = find_homomorphism(g, h)
+                assert first == next(_backtrack(g, h, False, False), None)
+                if g.n <= 7 and h.n <= 8:
+                    assert (first is not None) == brute_force_homomorphism(g, h)
+                outcomes[first is not None] += 1
+                if first is None:
+                    maps = [find_homomorphism(part, h) is not None for part in parts]
+                    fails = min(start for start, ok in zip(starts, maps) if not ok)
+                    late += any(ok and start < fails for start, ok in zip(starts, maps))
+        assert outcomes[True] and outcomes[False]
+        assert late >= 50
+
+    def test_one_search_per_component(self, monkeypatch):
+        # K_{3,3} + K4 into C7BAR: a search of the 6 vertices, then of the 4,
+        # where one search of the whole pattern has 10
+        from localchrom import homomorphism
+
+        sizes = []
+
+        def counted(pattern, host, injective, induced, lists=None):
+            sizes.append(pattern.n)
+            return _backtrack(pattern, host, injective, induced, lists)
+
+        monkeypatch.setattr(homomorphism, "_backtrack", counted)
+        assert find_homomorphism(kaa_k4(3), families.c7bar()) is None
+        assert sizes == [6, 4]
+
+    def test_a_late_component_without_maps_ends_the_search(self):
+        # one search of the whole pattern retries the K4 under every map of
+        # the K_{6,6} into C7BAR: 22 s; one search per component, milliseconds
+        start = time.perf_counter()
+        assert find_homomorphism(kaa_k4(6), families.c7bar()) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_lone_vertices_take_their_least_candidate(self):
+        # isolated vertices are not searched; the map is still the whole search's
+        g = Graph(5, [(1, 3)])
+        for h in (families.c7bar(), Graph(2, [(0, 1)]), Graph(3)):
+            first = find_homomorphism(g, h)
+            assert first == next(_backtrack(g, h, False, False), None)
+        assert find_homomorphism(Graph(3), Graph(0)) is None
+        assert find_homomorphism(Graph(0), Graph(0)) == ()
 
 
 def refine_by_multisets(g, colour):
