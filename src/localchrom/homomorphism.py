@@ -152,14 +152,9 @@ def _backtrack(
         untried[i] = candidates
 
 
-def _first_map(
-    g: Graph, host: Graph, region: int, lists: dict[int, int] | None = None
-) -> tuple[int, ...] | None:
-    """The first map of g[region] into host in ``_backtrack``'s order (-1 off
-    region), or None; v's images lie in ``lists[v]``.  A component keeps its
-    vertices' order and degrees, and a product's first map is that of its
-    factors, so each component is searched alone, not under others' maps."""
-    whole, full, image = (1 << g.n) - 1, (1 << host.n) - 1, [-1] * g.n
+def _components(g: Graph, region: int) -> Iterator[tuple[range | list[int], Graph]]:
+    """The components of g[region] by least vertex, each as its members and its
+    graph: g itself when it is all of g, else g[component] in members' order."""
     while region:
         component = frontier = region & -region
         while frontier and component != region:  # stop once no vertex is left out
@@ -167,17 +162,30 @@ def _first_map(
             new = g.adj[v] & region & ~component
             component, frontier = component | new, frontier ^ 1 << v | new
         region ^= component
-        members = range(g.n) if component == whole else [*bits(component)]
+        if component == (1 << g.n) - 1:
+            yield range(g.n), g  # connected: searched as it is
+            continue
+        members = [*bits(component)]
+        index = {v: k for k, v in enumerate(members)}
+        rows = tuple([mask_of(index[u] for u in bits(g.adj[v] & component)) for v in members])
+        yield members, Graph._of_valid_rows(rows)
+
+
+def _first_map(
+    g: Graph, host: Graph, region: int, lists: dict[int, int] | None = None
+) -> tuple[int, ...] | None:
+    """The first map of g[region] into host in ``_backtrack``'s order (-1 off
+    region), or None; v's images lie in ``lists[v]``.  A component keeps its
+    vertices' order and degrees, and a product's first map is that of its
+    factors, so each component is searched alone, not under others' maps."""
+    full, image = (1 << host.n) - 1, [-1] * g.n
+    for members, part in _components(g, region):
         options = None if lists is None else [lists[v] for v in members]
-        if component == whole:  # connected: searched as it is
-            return next(_backtrack(g, host, False, False, options), None)
         if len(members) == 1:  # a lone vertex takes its least candidate
             low = full if options is None else full & options[0]
             found = ((low & -low).bit_length() - 1,) if low else None
         else:
-            index = {v: k for k, v in enumerate(members)}
-            rows = tuple([mask_of(index[u] for u in bits(g.adj[v] & component)) for v in members])
-            found = next(_backtrack(Graph._of_valid_rows(rows), host, False, False, options), None)
+            found = next(_backtrack(part, host, False, False, options), None)
         if found is None:
             return None
         for v, x in zip(members, found):
@@ -219,8 +227,14 @@ def brute_force_homomorphism(g: Graph, h: Graph) -> bool:
 
 
 def subgraph_embeddings(pattern: Graph, host: Graph, induced: bool) -> Iterator[tuple[int, ...]]:
-    """All injective maps preserving edges (and non-edges when induced)."""
-    if pattern.n <= host.n:
+    """All injective maps preserving edges (and non-edges when induced).  Two or
+    more components with an edge must each embed on their own first: a map's
+    restriction to one is its embedding, so no map is lost, and a component
+    that embeds nowhere is not retried under every placement of the others."""
+    if pattern.n > host.n:
+        return
+    parts = [part for members, part in _components(pattern, (1 << pattern.n) - 1) if len(members) > 1]
+    if len(parts) < 2 or all(next(_backtrack(p, host, True, induced), None) for p in parts):
         yield from _backtrack(pattern, host, injective=True, induced=induced)
 
 
@@ -246,17 +260,17 @@ def _refine(g: Graph, cells: list[int], fresh: list[int] | None = None) -> list[
     larger colour, so descending count vectors are ascending multisets.
 
     Only the counts against ``fresh`` cells are taken: in the first round
-    those given (every input cell by default), then the cells that the
-    previous round created by a split, in partition order (B. D. McKay and
-    A. Piperno, "Practical graph isomorphism, II", 2014).  The vertices of a
-    cell X have equal counts against every cell that was already in the
-    previous partition, since that is how X was split from it, so the count
-    vectors over every cell and over the fresh cells rank X's vertices alike:
-    the cells and their order are those of the full count.  After
-    individualising v in an equitable partition, ``fresh = [1 << v]``
-    suffices: a vertex's count against its old cell C minus v is its count
-    against C, equal across its own cell, less its adjacency to v, and {v}
-    comes first.
+    those given (every input cell by default), then every piece but the last
+    of each cell that the previous round split, in partition order (B. D.
+    McKay and A. Piperno, "Practical graph isomorphism, II", J. Symbolic
+    Comput. 60, 2014).  The vertices of a cell X have equal counts against
+    every cell C of the previous partition, since that is how X was split from
+    it, so their count against C's last piece is that against C less those
+    against its other pieces: the count vectors over every cell and over the
+    fresh cells rank X's vertices alike, and the cells and their order are
+    those of the full count.  After individualising v in an equitable
+    partition, ``fresh = [1 << v]`` suffices: a vertex's count against its old
+    cell C minus v is its count against C, less its adjacency to v.
 
     The counts are bit-sliced: bit j of the counts against a fresh cell F is
     one vertex bitset, F's slice j, built by adding each member's row of F to
@@ -318,7 +332,7 @@ def _refine(g: Graph, cells: list[int], fresh: list[int] | None = None) -> list[
                     pieces = split
                 if pieces:
                     new += pieces
-                    created += pieces
+                    created += pieces[:-1]
                     continue
             new.append(cell)
         cells, fresh = new, created
@@ -382,7 +396,9 @@ def _canonical_search(
 
     ``root`` is g's degree partition in ascending degree and ``twin_masks()``
     is ``_twin_masks(g.adj)``; both are computed from g unless given, and the
-    twin masks only at the first node that branches.
+    twin masks only at the first node that branches.  The root is refined
+    against every cell but its last, as a split cell is (see ``_refine``): a
+    vertex's count against V(g), its degree, is equal across its cell.
 
     ``known`` holds canonical encodings of graphs on n vertices; the search
     returns at the first leaf whose encoding is in it, with no maps.  A leaf's
@@ -408,7 +424,7 @@ def _canonical_search(
     if root is None:
         by_degree = _classes_by_row(g.degrees())
         root = [by_degree[d] for d in sorted(by_degree)]
-    stack: list[tuple[list[int], list[int] | None]] = [(root, None)]  # (cells, fresh)
+    stack = [(root, root[:-1])]  # (cells, fresh)
     while stack:
         cells = _refine(g, *stack.pop())
         # order: the singleton cells in front of the first larger cell, cells[k],

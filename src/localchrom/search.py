@@ -29,9 +29,8 @@ of neighbourhood sides (``structure.NeighbourhoodSides``), which 2-colours each
 distinct row of the parent on its first read.  A child's canonical search
 starts from its degree partition and, once it branches, reads its twin masks;
 both come from the parent's degree and twin classes by a few bit operations on
-the mask (``_ChildSetUp``).  The search refines against the cells that the
-last round split; a cell's vertices agree on every older cell, so the cells
-and their order are those of refining against every cell (``_refine``).
+the mask (``_ChildSetUp``).  Its refinement counts against all but the last
+piece of each cell that the last round split (``_refine``).
 
 A child's search is handed the classes met so far and stops at its first leaf
 whose encoding is one of their keys (``_canonical_search``'s ``known``): that
@@ -89,14 +88,11 @@ MAX_N = 10  # documented desk-scale bound
 LOCALLY_BIPARTITE = (NeighbourhoodSides, locally_bipartite_with_vertex)  # the search's child test
 Level = list[tuple[Graph, tuple[tuple[int, ...], ...]]]  # (graph, its search's autos), in order
 # A level is split over processes from this many parents on.  On a shared
-# 2-core x86-64 host with Python 3.11, a fork, its pipe and the merge cost about
-# 2 ms, so two shares already beat one from about 30 parents (29 parents of
-# the locally bipartite search: 11.2 -> 9.9 ms; 119 parents: 97 -> 69 ms;
-# 674 parents: 1.12 -> 0.64 s).  Below 128 parents a split saves at most about
-# 30 ms.  The value stays where the split was first measured: it keeps level 7
-# of the search to n = 8 (119 parents) in one process, and lowering it waits
-# for a re-measure of that search.
-SPLIT_MIN_PARENTS = 128
+# 2-core x86-64 host with Python 3.11, one process and two take, for levels 6, 7
+# and 8 (29, 119 and 674 parents; medians in a quiet and in a busy hour): 16.8 ->
+# 14.7 and 20.3 -> 16.3 ms, 91 -> 65 and 150 -> 97 ms, 1.01 -> 0.67 and 1.47 ->
+# 1.00 s.  So level 7 is split, and level 6, where a split saves 2-4 ms, is not.
+SPLIT_MIN_PARENTS = 32
 
 
 @dataclass(frozen=True)
@@ -158,16 +154,20 @@ def check_membership(g: Graph, c: Fraction | int) -> MembershipReport:
 def _filter_level(graphs: list[Graph], c: Fraction) -> list[FoundGraph]:
     """The twin-free edge-maximal graphs among ``graphs`` with t* > c.
 
-    A graph whose maximum degree D is at most c * n is dropped before the
-    edge-maximality test (compared in integers, D * q <= p * n for c = p/q):
-    under the uniform dual y = 1/n, every weighting w has
-    min_v deg_w(v) <= sum_v y_v deg_w(v) = sum_u w_u deg(u) / n <= D/n,
-    so t* <= D/n <= c."""
+    Two bounds drop a graph before the edge-maximality test.  The degree bound
+    drops maximum degree D <= c * n (D * q <= p * n for c = p/q): under the
+    uniform dual y = 1/n, every weighting w has min_v deg_w(v) <= sum_v y_v
+    deg_w(v) = sum_u w_u deg(u) / n <= D/n, so t* <= D/n <= c.  The reach bound
+    drops non-adjacent u, v with no common neighbour: joining them puts each in
+    the other's neighbourhood isolated and changes no other one.  It is kept
+    out of ``structure._edge_maximal``, where large hosts would pay for it."""
     out = []
     for g in graphs:
         if not is_twin_free(g) or max(g.degrees()) * c.denominator <= c.numerator * g.n:
             continue
-        if not is_edge_maximal_locally_bipartite(g):
+        adj = g.adj
+        reached = all(row >> u & 1 or row & adj[u] for v, row in enumerate(adj) for u in range(v))
+        if not reached or not is_edge_maximal_locally_bipartite(g):
             continue
         result = optimal_weighting(g)
         if result.optimum > c:
@@ -372,51 +372,50 @@ def enumerate_extremal(
     return SearchResult(n_max, c, found, exhausted=True, levels=levels)
 
 
-def _json_text(obj: dict | list) -> Iterator[str]:
-    """The text of ``json.dumps(obj)`` for a list or a dict with str keys, in
-    pieces: an item that is a list goes through the C encoder 256 items at a
-    time, so neither the text of a large level nor a list of its chunks (which
-    ``json.dumps`` builds first) is ever held whole."""
-    dumps = json.dumps
-    is_dict = isinstance(obj, dict)
-    heads = [dumps(key) + ": " for key in obj] if is_dict else [""] * len(obj)
-    yield "{" if is_dict else "["
-    for i, (head, item) in enumerate(zip(heads, obj.values() if is_dict else obj)):
-        yield (", " if i else "") + head
-        if isinstance(item, list) and item:
-            for j in range(0, len(item), 256):
-                yield ("[" if j == 0 else ", ") + dumps(item[j : j + 256])[1:-1]
-            yield "]"
-        else:
-            yield dumps(item)
-    yield "}" if is_dict else "]"
+def _json_text(item) -> Iterator[str]:
+    """The text of ``json.dumps(item)`` in pieces: a list goes through the C
+    encoder 256 items at a time, so neither the text of a large level nor the
+    list of its chunks (which ``json.dumps`` builds first) is ever held whole."""
+    if not isinstance(item, list) or not item:
+        yield json.dumps(item)
+        return
+    for j in range(0, len(item), 256):
+        yield ("[" if j == 0 else ", ") + json.dumps(item[j : j + 256])[1:-1]
+    yield "]"
 
 
-def _digest(state: dict) -> str:
-    """SHA-256 over ``json.dumps([c, level, graphs, found])`` of the state."""
+def _digest(state: dict, write=lambda text: None) -> str:
+    """SHA-256 over ``json.dumps([c, level, graphs, found])`` of the state.  Each
+    piece of the text of a value also goes to ``write``, after ``, "key": ``."""
     digest = sha256()
-    for piece in _json_text([state.get(key) for key in ("c", "level", "graphs", "found")]):
-        digest.update(piece.encode())
+    for i, key in enumerate(("c", "level", "graphs", "found")):
+        digest.update(b", " if i else b"[")
+        write(f', "{key}": ')
+        for piece in _json_text(state.get(key)):
+            digest.update(piece.encode())
+            write(piece)
+    digest.update(b"]")
     return digest.hexdigest()
 
 
 def _write_checkpoint(path, c, level_n, level, found) -> None:
+    """``json.dumps`` of {version, c, level, graphs, found, digest}, each value encoded once."""
     if path is None:
         return
     state = {
-        "version": 2,
         "c": str(c),
         "level": level_n,
         # JSON writes the row tuples as arrays: no copies, and the same bytes
         "graphs": [g.adj for g, _ in level],
         "found": [{"rows": f.graph.adj, "t_star": str(f.t_star), "chi": f.chi} for f in found],
     }
-    state["digest"] = _digest(state)
     # Write a sibling file and rename it over the checkpoint, so that a crash
     # mid-write leaves the previous checkpoint whole.
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        fh.writelines(_json_text(state))
+        fh.write('{"version": 2')
+        digest = _digest(state, fh.write)
+        fh.write(f', "digest": "{digest}"}}')
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

@@ -7,7 +7,8 @@ tasks, this process runs those that no worker hands back whole: a failed
 worker's (so that its exception surfaces here), a dead one's, and those of
 every worker from the first that cannot be started (no pipe or no process to
 spare).  No worker outlives the call, however it ends, and none returns into
-the caller's stack.  A worker sees one usable CPU, so it never forks again.
+the caller's stack.  A worker sees one usable CPU, so it never forks again, and
+a task run here sees its CPUs less its live workers: one process per CPU.
 """
 
 import marshal
@@ -15,20 +16,21 @@ import os
 import signal
 
 _in_worker = False  # set only in a forked worker, which exits when its tasks end
+_live = 0  # workers this process has started and not yet reaped
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on; 1 in a worker, and where that is unknown
-    or ``os.fork`` is missing."""
+    """The CPUs this process may run on, less one per live worker of its own, and
+    at least 1; 1 in a worker, and where that is unknown or ``os.fork`` is missing."""
     if _in_worker or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    return len(os.sched_getaffinity(0))
+    return max(1, len(os.sched_getaffinity(0)) - _live)
 
 
 def run_tasks(tasks: list, k: int) -> tuple[list, int]:
     """Each zero-argument task's result, in task order, and the number of
     processes that ran them, at most ``k``.  Results must be marshallable."""
-    global _in_worker
+    global _in_worker, _live
     k = min(k, len(tasks)) or 1
     pids, pipes = {}, {}  # r -> its worker until reaped, and the read end of its pipe
     try:
@@ -38,6 +40,7 @@ def run_tasks(tasks: list, k: int) -> tuple[list, int]:
                 pipes[r] = open(read_end, "rb")
                 with open(write_end, "wb") as out:
                     pids[r] = os.fork()
+                    _live += 1
                     if pids[r] == 0:  # the worker
                         _in_worker, status = True, 1
                         try:
@@ -53,6 +56,7 @@ def run_tasks(tasks: list, k: int) -> tuple[list, int]:
             handed = None
             if r in pids:
                 payload = pipes[r].read()  # marshal.load would read in pieces, ten times slower
+                _live -= 1
                 _, status = os.waitpid(pids.pop(r), 0)
                 if os.waitstatus_to_exitcode(status) == 0:
                     handed = marshal.loads(payload)
@@ -62,5 +66,6 @@ def run_tasks(tasks: list, k: int) -> tuple[list, int]:
         for pipe in pipes.values():
             pipe.close()
         for pid in pids.values():
+            _live -= 1
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -6,7 +6,7 @@ import random
 import sys
 import time
 from collections import Counter
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 
@@ -403,6 +403,52 @@ class TestFirstMap:
         assert find_homomorphism(Graph(0), Graph(0)) == ()
 
 
+class TestInjectiveComponents:
+    """An injective search first needs each component with an edge to embed alone."""
+
+    def test_vs_whole_pattern_search(self):
+        # oracle: the plain injective search of the whole pattern, over shuffled
+        # disjoint unions; a component that embeds nowhere ends the search, and
+        # components that each embed may still have no joint embedding
+        rng = random.Random(37)
+        hosts = [families.c7bar(), families.h2plus(), families.delta(3), cycle_power(9, 2), Graph(8)]
+        outcomes = Counter()
+        for _ in range(150):
+            parts = [random_graph(rng, rng.randint(1, 4), rng.uniform(0.3, 0.9)) for _ in range(rng.randint(2, 3))]
+            perm = list(range(sum(part.n for part in parts)))
+            rng.shuffle(perm)
+            g = relabel(disjoint_union(parts), perm)
+            for h in hosts + [twin_host(rng, classes=(1, 3))]:
+                for induced in (False, True):
+                    maps = list(islice(subgraph_embeddings(g, h, induced), 300))
+                    whole = list(islice(_backtrack(g, h, True, induced), 300)) if g.n <= h.n else []
+                    assert maps == whole
+                    alone = all(find_subgraph(p, h, induced) for p in parts if p.edge_count())
+                    outcomes[bool(maps), alone] += 1
+        assert outcomes[True, True] and outcomes[False, False] and outcomes[False, True]
+        assert not outcomes[True, False]
+
+    def test_a_component_that_embeds_nowhere_ends_the_search(self, monkeypatch):
+        # K_{3,3} + K4 into DELTA(5), which has no K4: the K_{3,3} alone, then
+        # the K4 alone, and no search of the whole pattern (28.7 s without)
+        from localchrom import homomorphism
+
+        sizes = []
+
+        def counted(pattern, host, injective, induced, lists=None):
+            sizes.append(pattern.n)
+            return _backtrack(pattern, host, injective, induced, lists)
+
+        monkeypatch.setattr(homomorphism, "_backtrack", counted)
+        start = time.perf_counter()
+        assert find_subgraph(kaa_k4(3), families.delta(5)) is None
+        assert time.perf_counter() - start < 1.0
+        assert sizes == [6, 4]
+        sizes.clear()
+        assert find_subgraph(families.c7bar(), families.delta(3)) is not None
+        assert sizes == [7]  # a connected pattern: one search
+
+
 def refine_by_multisets(g, colour):
     """Reference colour refinement on a colour list: new colours are ranks of
     (old colour, sorted neighbour-colour multiset), until no class splits."""
@@ -575,6 +621,36 @@ class TestIsomorphism:
                             assert expected == split
                             assert _refine(g, split, []) == split
         assert widest >= 16  # five count bits
+
+    def test_refine_skips_the_last_piece_of_each_split_cell(self):
+        # from the degree partition, counting against every cell but its last
+        # (as _canonical_search starts) gives the cells of counting against
+        # every cell, and both those of the reference, which counts against
+        # every piece of every split cell; so does every individualisation of
+        # the refined partition.  Regular graphs have one cell: nothing fresh
+        rng = random.Random(2016)
+        regular = 0
+        for n in range(1, 41):
+            base = random_graph(rng, rng.randint(1, 4), rng.uniform(0.3, 0.9))
+            sizes = [rng.randint(1, 20) for _ in range(base.n)]
+            hosts = [random_graph(rng, n, rng.uniform(0.1, 0.9)), Graph(n)]
+            if n >= 3:
+                hosts.append(cycle_power(n, rng.randint(1, (n - 1) // 2)))
+            if sum(sizes) <= 40:
+                perm = list(range(sum(sizes)))
+                rng.shuffle(perm)
+                hosts.append(relabel(blow_up(base, sizes), perm))
+            for g in hosts:
+                by_degree = _classes_by_row(g.degrees())
+                root = [by_degree[d] for d in sorted(by_degree)]
+                regular += len(root) == 1
+                cells = _refine(g, root, root[:-1])
+                assert cells == _refine(g, root) == refine_by_packed_signatures(g, root)
+                for k, cell in enumerate(cells):
+                    for v in bits(cell) if cell & (cell - 1) else ():
+                        split = cells[:k] + [1 << v, cell ^ 1 << v] + cells[k + 1 :]
+                        assert _refine(g, split, [1 << v]) == refine_by_packed_signatures(g, split)
+        assert regular > 80
 
     def test_canonical_search_is_frozen(self):
         # SHA-256 over _canonical_search (encoding and the automorphisms that

@@ -78,12 +78,11 @@ def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
 
     json_text = search._json_text
 
-    def text_then_crash(obj):
-        if isinstance(obj, list):  # the digest's body: whole
-            yield from json_text(obj)
-            return
-        yield from itertools.islice(json_text(obj), 9)  # the file, into the level rows
-        raise OSError("disk full")
+    def text_then_crash(item):
+        if isinstance(item, list) and item and len(item[0]) == 6:  # the new level's rows
+            yield from itertools.islice(json_text(item), 1)
+            raise OSError("disk full")
+        yield from json_text(item)  # the loaded level 5, and the written c and level
 
     monkeypatch.setattr(search, "_json_text", text_then_crash)
     with pytest.raises(OSError, match="disk full"):
@@ -405,7 +404,7 @@ def test_levels_below_the_split_size_never_fork(monkeypatch):
 
     monkeypatch.setattr(search.os, "fork", no_fork)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 4)
-    result = enumerate_extremal(7, F(1, 2))
+    result = enumerate_extremal(6, F(1, 2))
     assert max(s.parents for s in result.levels) < search.SPLIT_MIN_PARENTS
     assert {s.processes for s in result.levels} == {1}
 
@@ -526,8 +525,20 @@ def test_the_degree_bound_drops_no_found_graph(monkeypatch, c):
     monkeypatch.setattr(search, "is_edge_maximal_locally_bipartite", edge_maximal)
     found = search._filter_level(graphs, F(c))
     assert [(f.graph.adj, f.t_star) for f in found] == expected
-    twin_free = sum(map(is_twin_free, graphs))
-    assert len(tested) == twin_free if c < 0 else len(tested) < twin_free
+    # the reach bound: every two vertices are adjacent or have a common neighbour
+    reached = sum(is_twin_free(g) and _within_two_steps(g) for g in graphs)
+    assert len(tested) == reached if c < 0 else len(tested) < reached
+
+
+def _within_two_steps(g: Graph) -> bool:
+    near = [{v} | {u for e in g.edges() if v in e for u in e} for v in range(g.n)]
+    return all(v in near[u] or near[u] & near[v] for u, v in itertools.combinations(range(g.n), 2))
+
+
+def test_no_graph_out_of_reach_is_edge_maximal():
+    # u and v with no common neighbour join each other's neighbourhood isolated
+    far = [g for g in hereditary_graphs(7) if not _within_two_steps(g)]
+    assert len(far) > 100 and not any(map(is_edge_maximal_locally_bipartite, far))
 
 
 def test_checkpoint_text_is_json_dumps(tmp_path):

@@ -61,8 +61,22 @@ def test_no_more_processes_than_tasks():
 
 
 def test_a_worker_sees_one_usable_cpu():
-    assert workers.run_tasks([workers.usable_cpus] * 2, 2)[0] == [workers.usable_cpus(), 1]
+    # and this process, while its worker lives, one CPU fewer, but at least 1
+    cpus = workers.usable_cpus()
+    assert workers.run_tasks([workers.usable_cpus] * 2, 2)[0] == [max(1, cpus - 1), 1]
+    assert workers.usable_cpus() == cpus
     _no_child_left()
+
+
+def test_a_failed_fork_leaves_no_cpu_held(monkeypatch):
+    cpus = workers.usable_cpus()
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert workers.run_tasks([workers.usable_cpus] * 2, 2) == ([cpus, cpus], 1)
+    assert workers.usable_cpus() == cpus
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -117,8 +131,10 @@ def test_claims_of_a_worker_that_dies_mid_claim_run_here(monkeypatch, serial_cla
 
 
 def test_a_search_in_a_worker_stays_in_one_process(monkeypatch):
-    # every level would be split, but a worker never forks again
+    # every level would be split, but a worker never forks again, and on two
+    # CPUs this process leaves the second to its worker
     monkeypatch.setattr(search, "SPLIT_MIN_PARENTS", 1)
+    _two_cpus(monkeypatch)
     caller = os.getpid()
 
     def levels_by_process() -> str:
@@ -128,7 +144,31 @@ def test_a_search_in_a_worker_stays_in_one_process(monkeypatch):
     monkeypatch.setattr(rp, "build_claims", lambda: [("here", levels_by_process), ("there", levels_by_process)])
     monkeypatch.setattr(rp, "usable_cpus", lambda: 2)
     entries = rp.verify_paper().entries
-    assert [e.detail for e in entries] == [f"here [{workers.usable_cpus()}]", "worker [1]"]
+    assert [e.detail for e in entries] == ["here [1]", "worker [1]"]
+    _no_child_left()
+
+
+def test_a_claim_beside_its_worker_forks_nothing(monkeypatch):
+    # verify-paper on two CPUs: the claim run here, as extremal-search-n7 may
+    # be, sees one usable CPU while the worker runs, so its level 7 (119
+    # parents, at least SPLIT_MIN_PARENTS) stays in this process
+    _two_cpus(monkeypatch)
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    serial = search.enumerate_extremal(7, F(1, 2))
+    assert serial.levels[-1].parents >= search.SPLIT_MIN_PARENTS
+    assert serial.levels[-1].processes == 2 and len(forks) == 1
+
+    def search_here() -> str:
+        before = len(forks)
+        result = search.enumerate_extremal(7, F(1, 2))
+        same = list(map(search.compact_line, result.found)) == list(map(search.compact_line, serial.found))
+        return f"{workers.usable_cpus()} cpu, {len(forks) - before} forks, {[s.processes for s in result.levels]}, {same}"
+
+    monkeypatch.setattr(rp, "build_claims", lambda: [("here", search_here), ("there", lambda: "")])
+    entries = rp.verify_paper().entries
+    assert entries[0].detail == f"1 cpu, 0 forks, {[1] * 6}, True"
+    assert workers.usable_cpus() == 2
     _no_child_left()
 
 
