@@ -11,8 +11,9 @@ Huang, *Combinatorica* 19, 1999).  The edges inside D are checked before the
 lists are drawn up and the edges between D and R are kept by the lists, so
 a search of G[R] onto the target decides: ``homomorphism._first_map``, the
 first-map search behind ``find_homomorphism``, run with the lists, searches
-each component of G[R] on its own and finds the first list homomorphism or
-shows that there is none.  The targets are C7BAR, or H2PLUS and then its
+each component of G[R] on its own, over one vertex per class of open twins
+with equal lists, and finds the first list homomorphism or shows that there
+is none.  The targets are C7BAR, or H2PLUS and then its
 augmentation H2PLUS_AUG, whose four extra edges are the tolerated class
 pairs; S counts the edges on tolerated pairs.  The hypotheses guarantee a
 list homomorphism with S = 0.  Each target carries a fixed 4-colouring.

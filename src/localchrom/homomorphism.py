@@ -2,12 +2,14 @@
 
 One backtracker, ``_backtrack``, serves ``subgraph_embeddings`` and
 ``_first_map``, the first-map search of ``find_homomorphism`` and
-``decompose``, one component at a time.  Its flag ``injective`` keeps used host
-vertices out and drops host vertices of too small a degree; its flag
+``decompose``, one component at a time and in place: it walks the pattern
+vertices it is given, in the order given.  Its flag ``injective`` keeps used
+host vertices out and drops host vertices of too small a degree; its flag
 ``induced`` also keeps placed non-neighbours' images non-adjacent; its
 ``lists`` keep each pattern vertex's images inside its own list.  Pattern
 vertices are processed in descending degree order (ties by index) and candidate
 images in ascending index order, so failures and certificates are reproducible.
+A first map searches one vertex per class of open twins with equal lists.
 Host twins (equal open or equal closed neighbourhoods, as in a blow-up) are
 interchangeable outside the partial image, so a dead end is explored once per
 twin class rather than once per twin (the twin pruning of Ren & Wang, PVLDB
@@ -17,7 +19,7 @@ the order are unchanged.  ``brute_force_homomorphism`` is a separate oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Container, Iterator
+from typing import Callable, Container, Iterator, Mapping, Sequence
 
 from .graphs import CertificateError, Graph, _classes_by_row, _twin_masks, bits, mask_of
 
@@ -50,8 +52,11 @@ def compose(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([second[x] for x in first])
 
 
-def _pattern_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+def _pattern_order(g: Graph, region: int | None = None) -> list[int]:
+    """The vertices of g[region] (all of g by default) by descending degree
+    inside the region, ties by index."""
+    region = (1 << g.n) - 1 if region is None else region
+    return sorted(bits(region), key=lambda v: (-(g.adj[v] & region).bit_count(), v))
 
 
 def _backtrack(
@@ -59,22 +64,25 @@ def _backtrack(
     host: Graph,
     injective: bool,
     induced: bool,
-    lists: list[int] | None = None,
+    lists: Mapping[int, int] | Sequence[int] | None = None,
+    order: list[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Every map V(pattern) -> V(host) preserving edges, in a fixed order:
-    the first one for ``_first_map``, all injective ones for ``subgraph_embeddings``.
+    """Every map of pattern[order] into host preserving edges, in a fixed
+    order, each as a tuple over V(pattern) with -1 off ``order``: the first
+    one for ``_first_map``, all injective ones for ``subgraph_embeddings``.
 
-    Pattern vertices are placed in ``_pattern_order`` and each one's images
-    are tried in ascending index, so the maps come out in lexicographic order
-    of their images along that order.  The candidate bitset of a pattern
-    vertex is the intersection of its base mask and its placed neighbours'
-    host neighbourhoods; ``induced`` also removes the neighbourhoods of placed
-    non-neighbours, and ``injective`` also removes used host vertices.  The
-    base mask is the whole host, cut down to the host vertices of at least
-    the pattern vertex's degree when ``injective``, and to ``lists[v]`` (one
-    host bitset per pattern vertex v: a list homomorphism) when given.  The
-    search keeps one untried-candidate bitset per depth on an explicit stack,
-    so its depth is not bounded by the recursion limit.
+    The vertices of ``order`` (``_pattern_order(pattern)`` by default) are
+    placed in that order and each one's images are tried in ascending index,
+    so the maps come out in lexicographic order of their images along it.
+    The candidate bitset of a pattern vertex is the intersection of its base
+    mask and its placed neighbours' host neighbourhoods; ``induced`` also
+    removes the neighbourhoods of placed non-neighbours, and ``injective``
+    also removes used host vertices.  The base mask is the whole host, cut
+    down to the host vertices of at least the pattern vertex's degree in
+    pattern[order] when ``injective``, and to ``lists[v]`` (one host bitset
+    per pattern vertex v: a list homomorphism) when given.  The search keeps
+    one untried-candidate bitset per depth on an explicit stack, so its depth
+    is not bounded by the recursion limit.
 
     Twin pruning.  Host vertices x and y are twins when they have the same
     open or the same closed neighbourhood (a vertex has at most one
@@ -87,15 +95,18 @@ def _backtrack(
     (x y) fixes the partial map and carries every map below y (edges,
     non-edges, injectivity and base masks alike) to one below x, so y's
     subtree is empty too.  Only empty subtrees are skipped, so the maps and
-    their order are those of the unpruned search.
+    their order are those of the unpruned search.  The twin masks are built
+    at the first such subtree, so a search that never backtracks, such as
+    one of a lone vertex, does without them.
     """
-    n = pattern.n
+    if order is None:
+        order = _pattern_order(pattern)
+    n = len(order)
+    image = [-1] * pattern.n
     if n == 0:
-        yield ()
+        yield tuple(image)
         return
     adj = host.adj
-    full = (1 << host.n) - 1
-    order = _pattern_order(pattern)
     earlier_nbr: list[list[int]] = []
     earlier_non: list[list[int]] = []
     placed = 0
@@ -103,19 +114,15 @@ def _backtrack(
         earlier_nbr.append(list(bits(pattern.adj[v] & placed)))
         earlier_non.append(list(bits(placed & ~pattern.adj[v])) if induced else [])
         placed |= 1 << v
-    base = [full] * n
+    base = [(1 << host.n) - 1] * n
     if injective:
         host_deg = host.degrees()
-        at_least = {
-            d: mask_of(x for x in range(host.n) if host_deg[x] >= d) for d in set(pattern.degrees())
-        }
-        base = [at_least[pattern.degree(v)] for v in order]
+        degree = [(pattern.adj[v] & placed).bit_count() for v in order]
+        at_least = {d: mask_of(x for x in range(host.n) if host_deg[x] >= d) for d in set(degree)}
+        base = [at_least[d] for d in degree]
     if lists is not None:
         base = [b & lists[v] for b, v in zip(base, order)]
-    twins = _twin_masks(adj)
-    for m in set(base):
-        twins = [t & (m if m >> x & 1 else ~m) for x, t in enumerate(twins)]
-    image = [-1] * n
+    twins: list[int] | None = None
     used = [0] * n  # used[i]: the partial image, host vertices taken by depths < i
     untried = [0] * n
     mark = [0] * n  # mark[i]: maps yielded before depth i's current image was placed
@@ -130,6 +137,10 @@ def _backtrack(
             if i >= 0 and yielded == mark[i]:
                 x = image[order[i]]
                 if not used[i] >> x & 1:
+                    if twins is None:
+                        twins = _twin_masks(adj)
+                        for m in set(base):
+                            twins = [t & (m if m >> y & 1 else ~m) for y, t in enumerate(twins)]
                     untried[i] &= ~twins[x] | used[i]
             continue
         low = candidates & -candidates
@@ -152,9 +163,8 @@ def _backtrack(
         untried[i] = candidates
 
 
-def _components(g: Graph, region: int) -> Iterator[tuple[range | list[int], Graph]]:
-    """The components of g[region] by least vertex, each as its members and its
-    graph: g itself when it is all of g, else g[component] in members' order."""
+def _components(g: Graph, region: int) -> Iterator[int]:
+    """The components of g[region] as vertex bitsets, by least vertex."""
     while region:
         component = frontier = region & -region
         while frontier and component != region:  # stop once no vertex is left out
@@ -162,34 +172,36 @@ def _components(g: Graph, region: int) -> Iterator[tuple[range | list[int], Grap
             new = g.adj[v] & region & ~component
             component, frontier = component | new, frontier ^ 1 << v | new
         region ^= component
-        if component == (1 << g.n) - 1:
-            yield range(g.n), g  # connected: searched as it is
-            continue
-        members = [*bits(component)]
-        index = {v: k for k, v in enumerate(members)}
-        rows = tuple([mask_of(index[u] for u in bits(g.adj[v] & component)) for v in members])
-        yield members, Graph._of_valid_rows(rows)
+        yield component
 
 
 def _first_map(
-    g: Graph, host: Graph, region: int, lists: dict[int, int] | None = None
+    g: Graph, host: Graph, region: int, lists: Mapping[int, int] | None = None
 ) -> tuple[int, ...] | None:
-    """The first map of g[region] into host in ``_backtrack``'s order (-1 off
-    region), or None; v's images lie in ``lists[v]``.  A component keeps its
-    vertices' order and degrees, and a product's first map is that of its
-    factors, so each component is searched alone, not under others' maps."""
-    full, image = (1 << host.n) - 1, [-1] * g.n
-    for members, part in _components(g, region):
-        options = None if lists is None else [lists[v] for v in members]
-        if len(members) == 1:  # a lone vertex takes its least candidate
-            low = full if options is None else full & options[0]
-            found = ((low & -low).bit_length() - 1,) if low else None
-        else:
-            found = next(_backtrack(part, host, False, False, options), None)
+    """The first map of g[region] into host in ``_backtrack``'s order along
+    ``_pattern_order(g, region)`` (-1 off region), or None; v's images lie in
+    ``lists[v]``.  That order restricted to a component C is
+    ``_pattern_order(g, C)``, and a product's first map is that of its
+    factors, so each C is searched alone, not under others' maps.
+
+    Only the first member of each class of open twins with equal lists is
+    searched, and the others take its image.  In the first map two such
+    twins have equal images: moving either image onto the other keeps a
+    homomorphism and the lists, so by minimality each is at most the other.
+    As a class's first member precedes the others, a smaller map of the
+    quotient would lift to a smaller map of C.  This holds for first maps only.
+    """
+    image = [-1] * g.n
+    for part in _components(g, region):
+        classes: dict[tuple[int, int | None], list[int]] = {}
+        for v in _pattern_order(g, part):
+            classes.setdefault((g.adj[v] & part, None if lists is None else lists[v]), []).append(v)
+        found = next(_backtrack(g, host, False, False, lists, [c[0] for c in classes.values()]), None)
         if found is None:
             return None
-        for v, x in zip(members, found):
-            image[v] = x
+        for members in classes.values():
+            for v in members:
+                image[v] = found[members[0]]
     return tuple(image)
 
 
@@ -233,8 +245,8 @@ def subgraph_embeddings(pattern: Graph, host: Graph, induced: bool) -> Iterator[
     that embeds nowhere is not retried under every placement of the others."""
     if pattern.n > host.n:
         return
-    parts = [part for members, part in _components(pattern, (1 << pattern.n) - 1) if len(members) > 1]
-    if len(parts) < 2 or all(next(_backtrack(p, host, True, induced), None) for p in parts):
+    orders = [_pattern_order(pattern, p) for p in _components(pattern, (1 << pattern.n) - 1) if p & (p - 1)]
+    if len(orders) < 2 or all(next(_backtrack(pattern, host, True, induced, None, o), None) for o in orders):
         yield from _backtrack(pattern, host, injective=True, induced=induced)
 
 

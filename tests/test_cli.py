@@ -99,6 +99,15 @@ def test_hom_no_on_a_late_component(capsys, tmp_path, c7bar_file):
     assert capsys.readouterr().out == "NO\n"
 
 
+def test_hom_no_on_a_blow_up(capsys, tmp_path, c7bar_file):
+    # H2PLUS blown up 20 times has no map into C7BAR; the search takes one
+    # vertex per class of open twins, so it answers at once
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(emit_graph(blow_up(families.h2plus(), [20] * 8)))
+    assert main(["hom", str(pattern), c7bar_file]) == 1
+    assert capsys.readouterr().out == "NO\n"
+
+
 def test_hom_iso(capsys, tmp_path, c7bar_file):
     delta2 = tmp_path / "delta2.txt"
     delta2.write_text(emit_graph(families.delta(2)))

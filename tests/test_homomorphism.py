@@ -27,6 +27,7 @@ from localchrom.graphs import (
 from localchrom.homomorphism import (
     _backtrack,
     _canonical_search,
+    _first_map,
     _pattern_order,
     _refine,
     brute_force_homomorphism,
@@ -372,19 +373,20 @@ class TestFirstMap:
         assert late >= 50
 
     def test_one_search_per_component(self, monkeypatch):
-        # K_{3,3} + K4 into C7BAR: a search of the 6 vertices, then of the 4,
-        # where one search of the whole pattern has 10
+        # K_{3,3} + K4 into C7BAR: a search of the K_{3,3}'s 2 classes of open
+        # twins, then of the K4's 4 vertices, where one search of the whole
+        # pattern has 10
         from localchrom import homomorphism
 
         sizes = []
 
-        def counted(pattern, host, injective, induced, lists=None):
-            sizes.append(pattern.n)
-            return _backtrack(pattern, host, injective, induced, lists)
+        def counted(pattern, host, injective, induced, lists, order):
+            sizes.append(len(order))
+            return _backtrack(pattern, host, injective, induced, lists, order)
 
         monkeypatch.setattr(homomorphism, "_backtrack", counted)
         assert find_homomorphism(kaa_k4(3), families.c7bar()) is None
-        assert sizes == [6, 4]
+        assert sizes == [2, 4]
 
     def test_a_late_component_without_maps_ends_the_search(self):
         # one search of the whole pattern retries the K4 under every map of
@@ -401,6 +403,73 @@ class TestFirstMap:
             assert first == next(_backtrack(g, h, False, False), None)
         assert find_homomorphism(Graph(3), Graph(0)) is None
         assert find_homomorphism(Graph(0), Graph(0)) == ()
+
+    def test_regions_vs_a_searched_copy(self):
+        # oracle: one search of a copy of g[region], ordered by its own
+        # degrees, lifted back onto g; with and without lists, and brute force
+        # on small regions without them
+        rng = random.Random(38)
+        hosts = [families.c7bar(), families.h2plus(), families.h2(), cycle_power(5, 1), Graph(2, [(0, 1)])]
+        outcomes = Counter()
+        for case in range(400):
+            g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.2, 0.7))
+            region = rng.randrange(1, (1 << g.n) - 1)
+            members = list(bits(region))
+            copy = Graph.from_rows(mask_of(members.index(u) for u in bits(g.adj[v] & region)) for v in members)
+            h = rng.choice(hosts)
+            lists = None
+            if case % 2:
+                lists = {v: mask_of(rng.sample(range(h.n), rng.randint(1, h.n))) for v in members}
+            found = next(_backtrack(copy, h, False, False, lists and [lists[v] for v in members]), None)
+            lifted = found and tuple([found[members.index(v)] if region >> v & 1 else -1 for v in range(g.n)])
+            first = _first_map(g, h, region, lists)
+            assert first == lifted
+            if copy.n <= 7 and lists is None:
+                assert (first is not None) == brute_force_homomorphism(copy, h)
+            outcomes[first is not None, lists is None] += 1
+        assert len(outcomes) == 4
+
+    def test_twin_quotient_vs_whole_pattern_search(self):
+        # relabelled blow-ups with classes of 1-3 vertices, of named graphs
+        # and of random graphs on at most 5 vertices (whose classes may also
+        # be cliques): the first map through the quotient by open twins is
+        # that of one search of the whole pattern
+        rng = random.Random(39)
+        named = [families.c7bar(), families.h2plus(), families.h2(), families.h0(), cycle_power(5, 1)]
+        hosts = [families.c7bar(), families.h2plus(), families.h2(), families.delta(3), cycle_power(5, 1)]
+        outcomes = Counter()
+        quotiented = 0  # patterns with two open twins
+        while sum(outcomes.values()) < 1000:
+            if rng.random() < 0.5:
+                g = twin_host(rng)
+            else:
+                base = rng.choice(named)
+                sizes = [rng.randint(1, 3) for _ in range(base.n)]
+                perm = list(range(sum(sizes)))
+                rng.shuffle(perm)
+                g = relabel(blow_up(base, sizes), perm)
+            if g.n > 12:
+                continue
+            quotiented += len(_classes_by_row(g.adj)) < g.n
+            for h in hosts:
+                first = find_homomorphism(g, h)
+                assert first == next(_backtrack(g, h, False, False), None)
+                outcomes[first is not None] += 1
+        assert outcomes[True] and outcomes[False]
+        assert quotiented > 100
+
+    def test_blow_up_patterns_take_milliseconds(self):
+        # one vertex per class of open twins is searched: a search of every
+        # vertex takes 1.9 s on C7BAR blown up 14 times, and longer beyond
+        c7bar = families.c7bar()
+        cases = [(blow_up(c7bar, [m] * 7), True) for m in (20, 200)]
+        cases.append((blow_up(families.h2plus(), [20] * 8), False))
+        for g, yes in cases:
+            start = time.perf_counter()
+            hom = find_homomorphism(g, c7bar)
+            assert time.perf_counter() - start < 1.0
+            assert (hom is not None) == yes
+            assert hom is None or is_homomorphism(g, c7bar, hom)
 
 
 class TestInjectiveComponents:
@@ -435,9 +504,9 @@ class TestInjectiveComponents:
 
         sizes = []
 
-        def counted(pattern, host, injective, induced, lists=None):
-            sizes.append(pattern.n)
-            return _backtrack(pattern, host, injective, induced, lists)
+        def counted(pattern, host, injective, induced, lists=None, order=None):
+            sizes.append(pattern.n if order is None else len(order))
+            return _backtrack(pattern, host, injective, induced, lists, order)
 
         monkeypatch.setattr(homomorphism, "_backtrack", counted)
         start = time.perf_counter()
